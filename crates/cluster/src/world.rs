@@ -128,8 +128,9 @@ struct RxTask {
     stack: *mut HostStack,
     at: SimTime,
     /// The arriving frame, shared across the round (a broadcast batch has
-    /// many recipients of one frame). Workers clone it — `Bytes` payloads
-    /// are atomically refcounted, so the clone is cheap and thread-safe.
+    /// many recipients of one frame). Workers borrow it and copy it only
+    /// when their stack keeps it — `Bytes` payloads are atomically
+    /// refcounted, so the copy is cheap and thread-safe.
     seg: *const Segment,
     out: Mailbox<StackEffect>,
 }
@@ -1656,8 +1657,8 @@ impl World {
                 // SAFETY: see `RxTask`'s `Send` justification — stacks are
                 // pairwise disjoint and segments immutable for the round.
                 let stack = unsafe { &mut *t.stack };
-                let seg = unsafe { (*t.seg).clone() };
-                t.out.fill(stack.on_rx(seg, t.at));
+                let seg = unsafe { &*t.seg };
+                t.out.fill(stack.on_rx_ref(seg, t.at));
             });
         }
         // Phase 2 (barrier): apply effects in dispatch order — the only
@@ -1669,8 +1670,7 @@ impl World {
             );
             let host = t.host;
             let fx = t.out.take();
-            self.apply_effects(host, fx);
-            self.drain_capture_pressure(host);
+            self.apply_rx_effects(host, fx);
         }
         tasks.clear();
         self.round_tasks = tasks;
@@ -1718,8 +1718,7 @@ impl World {
             Event::PacketArrival { host, seg } => {
                 let now = self.now();
                 let fx = self.hosts[host].stack.on_rx(seg, now);
-                self.apply_effects(host, fx);
-                self.drain_capture_pressure(host);
+                self.apply_rx_effects(host, fx);
             }
             Event::BroadcastArrival { hosts, seg } => {
                 let now = self.now();
@@ -1730,9 +1729,8 @@ impl World {
                     if !self.hosts[host].alive {
                         continue;
                     }
-                    let fx = self.hosts[host].stack.on_rx(seg.clone(), now);
-                    self.apply_effects(host, fx);
-                    self.drain_capture_pressure(host);
+                    let fx = self.hosts[host].stack.on_rx_ref(&seg, now);
+                    self.apply_rx_effects(host, fx);
                 }
                 if self.bcast_pool.len() < FX_POOL_CAP {
                     self.bcast_pool.push(hosts);
@@ -1801,6 +1799,17 @@ impl World {
                 self.sched.schedule_after(ttl.max(1), Event::XlateGc);
             }
         }
+    }
+
+    /// Apply the effects of one frame reception on `host`, then its capture
+    /// pressure. Most broadcast copies are dropped by their receiver and
+    /// leave neither, so they skip both.
+    fn apply_rx_effects(&mut self, host: usize, fx: Vec<StackEffect>) {
+        if fx.is_empty() && !self.hosts[host].stack.capture.has_pressure_events() {
+            return;
+        }
+        self.apply_effects(host, fx);
+        self.drain_capture_pressure(host);
     }
 
     /// Turn capture-queue pressure recorded by `host`'s stack into
@@ -1889,8 +1898,8 @@ impl World {
         };
         if r.is_some() {
             self.apply_effects(host, effects);
-        } else if self.stack_fx_pool.len() < FX_POOL_CAP {
-            self.stack_fx_pool.push(effects);
+        } else {
+            self.recycle_fx(effects);
         }
         r
     }
@@ -2488,10 +2497,18 @@ impl World {
         for effect in fx.drain(..) {
             self.apply_stack_effect(host, effect);
         }
-        // Recycle the emptied vector so the next app callback or stack
-        // unlock starts with a warm buffer. Callers also hand in vectors the
-        // stack allocated itself, so the pool is capped to stay bounded.
-        if self.stack_fx_pool.len() < FX_POOL_CAP {
+        self.recycle_fx(fx);
+    }
+
+    /// Return an emptied effect vector to the pool so the next app callback
+    /// starts with a warm buffer. Most stack calls hand back an unallocated
+    /// `Vec::new()`; pooling one of those would only defer the allocation to
+    /// the callback's first push, so only buffers with capacity are kept.
+    /// Callers also hand in vectors the stack allocated itself, so the pool
+    /// is capped to stay bounded.
+    fn recycle_fx(&mut self, fx: Vec<StackEffect>) {
+        debug_assert!(fx.is_empty());
+        if fx.capacity() > 0 && self.stack_fx_pool.len() < FX_POOL_CAP {
             self.stack_fx_pool.push(fx);
         }
     }

@@ -61,7 +61,7 @@ impl World {
         while let Some(e) = queue.pop() {
             if let StackEffect::Tx { seg, route } = e {
                 for target in self.route(route) {
-                    let fx = self.hosts[target].on_rx(seg.clone(), self.now);
+                    let fx = self.hosts[target].on_rx_ref(&seg, self.now);
                     queue.extend(fx);
                 }
             }

@@ -94,13 +94,20 @@ impl Link {
 
     /// Microseconds needed to serialize `bytes` onto the wire (≥ 1).
     ///
-    /// Computed through `u128`: `bytes * 1_000_000` overflows `u64` already
-    /// at ~18.4 TB, and a saturating multiply would silently *under-report*
-    /// wire time for large aggregated transfers (the result would cap at
+    /// Every frame takes the `u64` division. Only when `bytes * 1_000_000`
+    /// overflows `u64` (beyond ~18.4 TB) does it fall back to `u128`: a
+    /// saturating multiply would silently *under-report* wire time for
+    /// large aggregated transfers (the result would cap at
     /// `u64::MAX / bandwidth` instead of growing linearly).
     pub fn serialization_us(&self, bytes: u64) -> u64 {
-        let us = (bytes as u128 * 1_000_000) / self.bandwidth as u128;
-        u64::try_from(us).unwrap_or(u64::MAX).max(1)
+        let us = match bytes.checked_mul(1_000_000) {
+            Some(scaled) => scaled / self.bandwidth,
+            None => {
+                let us = (bytes as u128 * 1_000_000) / self.bandwidth as u128;
+                u64::try_from(us).unwrap_or(u64::MAX)
+            }
+        };
+        us.max(1)
     }
 
     /// Submit a frame at `now`; returns the arrival instant at the far end,
@@ -181,8 +188,13 @@ mod tests {
             "wire time stopped scaling: {just_below} vs {above}"
         );
         // Exact value through u128: bytes * 1e6 / bandwidth.
-        let expect = ((boundary as u128 * 4 * 1_000_000) / 125_000_000) as u64;
-        assert_eq!(above, expect);
+        let exact = |bytes: u64| ((bytes as u128 * 1_000_000) / 125_000_000) as u64;
+        assert_eq!(above, exact(boundary * 4));
+        // `boundary` is the last size on the u64 path and `boundary + 1` the
+        // first on the u128 path: both paths give the exact value.
+        for bytes in boundary - 2..=boundary + 2 {
+            assert_eq!(l.serialization_us(bytes), exact(bytes), "at {bytes} bytes");
+        }
     }
 
     #[test]

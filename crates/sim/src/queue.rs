@@ -5,6 +5,12 @@
 //! heap internals. The ordering pair is public as [`DispatchKey`] so the
 //! sharded scheduler's barrier merge and the heap provably sort by the same
 //! key.
+//!
+//! The heap holds only 24-byte `(key, slot)` entries; the events themselves
+//! sit in a slab whose vacated slots are recycled through a free list. A
+//! sift therefore moves a key, never an event, however large the event type
+//! is — and since keys are unique, the pop order is the key order whatever
+//! slot an event happens to occupy.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -23,27 +29,27 @@ pub struct DispatchKey {
     pub seq: u64,
 }
 
-/// An event with its dispatch key.
-#[derive(Debug)]
-struct Scheduled<E> {
+/// A heap entry: an event's dispatch key and the slab slot holding it.
+#[derive(Debug, Clone, Copy)]
+struct Scheduled {
     key: DispatchKey,
-    event: E,
+    slot: usize,
 }
 
-impl<E> PartialEq for Scheduled<E> {
+impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl<E> Eq for Scheduled<E> {}
+impl Eq for Scheduled {}
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Scheduled {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event is popped
         // first, with insertion order breaking ties.
@@ -54,7 +60,11 @@ impl<E> Ord for Scheduled<E> {
 /// A time-ordered queue of pending events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Scheduled>,
+    /// Event storage; `None` marks a slot on the free list.
+    slab: Vec<Option<E>>,
+    /// Vacated slab slots, reused before the slab grows.
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -69,6 +79,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -77,10 +89,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            key: DispatchKey { at, seq },
-            event,
-        });
+        self.insert(DispatchKey { at, seq }, event);
     }
 
     /// Schedule `event` under an externally allocated dispatch key. Used by
@@ -88,17 +97,34 @@ impl<E> EventQueue<E> {
     /// counter shared by all shards so the N-way merge stays a total order.
     pub fn push_keyed(&mut self, key: DispatchKey, event: E) {
         self.next_seq = self.next_seq.max(key.seq + 1);
-        self.heap.push(Scheduled { key, event });
+        self.insert(key, event);
+    }
+
+    fn insert(&mut self, key: DispatchKey, event: E) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                self.slab.len() - 1
+            }
+        };
+        self.heap.push(Scheduled { key, slot });
     }
 
     /// Remove and return the earliest pending event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.key.at, s.event))
+        self.pop_keyed().map(|(key, event)| (key.at, event))
     }
 
     /// Remove and return the earliest pending event with its full key.
     pub fn pop_keyed(&mut self) -> Option<(DispatchKey, E)> {
-        self.heap.pop().map(|s| (s.key, s.event))
+        let Scheduled { key, slot } = self.heap.pop()?;
+        let event = self.slab[slot].take().expect("heap entry owns its slot");
+        self.free.push(slot);
+        Some((key, event))
     }
 
     /// Dispatch key of the earliest pending event, if any.
@@ -108,7 +134,12 @@ impl<E> EventQueue<E> {
 
     /// The earliest pending event and its key, without removing it.
     pub fn peek(&self) -> Option<(DispatchKey, &E)> {
-        self.heap.peek().map(|s| (s.key, &s.event))
+        self.heap.peek().map(|s| {
+            let event = self.slab[s.slot]
+                .as_ref()
+                .expect("heap entry owns its slot");
+            (s.key, event)
+        })
     }
 
     /// Due time of the earliest pending event, if any.
@@ -225,5 +256,111 @@ mod tests {
         // next_seq advanced past the largest external key.
         q.push(t, "fresh");
         assert_eq!(q.peek_key().map(|k| k.seq), Some(8));
+    }
+
+    #[test]
+    fn vacated_slots_are_reused() {
+        let mut q = EventQueue::new();
+        for i in 0..8 {
+            q.push(SimTime::from_micros(i), i);
+        }
+        for _ in 0..8 {
+            q.pop();
+        }
+        for i in 0..8 {
+            q.push(SimTime::from_micros(100 - i), i);
+        }
+        assert_eq!(q.slab.len(), 8, "the slab grows only to the peak pending");
+        assert_eq!(q.pop(), Some((SimTime::from_micros(93), 7)));
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// One step of the random workload.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `n` events at one instant `delay` µs after the last pop.
+        Burst(u64, usize),
+        /// One event under an external key `gap` sequence numbers ahead.
+        Keyed(u64, u64),
+        Pop,
+        Peek,
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u64..4, 1usize..12).prop_map(|(d, n)| Op::Burst(d, n)),
+                (0u64..50, 0u64..3).prop_map(|(d, g)| Op::Keyed(d, g)),
+                Just(Op::Pop),
+                Just(Op::Pop),
+                Just(Op::Pop),
+                Just(Op::Peek),
+            ],
+            1..400,
+        )
+    }
+
+    proptest! {
+        /// Against a `BTreeMap` reference model keyed by `(at, seq)`: every
+        /// pop yields exactly the model's minimum, `peek` always equals the
+        /// next `pop_keyed`, and the counters track the model — through
+        /// same-instant bursts and constant slot recycling.
+        #[test]
+        fn slab_queue_matches_ordered_model(ops in ops()) {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            let mut model: BTreeMap<DispatchKey, u64> = BTreeMap::new();
+            let mut next_seq = 0u64;
+            let mut now = SimTime::ZERO;
+            let mut payload = 0u64;
+            for op in ops {
+                match op {
+                    Op::Burst(delay, n) => {
+                        for _ in 0..n {
+                            let key = DispatchKey { at: now + delay, seq: next_seq };
+                            next_seq += 1;
+                            q.push(key.at, payload);
+                            model.insert(key, payload);
+                            payload += 1;
+                        }
+                    }
+                    Op::Keyed(delay, gap) => {
+                        let key = DispatchKey { at: now + delay, seq: next_seq + gap };
+                        next_seq = key.seq + 1;
+                        q.push_keyed(key, payload);
+                        model.insert(key, payload);
+                        payload += 1;
+                    }
+                    Op::Pop => {
+                        let peeked = q.peek().map(|(k, e)| (k, *e));
+                        let popped = q.pop_keyed();
+                        prop_assert_eq!(peeked, popped);
+                        let expect = model.pop_first();
+                        prop_assert_eq!(popped, expect);
+                        if let Some((key, _)) = popped {
+                            now = key.at;
+                        }
+                    }
+                    Op::Peek => {
+                        let expect = model.first_key_value().map(|(k, e)| (*k, *e));
+                        prop_assert_eq!(q.peek().map(|(k, e)| (k, *e)), expect);
+                        prop_assert_eq!(q.peek_key(), expect.map(|(k, _)| k));
+                        prop_assert_eq!(q.peek_time(), expect.map(|(k, _)| k.at));
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                prop_assert_eq!(q.scheduled_total(), next_seq);
+            }
+            while let Some(expect) = model.pop_first() {
+                prop_assert_eq!(q.pop_keyed(), Some(expect));
+            }
+            prop_assert_eq!(q.pop_keyed(), None);
+        }
     }
 }

@@ -450,6 +450,11 @@ impl CaptureTable {
         std::mem::take(&mut self.pressure)
     }
 
+    /// Whether incidents await [`take_pressure_events`](Self::take_pressure_events).
+    pub fn has_pressure_events(&self) -> bool {
+        !self.pressure.is_empty()
+    }
+
     /// Disable the entry and return its queued packets in reinjection order
     /// (TCP in sequence order, then UDP in arrival order).
     pub fn disable_and_drain(&mut self, key: &CaptureKey) -> Vec<Segment> {

@@ -16,6 +16,7 @@ use crate::xlate::XlateTable;
 use bytes::Bytes;
 use dvelm_net::{Ip, NodeId, Port, SockAddr};
 use dvelm_sim::{DetRng, Jiffies, SimTime};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A host-local socket identifier.
@@ -478,7 +479,26 @@ impl HostStack {
 
     /// A frame arrived on either interface: run the `LOCAL_IN` netfilter
     /// chain, then deliver to a socket.
-    pub fn on_rx(&mut self, mut seg: Segment, now: SimTime) -> Vec<StackEffect> {
+    pub fn on_rx(&mut self, seg: Segment, now: SimTime) -> Vec<StackEffect> {
+        self.receive(Cow::Owned(seg), now)
+    }
+
+    /// [`on_rx`](Self::on_rx) for a frame the caller keeps — one copy of a
+    /// broadcast shared by every node. The frame is copied only if this
+    /// host keeps it (captured, rewritten by a translation rule, or handed
+    /// to a matching socket), so dropping a copy it does not own allocates
+    /// nothing.
+    pub fn on_rx_ref(&mut self, seg: &Segment, now: SimTime) -> Vec<StackEffect> {
+        self.receive(Cow::Borrowed(seg), now)
+    }
+
+    /// The one receive path behind [`on_rx`](Self::on_rx) and
+    /// [`on_rx_ref`](Self::on_rx_ref). Inlined into each so every copy knows
+    /// whether it holds an owned or a borrowed frame: the owned path then
+    /// moves the frame as before, and the borrowed one copies it only where
+    /// it is kept.
+    #[inline(always)]
+    fn receive(&mut self, mut seg: Cow<'_, Segment>, now: SimTime) -> Vec<StackEffect> {
         self.stats.rx_total += 1;
         let (hooks, n_hooks) = self.netfilter.chain_copy(HookPoint::LocalIn);
         for kind in hooks.into_iter().take(n_hooks) {
@@ -515,10 +535,11 @@ impl HostStack {
     /// `LOCAL_IN` hooks — the `okfn()` path of §V-B.
     pub fn reinject(&mut self, seg: Segment, now: SimTime) -> Vec<StackEffect> {
         self.stats.reinjected += 1;
-        self.deliver(seg, now)
+        self.deliver(Cow::Owned(seg), now)
     }
 
-    fn deliver(&mut self, seg: Segment, now: SimTime) -> Vec<StackEffect> {
+    #[inline(always)]
+    fn deliver(&mut self, seg: Cow<'_, Segment>, now: SimTime) -> Vec<StackEffect> {
         if seg.dst.ip != self.public_ip
             && seg.dst.ip != self.local_ip
             && !self.xlate.owns_virtual(seg.dst.ip)
@@ -528,13 +549,14 @@ impl HostStack {
             self.stats.rx_dropped_misrouted += 1;
             return Vec::new();
         }
-        match &seg.transport {
+        match seg.transport {
             Transport::Tcp { flags, .. } => {
                 let ft = FourTuple {
                     local: seg.dst,
                     remote: seg.src,
                 };
                 if let Some(&sid) = self.ehash.get(&ft) {
+                    let seg = seg.into_owned();
                     return match self.with_tcp(sid, now, |t, ctx| t.on_segment(seg, ctx)) {
                         Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
                         None => Vec::new(),
@@ -543,7 +565,7 @@ impl HostStack {
                 if flags.syn && !flags.ack {
                     if let Some(&lid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
                         if self.socks.get(&lid).is_some_and(Socket::is_listener) {
-                            return self.accept_syn(lid, seg, now);
+                            return self.accept_syn(lid, &seg, now);
                         }
                     }
                 }
@@ -556,6 +578,7 @@ impl HostStack {
                 if let Some(&sid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
                     if let Some(Socket::Udp(u)) = self.socks.get_mut(&sid) {
                         let jiffies = Jiffies::at(self.jiffies_base, now);
+                        let seg = seg.into_owned();
                         let notify = u.on_datagram(seg, now, jiffies, &mut self.stamp);
                         return if notify {
                             vec![StackEffect::DataReadable { sock: sid }]
@@ -570,7 +593,7 @@ impl HostStack {
         }
     }
 
-    fn accept_syn(&mut self, lid: SockId, seg: Segment, now: SimTime) -> Vec<StackEffect> {
+    fn accept_syn(&mut self, lid: SockId, seg: &Segment, now: SimTime) -> Vec<StackEffect> {
         let Transport::Tcp { seq, ts_val, .. } = seg.transport else {
             debug_assert!(false, "accept_syn called with non-TCP segment");
             return Vec::new();
@@ -910,9 +933,9 @@ mod tests {
             addr,
             Bytes::from_static(b"cmd"),
         );
-        let fx0 = net.hosts[0].on_rx(seg.clone(), T0);
+        let fx0 = net.hosts[0].on_rx_ref(&seg, T0);
         assert_eq!(fx0.len(), 1, "owner delivers");
-        let fx1 = net.hosts[1].on_rx(seg, T0);
+        let fx1 = net.hosts[1].on_rx_ref(&seg, T0);
         assert!(fx1.is_empty(), "non-owner drops silently");
         assert_eq!(net.hosts[1].stats().rx_dropped_no_socket, 1);
         assert_eq!(net.hosts[0].read_udp(sid).len(), 1);

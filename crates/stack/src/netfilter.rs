@@ -35,11 +35,59 @@ pub enum Verdict {
     Stolen,
 }
 
+/// Upper bound on chain length: [`HookRegistry::register`] keeps each
+/// [`HookKind`] at most once and only two kinds exist.
+pub const MAX_CHAIN_LEN: usize = 2;
+
+/// One hook point's chain, stored inline: the RX path reads it for every
+/// arriving frame — 64 times per broadcast on a 64-node cluster — and an
+/// inline array costs no pointer chase into the heap.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    kinds: [HookKind; MAX_CHAIN_LEN],
+    len: usize,
+}
+
+impl Chain {
+    fn of(kinds: &[HookKind]) -> Chain {
+        let mut chain = Chain {
+            kinds: [HookKind::Translate; MAX_CHAIN_LEN],
+            len: 0,
+        };
+        for &kind in kinds {
+            chain.push(kind);
+        }
+        chain
+    }
+
+    fn as_slice(&self) -> &[HookKind] {
+        &self.kinds[..self.len]
+    }
+
+    /// Append `kind` if absent; with each kind at most once the chain never
+    /// outgrows [`MAX_CHAIN_LEN`].
+    fn push(&mut self, kind: HookKind) {
+        if !self.as_slice().contains(&kind) {
+            self.kinds[self.len] = kind;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, kind: HookKind) -> bool {
+        let Some(i) = self.as_slice().iter().position(|&k| k == kind) else {
+            return false;
+        };
+        self.kinds.copy_within(i + 1..self.len, i);
+        self.len -= 1;
+        true
+    }
+}
+
 /// Per-hook-point ordered registry.
 #[derive(Debug, Clone)]
 pub struct HookRegistry {
-    local_in: Vec<HookKind>,
-    local_out: Vec<HookKind>,
+    local_in: Chain,
+    local_out: Chain,
 }
 
 impl Default for HookRegistry {
@@ -48,59 +96,50 @@ impl Default for HookRegistry {
     /// addresses), translation only on the output path.
     fn default() -> Self {
         HookRegistry {
-            local_in: vec![HookKind::Translate, HookKind::Capture],
-            local_out: vec![HookKind::Translate],
+            local_in: Chain::of(&[HookKind::Translate, HookKind::Capture]),
+            local_out: Chain::of(&[HookKind::Translate]),
         }
     }
 }
 
-/// Upper bound on chain length: [`HookRegistry::register`] keeps each
-/// [`HookKind`] at most once and only two kinds exist.
-pub const MAX_CHAIN_LEN: usize = 2;
-
 impl HookRegistry {
-    /// Hooks registered at `point`, in traversal order.
-    pub fn chain(&self, point: HookPoint) -> &[HookKind] {
+    fn at(&self, point: HookPoint) -> &Chain {
         match point {
             HookPoint::LocalIn => &self.local_in,
             HookPoint::LocalOut => &self.local_out,
         }
     }
 
+    fn at_mut(&mut self, point: HookPoint) -> &mut Chain {
+        match point {
+            HookPoint::LocalIn => &mut self.local_in,
+            HookPoint::LocalOut => &mut self.local_out,
+        }
+    }
+
+    /// Hooks registered at `point`, in traversal order.
+    pub fn chain(&self, point: HookPoint) -> &[HookKind] {
+        self.at(point).as_slice()
+    }
+
     /// An owned inline copy of the chain at `point` (valid prefix length in
     /// `.1`): the RX hot path traverses hooks while mutating the tables they
-    /// drive, and the copy makes that borrow-safe without the per-packet
-    /// heap allocation a `to_vec` would cost.
+    /// drive, and the copy makes that borrow-safe without a per-packet
+    /// allocation.
     pub fn chain_copy(&self, point: HookPoint) -> ([HookKind; MAX_CHAIN_LEN], usize) {
-        let chain = self.chain(point);
-        debug_assert!(chain.len() <= MAX_CHAIN_LEN);
-        let mut copy = [HookKind::Translate; MAX_CHAIN_LEN];
-        let len = chain.len().min(MAX_CHAIN_LEN);
-        copy[..len].copy_from_slice(&chain[..len]);
-        (copy, len)
+        let chain = self.at(point);
+        (chain.kinds, chain.len)
     }
 
     /// Remove a hook from a chain (ablation support). Returns whether it was
     /// present.
     pub fn unregister(&mut self, point: HookPoint, kind: HookKind) -> bool {
-        let chain = match point {
-            HookPoint::LocalIn => &mut self.local_in,
-            HookPoint::LocalOut => &mut self.local_out,
-        };
-        let before = chain.len();
-        chain.retain(|k| *k != kind);
-        chain.len() != before
+        self.at_mut(point).remove(kind)
     }
 
     /// Append a hook to a chain if absent.
     pub fn register(&mut self, point: HookPoint, kind: HookKind) {
-        let chain = match point {
-            HookPoint::LocalIn => &mut self.local_in,
-            HookPoint::LocalOut => &mut self.local_out,
-        };
-        if !chain.contains(&kind) {
-            chain.push(kind);
-        }
+        self.at_mut(point).push(kind);
     }
 }
 
@@ -126,6 +165,20 @@ mod tests {
         assert!(
             !r.unregister(HookPoint::LocalIn, HookKind::Capture),
             "already gone"
+        );
+    }
+
+    #[test]
+    fn unregistering_the_head_keeps_the_tail_in_order() {
+        let mut r = HookRegistry::default();
+        assert!(r.unregister(HookPoint::LocalIn, HookKind::Translate));
+        assert_eq!(r.chain(HookPoint::LocalIn), &[HookKind::Capture]);
+        let (copy, len) = r.chain_copy(HookPoint::LocalIn);
+        assert_eq!(&copy[..len], &[HookKind::Capture]);
+        r.register(HookPoint::LocalIn, HookKind::Translate);
+        assert_eq!(
+            r.chain(HookPoint::LocalIn),
+            &[HookKind::Capture, HookKind::Translate]
         );
     }
 

@@ -22,6 +22,7 @@
 use crate::seg::Segment;
 use dvelm_net::{Ip, Port, SockAddr};
 use dvelm_sim::SimTime;
+use std::borrow::Cow;
 
 /// One translation rule, installed on the *peer's* host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -307,8 +308,9 @@ impl XlateTable {
     /// the migrated socket's identity) and the peer half (source back to the
     /// remote's original identity) compose; ports anchor the matches because
     /// either address may still be in its on-wire form. Takes the sim clock
-    /// so matched peer rules refresh their TTL.
-    pub fn incoming_at(&mut self, seg: &mut Segment, now: SimTime) {
+    /// so matched peer rules refresh their TTL. A borrowed segment is copied
+    /// only when a rule actually rewrites it.
+    pub fn incoming_at(&mut self, seg: &mut Cow<'_, Segment>, now: SimTime) {
         let self_hit = self
             .self_rules
             .iter()
@@ -319,7 +321,7 @@ impl XlateTable {
             })
             .copied();
         if let Some(rule) = self_hit {
-            seg.rewrite_dst_ip(rule.sock_local.ip, true);
+            seg.to_mut().rewrite_dst_ip(rule.sock_local.ip, true);
             self.stats.rewritten_in += 1;
         }
         let peer_hit = self.rules.iter().position(|t| {
@@ -330,7 +332,8 @@ impl XlateTable {
         if let Some(i) = peer_hit {
             self.rules[i].last_hit = self.rules[i].last_hit.max(now);
             let rule = self.rules[i].rule;
-            seg.rewrite_src_ip(rule.old_remote_ip, rule.fix_checksum);
+            seg.to_mut()
+                .rewrite_src_ip(rule.old_remote_ip, rule.fix_checksum);
             self.stats.rewritten_in += 1;
         }
     }
@@ -405,10 +408,26 @@ mod tests {
     fn incoming_rewrites_source_back() {
         let mut t = XlateTable::new();
         t.install_at(rule(), SimTime::ZERO);
-        let mut seg = Segment::udp(SockAddr::new(IP2, 5000), peer_local(), Bytes::new());
+        let wire = Segment::udp(SockAddr::new(IP2, 5000), peer_local(), Bytes::new());
+        let mut seg = Cow::Borrowed(&wire);
         t.incoming_at(&mut seg, SimTime::ZERO);
         assert_eq!(seg.src.ip, IP1, "peer sees the original address");
+        assert_eq!(
+            wire.src.ip, IP2,
+            "the borrowed frame is copied, not mutated"
+        );
         assert_eq!(t.stats().rewritten_in, 1);
+    }
+
+    #[test]
+    fn incoming_miss_keeps_the_frame_borrowed() {
+        let mut t = XlateTable::new();
+        t.install_at(rule(), SimTime::ZERO);
+        let wire = Segment::udp(SockAddr::new(IP2, 5001), peer_local(), Bytes::new());
+        let mut seg = Cow::Borrowed(&wire);
+        t.incoming_at(&mut seg, SimTime::ZERO);
+        assert!(matches!(seg, Cow::Borrowed(_)), "no rule matched, no copy");
+        assert_eq!(t.stats().rewritten_in, 0);
     }
 
     #[test]
@@ -470,7 +489,11 @@ mod tests {
 
         // Incoming from the peer (already dst-rewritten to IP2 by the peer's
         // rule): dst IP2 → IP1 before socket lookup.
-        let mut seg = Segment::udp(peer_local(), SockAddr::new(IP2, 5000), Bytes::new());
+        let mut seg = Cow::Owned(Segment::udp(
+            peer_local(),
+            SockAddr::new(IP2, 5000),
+            Bytes::new(),
+        ));
         t.incoming_at(&mut seg, SimTime::ZERO);
         assert_eq!(seg.dst.ip, IP1);
     }
@@ -546,7 +569,11 @@ mod tests {
     fn incoming_hits_refresh_ttl_too() {
         let mut t = XlateTable::new();
         t.install_at(rule(), SimTime::ZERO);
-        let mut seg = Segment::udp(SockAddr::new(IP2, 5000), peer_local(), Bytes::new());
+        let mut seg = Cow::Owned(Segment::udp(
+            SockAddr::new(IP2, 5000),
+            peer_local(),
+            Bytes::new(),
+        ));
         t.incoming_at(&mut seg, SimTime::from_secs(50));
         assert!(t.gc(SimTime::from_secs(60), 30_000_000).is_empty());
     }
@@ -609,7 +636,7 @@ mod prop_tests {
             prop_assert_eq!(out.dst.port, Port(sock_port));
 
             // Reply: migrated socket (wire src = new host) → peer.
-            let mut back = Segment::udp(SockAddr::new(new_ip, sock_port), peer_local, Bytes::new());
+            let mut back = Cow::Owned(Segment::udp(SockAddr::new(new_ip, sock_port), peer_local, Bytes::new()));
             t.incoming_at(&mut back, SimTime::ZERO);
             prop_assert_eq!(back.src.ip, old_ip, "peer sees the original address");
             prop_assert_eq!(back.dst, peer_local);
