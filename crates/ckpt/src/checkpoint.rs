@@ -15,18 +15,21 @@ pub fn full_checkpoint(p: &Process) -> CheckpointImage {
             id: v.id,
             kind: v.kind,
             start: v.start,
-            pages: v.pages.len(),
+            pages: v.page_count(),
         })
         .collect();
     let pages: Vec<PageRef> = p
         .addr_space
         .vmas()
         .flat_map(|v| {
-            v.pages.iter().enumerate().map(move |(i, pg)| PageRef {
-                vma: v.id,
-                index: i,
-                fingerprint: pg.fingerprint,
-            })
+            v.fingerprints
+                .iter()
+                .enumerate()
+                .map(move |(index, &fingerprint)| PageRef {
+                    vma: v.id,
+                    index,
+                    fingerprint,
+                })
         })
         .collect();
     CheckpointImage {

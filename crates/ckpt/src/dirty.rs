@@ -149,7 +149,7 @@ impl IncrementalTracker {
         let mut old = self.tracked.iter().copied().peekable();
         self.next.clear();
         for vma in space.vmas() {
-            let pages = vma.pages.len();
+            let pages = vma.page_count();
             // Tracked regions with smaller ids no longer exist.
             while let Some((id, _)) = old.next_if(|&(id, _)| id < vma.id) {
                 diff.removed.push(id);

@@ -115,6 +115,23 @@ mod tests {
     }
 
     #[test]
+    fn mmap_after_restore_does_not_overlap_restored_regions() {
+        let mut src = Process::new(Pid(4), "srv", 512, 4096);
+        src.addr_space.mmap(VmaKind::Anon, 100, 3);
+        let mut dst = restore_process(&full_checkpoint(&src));
+        for i in 0..3 {
+            dst.addr_space.mmap(VmaKind::Anon, 64, i);
+        }
+        let mut ranges: Vec<(u64, u64)> =
+            dst.addr_space.vmas().map(|v| (v.start, v.end())).collect();
+        ranges.sort_unstable();
+        assert_eq!(ranges.len(), 7);
+        for w in ranges.windows(2) {
+            assert!(w[0].1 <= w[1].0, "overlapping VMAs: {w:x?}");
+        }
+    }
+
+    #[test]
     fn restore_recreates_files() {
         let mut src = Process::new(Pid(1), "p", 4, 4);
         src.fds.insert(FdEntry::File {

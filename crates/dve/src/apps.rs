@@ -21,6 +21,11 @@ pub const CMD_BYTES: usize = 64;
 /// Database query/answer payload sizes.
 pub const DB_QUERY_BYTES: usize = 128;
 
+/// Payloads are fixed filler, so every round shares one static buffer.
+static UPDATE: [u8; UPDATE_BYTES] = [0x5A; UPDATE_BYTES];
+static DB_QUERY: [u8; DB_QUERY_BYTES] = [0xD8; DB_QUERY_BYTES];
+static CMD: [u8; CMD_BYTES] = [0xC0; CMD_BYTES];
+
 /// A zone server: accepts client TCP connections, runs the real-time loop
 /// (≈20 updates/s), keeps a MySQL session busy and dirties memory as it
 /// simulates the world.
@@ -91,10 +96,8 @@ impl App for ZoneServer {
         // time-based so a freeze shifts (not rephases) the cadence.
         if ctx.now.as_micros() >= self.next_update_at {
             self.next_update_at = ctx.now.as_micros() + 50 * MILLISECOND;
-            let update = Bytes::from(vec![0x5Au8; UPDATE_BYTES]);
-            let conns = self.conns.clone();
-            for fd in conns {
-                ctx.send(fd, update.clone());
+            for &fd in &self.conns {
+                ctx.send(fd, Bytes::from_static(&UPDATE));
                 *self.updates_sent.borrow_mut() += 1;
             }
             // Persist world properties to the database a few times a second
@@ -102,7 +105,7 @@ impl App for ZoneServer {
             self.update_round += 1;
             if self.update_round.is_multiple_of(5) {
                 if let Some(db) = self.db_fd {
-                    ctx.send(db, Bytes::from(vec![0xD8u8; DB_QUERY_BYTES]));
+                    ctx.send(db, Bytes::from_static(&DB_QUERY));
                 }
             }
         }
@@ -207,10 +210,8 @@ impl Default for SwarmClient {
 
 impl App for SwarmClient {
     fn on_tick(&mut self, ctx: &mut AppCtx<'_>) {
-        let cmd = Bytes::from(vec![0xC0u8; CMD_BYTES]);
-        let conns = self.conns.clone();
-        for fd in conns {
-            ctx.send(fd, cmd.clone());
+        for &fd in &self.conns {
+            ctx.send(fd, Bytes::from_static(&CMD));
         }
     }
 

@@ -17,6 +17,10 @@ pub const SNAPSHOT_BYTES: usize = 256;
 /// Client usercmd payload size, bytes.
 pub const USERCMD_BYTES: usize = 48;
 
+/// Payloads are fixed filler, so every round shares one static buffer.
+static SNAPSHOT: [u8; SNAPSHOT_BYTES] = [0xA5; SNAPSHOT_BYTES];
+static USERCMD: [u8; USERCMD_BYTES] = [0x11; USERCMD_BYTES];
+
 /// The game server: one UDP socket for all clients (Quake III style), a
 /// 10 ms internal frame loop, snapshots to every known client every 50 ms.
 pub struct OaServer {
@@ -68,10 +72,8 @@ impl App for OaServer {
         if ctx.now >= self.next_snapshot_at {
             self.next_snapshot_at = ctx.now + SNAPSHOT_INTERVAL_US;
             if let Some(fd) = self.fd {
-                let snap = Bytes::from(vec![0xA5u8; SNAPSHOT_BYTES]);
-                let clients: Vec<SockAddr> = self.clients.iter().copied().collect();
-                for c in clients {
-                    ctx.send_udp_to(fd, c, snap.clone());
+                for &c in &self.clients {
+                    ctx.send_udp_to(fd, c, Bytes::from_static(&SNAPSHOT));
                 }
             }
         }
@@ -116,7 +118,7 @@ impl App for OaClient {
             self.fd = ctx.socket_fds().first().copied();
         }
         if let Some(fd) = self.fd {
-            ctx.send_udp_to(fd, self.server, Bytes::from(vec![0x11u8; USERCMD_BYTES]));
+            ctx.send_udp_to(fd, self.server, Bytes::from_static(&USERCMD));
         }
     }
 

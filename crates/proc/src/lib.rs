@@ -5,7 +5,10 @@
 //! * an **address space** of `vm_area_struct`-like regions whose pages carry
 //!   dirty bits — the paper tracks dirty pages via the PTE dirty bit, with
 //!   the swap facility relaxed, so the tracker lives entirely "in a module"
-//!   (here: in the data structure) without touching other code;
+//!   (here: in the data structure) without touching other code. Each region
+//!   stores its page table densely: a fingerprint array and a dirty bitset
+//!   with 64 pages per word, so dirtying a page is a bit set and a precopy
+//!   collection walks words, not pages;
 //! * **threads** with registers, signal masks and an in-syscall flag — the
 //!   signal-based checkpoint notification forces every thread back to
 //!   userspace, which is what guarantees sockets are unlocked at freeze time;

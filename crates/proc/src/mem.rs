@@ -3,8 +3,9 @@
 //! Mirrors what the paper's precopy implementation tracks (§V-A):
 //!
 //! * **dirty pages** inside existing regions, via the PTE dirty bit — here a
-//!   `dirty` flag per page, cleared when the incremental checkpointer
-//!   collects the page;
+//!   dense per-region bitset (64 pages per word) next to the region's page
+//!   fingerprints, cleared when the incremental checkpointer collects the
+//!   page;
 //! * **changes to the address space itself** — insertions (mmap),
 //!   modifications (grow/shrink) and removals (munmap) of regions, which the
 //!   paper detects by diffing the live `vm_area_struct` list against a
@@ -36,34 +37,100 @@ pub enum VmaKind {
     Anon,
 }
 
-/// One page: content fingerprint + dirty bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Page {
-    /// 64-bit stand-in for the page contents.
-    pub fingerprint: u64,
-    /// PTE dirty bit analogue; cleared by the incremental checkpointer.
-    pub dirty: bool,
-}
-
-/// A mapped region (`vm_area_struct` analogue).
+/// A mapped region (`vm_area_struct` analogue) and its slice of the page
+/// table, stored densely: one fingerprint per page plus a dirty bitset with
+/// 64 pages per word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vma {
     pub id: VmaId,
     pub kind: VmaKind,
     /// Virtual start address (page aligned).
     pub start: u64,
-    pub pages: Vec<Page>,
+    /// 64-bit stand-in for each page's contents, indexed by page.
+    pub fingerprints: Vec<u64>,
+    /// PTE dirty bit analogue, bit `i % 64` of word `i / 64`; cleared by the
+    /// incremental checkpointer. Bits at or past the page count are zero.
+    dirty: Vec<u64>,
+    /// Set bits in `dirty`.
+    dirty_count: usize,
 }
 
 impl Vma {
+    fn new(id: VmaId, kind: VmaKind, start: u64) -> Vma {
+        Vma {
+            id,
+            kind,
+            start,
+            fingerprints: Vec::new(),
+            dirty: Vec::new(),
+            dirty_count: 0,
+        }
+    }
+
+    /// Pages in the region.
+    pub fn page_count(&self) -> usize {
+        self.fingerprints.len()
+    }
+
     /// Region length in bytes.
     pub fn len_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.page_count() as u64 * PAGE_SIZE
     }
 
     /// One-past-the-end virtual address.
     pub fn end(&self) -> u64 {
         self.start + self.len_bytes()
+    }
+
+    /// Dirty pages in the region.
+    pub fn dirty_count(&self) -> usize {
+        self.dirty_count
+    }
+
+    /// Write to page `index`: new fingerprint, dirty bit set.
+    #[inline]
+    fn write(&mut self, index: usize) {
+        let fp = &mut self.fingerprints[index];
+        *fp = mix(*fp, 0x9E37_79B9);
+        let word = &mut self.dirty[index / 64];
+        let bit = 1 << (index % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.dirty_count += 1;
+        }
+    }
+
+    /// Grow or shrink to `pages` pages. Grown pages take their fingerprint
+    /// from `fill(index)` and start dirty iff `dirty`; a shrink discards the
+    /// dropped pages' dirty bits, so a later grow cannot revive them.
+    fn set_len(&mut self, pages: usize, fill: impl Fn(usize) -> u64, dirty: bool) {
+        let old = self.page_count();
+        if pages >= old {
+            self.fingerprints.extend((old..pages).map(fill));
+            self.dirty.resize(pages.div_ceil(64), 0);
+            if dirty {
+                for i in old..pages {
+                    self.dirty[i / 64] |= 1 << (i % 64);
+                }
+                self.dirty_count += pages - old;
+            }
+            return;
+        }
+        self.fingerprints.truncate(pages);
+        let mut dropped = 0;
+        if !pages.is_multiple_of(64) {
+            let keep = (1u64 << (pages % 64)) - 1;
+            let last = &mut self.dirty[pages / 64];
+            dropped += (*last & !keep).count_ones() as usize;
+            *last &= keep;
+        }
+        let words = pages.div_ceil(64);
+        dropped += self.dirty[words..]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        self.dirty.truncate(words);
+        self.dirty_count -= dropped;
     }
 }
 
@@ -79,11 +146,6 @@ pub struct PageRef {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     vmas: BTreeMap<VmaId, Vma>,
-    /// Dirty pages per live region (same key set as `vmas`). Lets the
-    /// checkpointer skip clean regions — and stop scanning a region once its
-    /// last dirty page is found — instead of sweeping every page of every
-    /// region per precopy iteration.
-    dirty_counts: BTreeMap<VmaId, usize>,
     next_vma: u64,
     next_addr: u64,
     /// Total pages ever dirtied (statistics).
@@ -95,7 +157,6 @@ impl AddressSpace {
     pub fn new() -> AddressSpace {
         AddressSpace {
             vmas: BTreeMap::new(),
-            dirty_counts: BTreeMap::new(),
             next_vma: 1,
             next_addr: 0x0000_5555_0000_0000,
             dirtied_total: 0,
@@ -108,29 +169,15 @@ impl AddressSpace {
         let id = VmaId(self.next_vma);
         self.next_vma += 1;
         let start = self.next_addr;
-        self.next_addr += (pages as u64 + 16) * PAGE_SIZE; // guard gap
-        self.dirty_counts.insert(id, pages);
-        let pages = (0..pages)
-            .map(|i| Page {
-                fingerprint: mix(seed, i as u64),
-                dirty: true,
-            })
-            .collect();
-        self.vmas.insert(
-            id,
-            Vma {
-                id,
-                kind,
-                start,
-                pages,
-            },
-        );
+        self.next_addr += (pages as u64 + GUARD_PAGES) * PAGE_SIZE;
+        let mut vma = Vma::new(id, kind, start);
+        vma.set_len(pages, |i| mix(seed, i as u64), true);
+        self.vmas.insert(id, vma);
         id
     }
 
     /// Unmap a region.
     pub fn munmap(&mut self, id: VmaId) -> bool {
-        self.dirty_counts.remove(&id);
         self.vmas.remove(&id).is_some()
     }
 
@@ -138,82 +185,59 @@ impl AddressSpace {
     /// New pages start dirty.
     pub fn resize(&mut self, id: VmaId, pages: usize, seed: u64) {
         let vma = self.vmas.get_mut(&id).expect("resize of unmapped VMA");
-        let count = self
-            .dirty_counts
-            .get_mut(&id)
-            .expect("dirty count of mapped VMA");
-        let old = vma.pages.len();
-        if pages > old {
-            vma.pages.extend((old..pages).map(|i| Page {
-                fingerprint: mix(seed, i as u64),
-                dirty: true,
-            }));
-            *count += pages - old;
-        } else {
-            *count -= vma.pages[pages..].iter().filter(|p| p.dirty).count();
-            vma.pages.truncate(pages);
-        }
+        vma.set_len(pages, |i| mix(seed, i as u64), true);
     }
 
     /// Write to a page: new fingerprint, dirty bit set.
     pub fn write_page(&mut self, id: VmaId, index: usize) {
         let vma = self.vmas.get_mut(&id).expect("write to unmapped VMA");
-        let page = &mut vma.pages[index];
-        page.fingerprint = mix(page.fingerprint, 0x9E37_79B9);
-        if !page.dirty {
-            page.dirty = true;
-            *self
-                .dirty_counts
-                .get_mut(&id)
-                .expect("dirty count of mapped VMA") += 1;
-        }
+        vma.write(index);
         self.dirtied_total += 1;
     }
 
     /// Dirty `count` randomly chosen pages of writable regions — the
-    /// workload's memory activity between precopy iterations.
+    /// workload's memory activity between precopy iterations. The writable
+    /// regions are resolved once per call; each page then costs two draws
+    /// (region, then page) and no map lookup.
     pub fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
-        let writable: Vec<(VmaId, usize)> = self
+        let mut writable: Vec<&mut Vma> = self
             .vmas
-            .values()
-            .filter(|v| v.kind != VmaKind::Text && !v.pages.is_empty())
-            .map(|v| (v.id, v.pages.len()))
+            .values_mut()
+            .filter(|v| v.kind != VmaKind::Text && v.page_count() != 0)
             .collect();
         if writable.is_empty() {
             return;
         }
+        let regions = writable.len();
         for _ in 0..count {
-            let (id, len) = writable[rng.index(writable.len())];
-            let idx = rng.index(len);
-            self.write_page(id, idx);
+            let vma = &mut writable[rng.index(regions)];
+            let index = rng.index(vma.page_count());
+            vma.write(index);
         }
+        self.dirtied_total += count as u64;
     }
 
-    /// Collect and clear every dirty page (one precopy iteration's payload).
-    /// Clean regions are skipped wholesale via the per-region dirty counts,
-    /// and a region's scan stops at its last dirty page — steady-state
-    /// iterations over a mostly-clean space touch almost nothing.
+    /// Collect and clear every dirty page (one precopy iteration's payload),
+    /// in (region id, page index) order. Clean regions are skipped via their
+    /// dirty counts and clean words of 64 pages cost one test each, so
+    /// steady-state iterations over a mostly-clean space touch almost nothing.
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
-        let mut out = Vec::with_capacity(self.dirty_counts.values().sum());
-        for (&id, count) in self.dirty_counts.iter_mut() {
-            let mut remaining = *count;
-            if remaining == 0 {
+        let mut out = Vec::with_capacity(self.dirty_count());
+        for vma in self.vmas.values_mut() {
+            if vma.dirty_count == 0 {
                 continue;
             }
-            *count = 0;
-            let vma = self.vmas.get_mut(&id).expect("dirty count of mapped VMA");
-            for (i, page) in vma.pages.iter_mut().enumerate() {
-                if page.dirty {
-                    page.dirty = false;
+            vma.dirty_count = 0;
+            for (w, word) in vma.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let index = w * 64 + bits.trailing_zeros() as usize;
                     out.push(PageRef {
-                        vma: id,
-                        index: i,
-                        fingerprint: page.fingerprint,
+                        vma: vma.id,
+                        index,
+                        fingerprint: vma.fingerprints[index],
                     });
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break; // the rest of the region is clean
-                    }
+                    bits &= bits - 1;
                 }
             }
         }
@@ -222,7 +246,7 @@ impl AddressSpace {
 
     /// Count dirty pages without clearing.
     pub fn dirty_count(&self) -> usize {
-        self.dirty_counts.values().sum()
+        self.vmas.values().map(Vma::dirty_count).sum()
     }
 
     /// Live regions, in id order.
@@ -247,7 +271,7 @@ impl AddressSpace {
 
     /// Total pages mapped.
     pub fn total_pages(&self) -> usize {
-        self.vmas.values().map(|v| v.pages.len()).sum()
+        self.vmas.values().map(Vma::page_count).sum()
     }
 
     /// Order- and content-sensitive hash of the full address space, used to
@@ -257,8 +281,8 @@ impl AddressSpace {
         for vma in self.vmas.values() {
             h = mix(h, vma.id.0);
             h = mix(h, vma.start);
-            for p in &vma.pages {
-                h = mix(h, p.fingerprint);
+            for &fp in &vma.fingerprints {
+                h = mix(h, fp);
             }
         }
         h
@@ -270,14 +294,12 @@ impl AddressSpace {
             .vmas
             .get_mut(&r.vma)
             .expect("apply_page to unmapped VMA");
-        let page = &mut vma.pages[r.index];
-        page.fingerprint = r.fingerprint;
-        if page.dirty {
-            page.dirty = false;
-            *self
-                .dirty_counts
-                .get_mut(&r.vma)
-                .expect("dirty count of mapped VMA") -= 1;
+        vma.fingerprints[r.index] = r.fingerprint;
+        let word = &mut vma.dirty[r.index / 64];
+        let bit = 1 << (r.index % 64);
+        if *word & bit != 0 {
+            *word &= !bit;
+            vma.dirty_count -= 1;
         }
     }
 
@@ -285,22 +307,10 @@ impl AddressSpace {
     /// zeroed and clean; contents arrive via [`apply_page`](Self::apply_page).
     pub fn install_vma(&mut self, id: VmaId, kind: VmaKind, start: u64, pages: usize) {
         self.next_vma = self.next_vma.max(id.0 + 1);
-        self.dirty_counts.insert(id, 0);
-        self.vmas.insert(
-            id,
-            Vma {
-                id,
-                kind,
-                start,
-                pages: vec![
-                    Page {
-                        fingerprint: 0,
-                        dirty: false
-                    };
-                    pages
-                ],
-            },
-        );
+        let mut vma = Vma::new(id, kind, start);
+        vma.set_len(pages, |_| 0, false);
+        self.reserve(vma.end());
+        self.vmas.insert(id, vma);
     }
 
     /// Resize during restore (VMA-diff modification record).
@@ -309,23 +319,20 @@ impl AddressSpace {
             .vmas
             .get_mut(&id)
             .expect("restore_resize of unmapped VMA");
-        if pages < vma.pages.len() {
-            // A shrink can discard pages that were dirty.
-            *self
-                .dirty_counts
-                .get_mut(&id)
-                .expect("dirty count of mapped VMA") -=
-                vma.pages[pages..].iter().filter(|p| p.dirty).count();
-        }
-        vma.pages.resize(
-            pages,
-            Page {
-                fingerprint: 0,
-                dirty: false,
-            },
-        );
+        vma.set_len(pages, |_| 0, false);
+        let end = vma.end();
+        self.reserve(end);
+    }
+
+    /// Keep later [`mmap`](Self::mmap)s clear of a region that ends at `end`
+    /// but was placed by a checkpoint stream rather than by this space.
+    fn reserve(&mut self, end: u64) {
+        self.next_addr = self.next_addr.max(end + GUARD_PAGES * PAGE_SIZE);
     }
 }
+
+/// Unmapped pages left after each region by [`AddressSpace::mmap`].
+const GUARD_PAGES: u64 = 16;
 
 #[inline]
 fn mix(a: u64, b: u64) -> u64 {
@@ -345,7 +352,7 @@ mod tests {
         assert_eq!(a.dirty_count(), 10);
         assert_eq!(a.total_pages(), 10);
         assert_eq!(a.rss_bytes(), 10 * PAGE_SIZE);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 10);
+        assert_eq!(a.vma(id).unwrap().page_count(), 10);
     }
 
     #[test]
@@ -363,10 +370,10 @@ mod tests {
         let mut a = AddressSpace::new();
         let id = a.mmap(VmaKind::Data, 3, 1);
         a.collect_dirty();
-        let before = a.vma(id).unwrap().pages[1].fingerprint;
+        let before = a.vma(id).unwrap().fingerprints[1];
         a.write_page(id, 1);
         assert_eq!(a.dirty_count(), 1);
-        assert_ne!(a.vma(id).unwrap().pages[1].fingerprint, before);
+        assert_ne!(a.vma(id).unwrap().fingerprints[1], before);
         let d = a.collect_dirty();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].index, 1);
@@ -380,14 +387,11 @@ mod tests {
         a.collect_dirty();
         let mut rng = DetRng::new(1);
         a.dirty_random(&mut rng, 500);
-        let text_dirty = a
-            .vma(text)
-            .unwrap()
-            .pages
-            .iter()
-            .filter(|p| p.dirty)
-            .count();
-        assert_eq!(text_dirty, 0, "text pages never dirtied");
+        assert_eq!(
+            a.vma(text).unwrap().dirty_count(),
+            0,
+            "text pages never dirtied"
+        );
         assert!(a.dirty_count() > 0);
     }
 
@@ -397,10 +401,68 @@ mod tests {
         let id = a.mmap(VmaKind::Heap, 4, 1);
         a.collect_dirty();
         a.resize(id, 8, 2);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 8);
+        assert_eq!(a.vma(id).unwrap().page_count(), 8);
         assert_eq!(a.dirty_count(), 4, "only the new pages are dirty");
         a.resize(id, 2, 0);
-        assert_eq!(a.vma(id).unwrap().pages.len(), 2);
+        assert_eq!(a.vma(id).unwrap().page_count(), 2);
+    }
+
+    #[test]
+    fn shrink_across_a_word_boundary_drops_tail_dirty_bits() {
+        let mut a = AddressSpace::new();
+        let id = a.mmap(VmaKind::Heap, 150, 1);
+        a.collect_dirty();
+        for i in [3, 63, 64, 70, 100, 149] {
+            a.write_page(id, i);
+        }
+        a.resize(id, 65, 0);
+        assert_eq!(a.dirty_count(), 3, "pages 3, 63 and 64 survive");
+        a.collect_dirty();
+        // Regrown pages are dirty because they are new, not because the
+        // shrink left their old bits behind: a restore-side grow is clean.
+        a.resize(id, 150, 2);
+        assert_eq!(a.dirty_count(), 85);
+        let mut b = AddressSpace::new();
+        b.install_vma(id, VmaKind::Heap, 0, 150);
+        b.apply_page(PageRef {
+            vma: id,
+            index: 0,
+            fingerprint: 1,
+        });
+        b.write_page(id, 120);
+        b.restore_resize(id, 100);
+        b.restore_resize(id, 150);
+        assert_eq!(b.dirty_count(), 0);
+        assert!(b.collect_dirty().is_empty(), "page 120 was not revived");
+    }
+
+    #[test]
+    fn collect_dirty_is_in_region_then_page_order() {
+        let mut a = AddressSpace::new();
+        let x = a.mmap(VmaKind::Heap, 200, 1);
+        let y = a.mmap(VmaKind::Anon, 70, 2);
+        a.collect_dirty();
+        for (id, i) in [(y, 69), (x, 130), (y, 0), (x, 5), (x, 64)] {
+            a.write_page(id, i);
+        }
+        let got: Vec<(VmaId, usize)> = a
+            .collect_dirty()
+            .into_iter()
+            .map(|r| (r.vma, r.index))
+            .collect();
+        assert_eq!(got, vec![(x, 5), (x, 64), (x, 130), (y, 0), (y, 69)]);
+    }
+
+    #[test]
+    fn mmap_after_install_clears_installed_regions() {
+        let mut a = AddressSpace::new();
+        a.install_vma(VmaId(4), VmaKind::Text, 0x5555_0000_0000, 512);
+        let id = a.mmap(VmaKind::Anon, 8, 1);
+        assert!(a.vma(id).unwrap().start >= a.vma(VmaId(4)).unwrap().end());
+        assert_eq!(id, VmaId(5));
+        a.restore_resize(VmaId(4), 4096);
+        let id = a.mmap(VmaKind::Anon, 8, 2);
+        assert!(a.vma(id).unwrap().start >= a.vma(VmaId(4)).unwrap().end());
     }
 
     #[test]
@@ -445,7 +507,7 @@ mod tests {
         // Restore: recreate regions, apply all pages.
         let mut dst = AddressSpace::new();
         for vma in src.vmas() {
-            dst.install_vma(vma.id, vma.kind, vma.start, vma.pages.len());
+            dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());
         }
         let mut src2 = src.clone();
         for page in src2.collect_dirty() {
@@ -454,11 +516,11 @@ mod tests {
         // Pages that were clean in src still need their content; a full
         // checkpoint ships everything:
         for vma in src.vmas() {
-            for (i, p) in vma.pages.iter().enumerate() {
+            for (i, &fingerprint) in vma.fingerprints.iter().enumerate() {
                 dst.apply_page(PageRef {
                     vma: vma.id,
                     index: i,
-                    fingerprint: p.fingerprint,
+                    fingerprint,
                 });
             }
         }
@@ -509,9 +571,9 @@ mod prop_tests {
             src.dirty_random(&mut rng, dirties);
             let mut dst = AddressSpace::new();
             for vma in src.vmas() {
-                dst.install_vma(vma.id, vma.kind, vma.start, vma.pages.len());
-                for (i, p) in vma.pages.iter().enumerate() {
-                    dst.apply_page(PageRef { vma: vma.id, index: i, fingerprint: p.fingerprint });
+                dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());
+                for (i, &fingerprint) in vma.fingerprints.iter().enumerate() {
+                    dst.apply_page(PageRef { vma: vma.id, index: i, fingerprint });
                 }
             }
             prop_assert_eq!(dst.content_hash(), src.content_hash());
