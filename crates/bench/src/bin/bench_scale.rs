@@ -2,28 +2,21 @@
 //!
 //! Modes:
 //!
-//! * no arguments — run the full default trajectory (4 → 256 nodes,
-//!   with 1/2/4/8-thread rows for the two large cells) and write both
-//!   JSON files to the repository root (or `$DVELM_BENCH_DIR`);
-//! * `--quick` — the three small single-thread cells plus a 4-thread
-//!   64x1000 row (what CI runs; the cells are identical to the full
-//!   run's, so the committed baseline compares like-for-like);
+//! * no arguments — run the full default trajectory (4 → 256 nodes, then
+//!   the `--aoi` rows) and write both JSON files to the repository root
+//!   (or `$DVELM_BENCH_DIR`);
+//! * `--quick` — the three small cells plus the zoned 256x10000 row (what
+//!   CI runs; the cells are identical to the full run's, so the committed
+//!   baseline compares like-for-like);
 //! * `--strategy` — the 4x100 cell once per migration strategy (all five,
 //!   including post-copy and hybrid), recording per-strategy demand-fetch
 //!   and write-back counters in strategy-qualified rows;
 //! * `--aoi` — the interest-routed sweep (`@aoi` rows): 64x1000 and
 //!   256x10000 under zone multicast instead of broadcast, plus the first
 //!   1024-node/100k-client cell, which only AOI makes tractable;
-//! * `--threads N` — the base trajectory with every cell forced to N
-//!   worker threads (for measuring one thread count on a given host);
 //! * `--compare <baseline.json> <fresh.json> [tolerance]` — exit non-zero
-//!   when any shared `(cell, threads)` row regresses by more than the
-//!   tolerance (default 2x) on a wall-clock throughput metric;
-//! * `--compare-threads <fresh.json> [tolerance]` — the parallel-core
-//!   gate: the 4-thread 64x1000 row must not be slower than the 1-thread
-//!   row by more than the tolerance (default 1.05x). Skip-passes with a
-//!   warning when the measuring host has a single core (`host_cores`),
-//!   where parallel speedup is physically unattainable.
+//!   when any shared cell regresses by more than the tolerance (default
+//!   2x) on a wall-clock throughput metric.
 
 use dvelm_bench::json::Json;
 use dvelm_bench::scale::{
@@ -42,9 +35,6 @@ const PRE_OPT_64X1000_EVENTS_PER_SEC: f64 = 1_524_680.0;
 const PRE_OPT_64X1000_DELIVERIES_PER_SEC: f64 = 1_467_926.0;
 const PRE_OPT_64X1000_WALL_MS_PER_SIM_S: f64 = 874.6;
 
-/// Thread counts swept for the two large cells in the full trajectory.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
 fn cell(nodes: usize, clients: usize, migrations: usize, run_secs: u64) -> ScaleConfig {
     ScaleConfig {
         nodes,
@@ -52,7 +42,6 @@ fn cell(nodes: usize, clients: usize, migrations: usize, run_secs: u64) -> Scale
         migrations,
         run_secs,
         seed: SCALE_SEED,
-        threads: 1,
         monitored: false,
         strategy: Strategy::IncrementalCollective,
         aoi: false,
@@ -92,49 +81,30 @@ fn strategy_trajectory() -> Vec<ScaleConfig> {
         .collect()
 }
 
-/// The base trajectory: one single-thread row per cell size.
-fn base_trajectory() -> Vec<ScaleConfig> {
-    vec![
-        cell(4, 100, 2, 5),
-        cell(16, 1000, 4, 2),
-        cell(64, 1000, 8, 2),
-        cell(256, 10_000, 16, 1),
-    ]
-}
-
-/// The full trajectory: the base cells, with the two large cells swept
-/// over 1/2/4/8 worker threads (the small cells have too little work per
-/// instant to say anything about the parallel core).
+/// The full trajectory: one row per cell size, then the `--aoi` rows.
 fn full_trajectory() -> Vec<ScaleConfig> {
-    let mut cfgs = vec![cell(4, 100, 2, 5), cell(16, 1000, 4, 2)];
-    for big in [cell(64, 1000, 8, 2), cell(256, 10_000, 16, 1)] {
-        for threads in THREAD_SWEEP {
-            let mut c = big.clone();
-            c.threads = threads;
-            cfgs.push(c);
-        }
-    }
-    cfgs.extend(aoi_trajectory());
-    cfgs
-}
-
-/// The CI quick sweep: the three small single-thread cells (identical to
-/// the full run's, so the committed baseline compares like-for-like) plus
-/// a 4-thread 64x1000 row for the `--compare-threads` gate.
-fn quick_trajectory() -> Vec<ScaleConfig> {
     let mut cfgs = vec![
         cell(4, 100, 2, 5),
         cell(16, 1000, 4, 2),
         cell(64, 1000, 8, 2),
+        cell(256, 10_000, 16, 1),
     ];
-    let mut par = cell(64, 1000, 8, 2);
-    par.threads = 4;
-    cfgs.push(par);
-    // The zoned headline row: CI gates it against the committed baseline
-    // like any other cell, so a regression in the interest-routing fast
-    // path shows up as a wall-clock failure, not just a determinism one.
-    cfgs.push(aoi_cell(256, 10_000, 16, 1));
+    cfgs.extend(aoi_trajectory());
     cfgs
+}
+
+/// The CI quick sweep: the three small cells (identical to the full run's,
+/// so the committed baseline compares like-for-like) plus the zoned
+/// headline row, which CI gates against the committed baseline like any
+/// other cell, so a regression in the interest-routing fast path shows up
+/// as a wall-clock failure, not just a determinism one.
+fn quick_trajectory() -> Vec<ScaleConfig> {
+    vec![
+        cell(4, 100, 2, 5),
+        cell(16, 1000, 4, 2),
+        cell(64, 1000, 8, 2),
+        aoi_cell(256, 10_000, 16, 1),
+    ]
 }
 
 /// Where the BENCH_*.json files go: `$DVELM_BENCH_DIR` or the repo root.
@@ -150,8 +120,8 @@ fn run_sweep(cfgs: &[ScaleConfig]) -> Vec<ScaleCell> {
     let mut cells = Vec::with_capacity(cfgs.len());
     for cfg in cfgs {
         eprintln!(
-            "[bench_scale] nodes={} clients={} migrations={} run_secs={} threads={} strategy={} ...",
-            cfg.nodes, cfg.clients, cfg.migrations, cfg.run_secs, cfg.threads, cfg.strategy
+            "[bench_scale] nodes={} clients={} migrations={} run_secs={} strategy={} ...",
+            cfg.nodes, cfg.clients, cfg.migrations, cfg.run_secs, cfg.strategy
         );
         let cell = run_scale(cfg);
         eprintln!(
@@ -224,75 +194,10 @@ fn compare_mode(args: &[String]) -> ! {
     std::process::exit(1);
 }
 
-/// The parallel-core wall-clock gate (see the module docs).
-fn compare_threads_mode(args: &[String]) -> ! {
-    let [fresh_path, rest @ ..] = args else {
-        eprintln!("usage: bench_scale --compare-threads <fresh.json> [tolerance]");
-        std::process::exit(2);
-    };
-    let tolerance: f64 = rest.first().map_or(1.05, |t| {
-        t.parse().unwrap_or_else(|_| {
-            eprintln!("bad tolerance {t:?}");
-            std::process::exit(2);
-        })
-    });
-    let text = std::fs::read_to_string(fresh_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {fresh_path}: {e}");
-        std::process::exit(2);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {fresh_path}: {e}");
-        std::process::exit(2);
-    });
-    let host_cores = doc
-        .get("host_cores")
-        .and_then(Json::as_f64)
-        .map_or(1, |n| n as usize);
-    if host_cores <= 1 {
-        println!(
-            "bench_scale: SKIP --compare-threads — {fresh_path} was measured on a \
-             single-core host (host_cores={host_cores}); parallel speedup is \
-             physically unattainable there, so the wall-clock gate is vacuous. \
-             Determinism across thread counts is still enforced by the test suite."
-        );
-        std::process::exit(0);
-    }
-    let cells = doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
-    let wall_at = |threads: f64| {
-        cells.iter().find_map(|c| {
-            (c.get("cell").and_then(Json::as_str) == Some("64x1000")
-                && c.get("threads").and_then(Json::as_f64) == Some(threads))
-            .then(|| c.get("wall_ms").and_then(Json::as_f64))
-            .flatten()
-        })
-    };
-    let (Some(serial), Some(parallel)) = (wall_at(1.0), wall_at(4.0)) else {
-        eprintln!(
-            "bench_scale: --compare-threads needs 64x1000 rows at threads=1 and \
-             threads=4 in {fresh_path} (run with --quick or no arguments first)"
-        );
-        std::process::exit(2);
-    };
-    if parallel > serial * tolerance {
-        eprintln!(
-            "REGRESSION: 64x1000 at 4 threads took {parallel:.0} ms vs {serial:.0} ms \
-             single-threaded (more than {tolerance}x slower) on a {host_cores}-core host"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench_scale: 64x1000 at 4 threads {parallel:.0} ms vs {serial:.0} ms \
-         single-threaded — parallel core is not slower (tolerance {tolerance}x, \
-         {host_cores}-core host)"
-    );
-    std::process::exit(0);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("--compare") => compare_mode(&args[1..]),
-        Some("--compare-threads") => compare_threads_mode(&args[1..]),
         Some("--quick") => {
             let cells = run_sweep(&quick_trajectory());
             write_outputs(&cells);
@@ -305,29 +210,14 @@ fn main() {
             let cells = run_sweep(&aoi_trajectory());
             write_outputs(&cells);
         }
-        Some("--threads") => {
-            let threads: usize = args.get(1).and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                eprintln!("usage: bench_scale --threads <N>");
-                std::process::exit(2);
-            });
-            let cfgs: Vec<ScaleConfig> = base_trajectory()
-                .into_iter()
-                .map(|mut c| {
-                    c.threads = threads.max(1);
-                    c
-                })
-                .collect();
-            let cells = run_sweep(&cfgs);
-            write_outputs(&cells);
-        }
         None => {
             let cells = run_sweep(&full_trajectory());
             write_outputs(&cells);
         }
         Some(other) => {
             eprintln!(
-                "unknown argument {other:?}; use --quick, --strategy, --aoi, \
-                 --threads, --compare or --compare-threads"
+                "unknown argument {other:?}; use --quick, --strategy, --aoi \
+                 or --compare"
             );
             std::process::exit(2);
         }

@@ -14,7 +14,7 @@
 //! captures exactly the deterministic subset.
 
 use crate::json::Json;
-use dvelm_cluster::{shards_from_env, World, WorldConfig};
+use dvelm_cluster::{World, WorldConfig};
 use dvelm_migrate::Strategy;
 use dvelm_net::{Ip, SockAddr, ZoneId};
 use dvelm_openarena::apps::{OaClient, OaServer, OA_PORT};
@@ -39,14 +39,8 @@ pub struct ScaleConfig {
     pub run_secs: u64,
     /// World RNG seed.
     pub seed: u64,
-    /// Worker threads for the sharded event loop; `0` inherits
-    /// `DVELM_SHARDS` (or 1). The resolved count lands in
-    /// [`ScaleCell::threads`] and is excluded from the deterministic
-    /// fingerprint — by design the thread count must not change a single
-    /// deterministic metric.
-    pub threads: usize,
-    /// Arm the world's invariant monitor for the run. Like `threads`, this
-    /// is excluded from the fingerprint — the monitor observes the run
+    /// Arm the world's invariant monitor for the run. This is excluded
+    /// from the fingerprint — the monitor observes the run
     /// without scheduling events or drawing randomness, so a monitored
     /// cell must fingerprint identically to a plain one (asserted by
     /// `tests/determinism_replay.rs`).
@@ -73,7 +67,6 @@ impl ScaleConfig {
             migrations: 2,
             run_secs: 2,
             seed: SCALE_SEED,
-            threads: 0,
             monitored: false,
             strategy: Strategy::IncrementalCollective,
             aoi: false,
@@ -95,10 +88,6 @@ const DRAIN_US: u64 = SECOND / 10;
 pub struct ScaleCell {
     /// The configuration that produced this cell.
     pub cfg: ScaleConfig,
-    /// Worker threads the world actually ran with (the resolved value of
-    /// [`ScaleConfig::threads`]). Wall-clock-side only: two cells that
-    /// differ in nothing but `threads` share a fingerprint.
-    pub threads: usize,
     /// Past-instant `schedule_at` clamps observed by the scheduler over the
     /// whole run. The fault-free trajectory asserts this stays zero — a
     /// non-zero count means some component computed an event instant in the
@@ -201,23 +190,6 @@ impl ScaleCell {
             phases.join(","),
         )
     }
-
-    /// The JSON row key pair: `("<nodes>x<clients>", threads)`. Two rows of
-    /// one sweep may share the cell string when they sweep thread counts,
-    /// so comparisons must match on both.
-    pub fn row_key(&self) -> (String, usize) {
-        (cell_key(&self.cfg), self.threads)
-    }
-}
-
-/// The worker-thread count a cell actually runs with: an explicit
-/// `cfg.threads`, else `DVELM_SHARDS`, else 1.
-fn resolve_threads(cfg: &ScaleConfig) -> usize {
-    if cfg.threads == 0 {
-        shards_from_env().unwrap_or(1)
-    } else {
-        cfg.threads
-    }
 }
 
 /// Build the cell's world: `nodes` server nodes each running an `OaServer`
@@ -226,8 +198,6 @@ fn build_world(cfg: &ScaleConfig) -> (World, Vec<dvelm_proc::Pid>, Vec<usize>, R
     let mut w = World::new(WorldConfig {
         seed: cfg.seed,
         strategy: cfg.strategy,
-        threads: resolve_threads(cfg),
-        aoi: cfg.aoi,
         ..WorldConfig::default()
     });
     if cfg.monitored {
@@ -385,7 +355,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
     let usercmds = *usercmds.borrow();
     ScaleCell {
         cfg: cfg.clone(),
-        threads: resolve_threads(cfg),
         sched_clamped,
         sim_us,
         events,
@@ -416,7 +385,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
 fn cell_key(cfg: &ScaleConfig) -> String {
     // Default-configuration cells keep their historical key so committed
     // baselines compare like-for-like; strategy-sweep and AOI rows get a
-    // distinct key (rows are matched on `(cell, threads)`).
+    // distinct key.
     let mut key = if cfg.strategy == Strategy::IncrementalCollective {
         format!("{}x{}", cfg.nodes, cfg.clients)
     } else {
@@ -449,10 +418,8 @@ pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("scale".into()));
     doc.set("schema_version", Json::Num(3.0));
-    // Physical cores on the measuring host: thread-sweep rows are only
-    // meaningful speedup evidence when host_cores exceeds the row's thread
-    // count, so consumers (the `--compare-threads` gate, humans reading the
-    // committed file) need it recorded next to the wall-clock numbers.
+    // Physical cores on the measuring host, recorded next to the
+    // wall-clock numbers they qualify.
     doc.set("host_cores", Json::Num(host_cores() as f64));
     if let Some(b) = baseline {
         let mut base = Json::obj();
@@ -464,11 +431,7 @@ pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
             Json::Num(round2(b.deliveries_per_sec)),
         );
         base.set("wall_ms_per_sim_s", Json::Num(round2(b.wall_ms_per_sim_s)));
-        // The embedded baseline predates the parallel core, so it compares
-        // against the single-thread row of its cell.
-        let fresh = cells
-            .iter()
-            .find(|c| cell_key(&c.cfg) == b.cell && c.threads == 1);
+        let fresh = cells.iter().find(|c| cell_key(&c.cfg) == b.cell);
         if let Some(fresh) = fresh.filter(|_| b.deliveries_per_sec > 0.0) {
             base.set(
                 "speedup",
@@ -496,7 +459,6 @@ pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
         o.set("seed", Json::Num(c.cfg.seed as f64));
         o.set("strategy", Json::Str(c.cfg.strategy.to_string()));
         o.set("aoi", Json::Bool(c.cfg.aoi));
-        o.set("threads", Json::Num(c.threads as f64));
         o.set("sched_clamped", Json::Num(c.sched_clamped as f64));
         o.set("sim_us", Json::Num(c.sim_us as f64));
         o.set("events", Json::Num(c.events as f64));
@@ -577,14 +539,6 @@ pub struct Baseline {
     pub wall_ms_per_sim_s: f64,
 }
 
-/// A JSON row's `threads` column; pre-parallel-core files have no such
-/// key, and those rows were all single-threaded.
-fn row_threads(row: &Json) -> u64 {
-    row.get("threads")
-        .and_then(Json::as_f64)
-        .map_or(1, |t| t as u64)
-}
-
 /// What [`compare_bench`] found: `problems` fail the gate; `warnings` are
 /// schema-skew notes (a metric key absent on one side) that skip the
 /// affected comparison without failing the run.
@@ -597,9 +551,8 @@ pub struct CompareOutcome {
 /// Compare a fresh `BENCH_scale.json` against a committed baseline file.
 ///
 /// Only wall-clock throughput metrics are compared (the deterministic
-/// fields are covered by the smoke test); rows match on `cell` *and*
-/// `threads` (absent in pre-parallel files means 1), and a row regresses
-/// when it is more than `tolerance`× slower than the baseline.
+/// fields are covered by the smoke test); rows match on `cell`, and a row
+/// regresses when it is more than `tolerance`× slower than the baseline.
 ///
 /// Schema skew is expected in both directions — an old baseline predating
 /// a newly-added metric key, or a fresh file measured by an older harness —
@@ -616,13 +569,12 @@ pub fn compare_bench(baseline: &Json, fresh: &Json, tolerance: f64) -> CompareOu
     }
     for b in base_cells {
         let key = b.get("cell").and_then(Json::as_str).unwrap_or("?");
-        let threads = row_threads(b);
-        let Some(f) = fresh_cells.iter().find(|f| {
-            f.get("cell").and_then(Json::as_str) == Some(key) && row_threads(f) == threads
-        }) else {
-            out.problems.push(format!(
-                "cell {key} (threads={threads}): missing from fresh results"
-            ));
+        let Some(f) = fresh_cells
+            .iter()
+            .find(|f| f.get("cell").and_then(Json::as_str) == Some(key))
+        else {
+            out.problems
+                .push(format!("cell {key}: missing from fresh results"));
             continue;
         };
         let num = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64);
@@ -660,16 +612,6 @@ mod tests {
     use super::*;
 
     fn fake_cell(nodes: usize, clients: usize, eps: f64, wall_per_s: f64) -> ScaleCell {
-        fake_cell_threads(nodes, clients, 1, eps, wall_per_s)
-    }
-
-    fn fake_cell_threads(
-        nodes: usize,
-        clients: usize,
-        threads: usize,
-        eps: f64,
-        wall_per_s: f64,
-    ) -> ScaleCell {
         ScaleCell {
             cfg: ScaleConfig {
                 nodes,
@@ -677,12 +619,10 @@ mod tests {
                 migrations: 1,
                 run_secs: 1,
                 seed: 1,
-                threads,
                 monitored: false,
                 strategy: Strategy::IncrementalCollective,
                 aoi: false,
             },
-            threads,
             sched_clamped: 0,
             sim_us: SECOND,
             events: 1000,
@@ -779,47 +719,11 @@ mod tests {
     }
 
     #[test]
-    fn compare_matches_rows_by_cell_and_threads() {
-        // Two rows share the cell string but sweep thread counts: the slow
-        // 4-thread fresh row must be charged against the 4-thread baseline
-        // row, not hide behind the fast 1-thread one.
-        let base = scale_json(
-            &[
-                fake_cell_threads(64, 1000, 1, 1000.0, 50.0),
-                fake_cell_threads(64, 1000, 4, 1000.0, 50.0),
-            ],
-            None,
-        );
-        let ok = scale_json(
-            &[
-                fake_cell_threads(64, 1000, 1, 1000.0, 50.0),
-                fake_cell_threads(64, 1000, 4, 1000.0, 50.0),
-            ],
-            None,
-        );
-        assert!(compare_bench(&base, &ok, 2.0).problems.is_empty());
-        let slow4 = scale_json(
-            &[
-                fake_cell_threads(64, 1000, 1, 1000.0, 50.0),
-                fake_cell_threads(64, 1000, 4, 100.0, 500.0),
-            ],
-            None,
-        );
-        assert_eq!(compare_bench(&base, &slow4, 2.0).problems.len(), 2);
-        // A fresh file missing the 4-thread row is flagged even though the
-        // 1-thread row with the same cell string is present.
-        let only1 = scale_json(&[fake_cell_threads(64, 1000, 1, 1000.0, 50.0)], None);
-        let problems = compare_bench(&base, &only1, 2.0).problems;
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("threads=4"), "{problems:?}");
-    }
-
-    #[test]
-    fn fingerprint_ignores_threads_but_counts_clamps() {
-        let a = fake_cell_threads(4, 100, 1, 1000.0, 50.0);
-        let b = fake_cell_threads(4, 100, 8, 2000.0, 25.0);
+    fn fingerprint_ignores_wall_clock_but_counts_clamps() {
+        let a = fake_cell(4, 100, 1000.0, 50.0);
+        let b = fake_cell(4, 100, 2000.0, 25.0);
         assert_eq!(a.det_fingerprint(), b.det_fingerprint());
-        let mut c = fake_cell_threads(4, 100, 1, 1000.0, 50.0);
+        let mut c = fake_cell(4, 100, 1000.0, 50.0);
         c.sched_clamped = 3;
         assert_ne!(a.det_fingerprint(), c.det_fingerprint());
     }

@@ -59,51 +59,3 @@ pub enum Event {
     /// (only scheduled when `WorldConfig::xlate_gc_ttl_us` is set).
     XlateGc,
 }
-
-impl Event {
-    /// Which shard's local queue the event belongs on: host-addressed
-    /// events go to their host's shard, cluster-global events (migration
-    /// stepping, scripted faults, GC sweeps) to shard 0, and a broadcast to
-    /// the shard of its first recipient. Routing is a locality hint only —
-    /// dispatch order is fixed by the global `(at, seq)` key regardless.
-    pub fn shard_hint(&self) -> u64 {
-        match self {
-            Event::PacketArrival { host, .. }
-            | Event::SockTimer { host, .. }
-            | Event::AppTick { host, .. }
-            | Event::AppRead { host, .. }
-            | Event::ConductorTick { host }
-            | Event::LbMessage { host, .. }
-            | Event::InstallXlate { host, .. }
-            | Event::RemoveXlate { host, .. }
-            | Event::SurgeRestore { host, .. } => *host as u64,
-            Event::BroadcastArrival { hosts, .. } => hosts.first().copied().unwrap_or(0) as u64,
-            Event::MigrationStep { .. }
-            | Event::Fault { .. }
-            | Event::PartitionHeal { .. }
-            | Event::XlateGc => 0,
-        }
-    }
-
-    /// Whether the event is a pure packet reception — the class the parallel
-    /// executor may batch into an rx round, because handling it only runs
-    /// the *receiving* host's stack (`HostStack::on_rx`) before any world
-    /// state is touched in the ordered apply phase.
-    pub fn is_rx(&self) -> bool {
-        match self {
-            Event::PacketArrival { .. } | Event::BroadcastArrival { .. } => true,
-            Event::SockTimer { .. }
-            | Event::AppTick { .. }
-            | Event::AppRead { .. }
-            | Event::ConductorTick { .. }
-            | Event::LbMessage { .. }
-            | Event::MigrationStep { .. }
-            | Event::InstallXlate { .. }
-            | Event::RemoveXlate { .. }
-            | Event::Fault { .. }
-            | Event::SurgeRestore { .. }
-            | Event::PartitionHeal { .. }
-            | Event::XlateGc => false,
-        }
-    }
-}

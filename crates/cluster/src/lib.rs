@@ -15,6 +15,9 @@
 //! * the conductor daemons (`dvelm-lb`) wired to heartbeat broadcasts and
 //!   migration initiation (`cond` in Fig. 2).
 //!
+//! Every event dispatches from one totally ordered
+//! [`Scheduler`](dvelm_sim::Scheduler) on one thread.
+//!
 //! # Example
 //!
 //! Build a two-node cluster, run a process, migrate it live:
@@ -41,6 +44,8 @@
 //! assert!(world.reports[0].freeze_us() < 50_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod event;
 pub mod host;
@@ -51,6 +56,5 @@ pub use dvelm_faults::{Fault, FaultPlan};
 pub use event::Event;
 pub use host::{Host, HostKind, ProcEntry};
 pub use world::{
-    shards_from_env, MigId, MigrationOutcome, PacketLogEntry, Recovery, ResourceUsage, World,
-    WorldConfig,
+    MigId, MigrationOutcome, PacketLogEntry, Recovery, ResourceUsage, World, WorldConfig,
 };

@@ -18,23 +18,11 @@ use dvelm_net::{
     BroadcastRouter, ClusterSwitch, Ip, LossModel, NodeId, Port, RouteError, SockAddr, ZoneId,
 };
 use dvelm_proc::{Fd, FdEntry, Pid, Process, PAGE_SIZE};
-use dvelm_sim::{DetRng, Mailbox, ShardedScheduler, SimTime, WorkerPool};
+use dvelm_sim::{DetRng, Scheduler, SimTime};
 use dvelm_stack::{
     CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect,
 };
 use std::collections::{BTreeMap, BTreeSet};
-
-// The parallel rx phase hands per-host stacks and shared segments to pool
-// workers; both must be thread-safe by construction (plain data, BTreeMaps,
-// atomically refcounted payload bytes). Compile-time proof:
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
-    assert_send::<HostStack>();
-    assert_send::<StackEffect>();
-    assert_send::<Segment>();
-    assert_sync::<Segment>();
-};
 
 /// A migration task identifier.
 pub type MigId = u64;
@@ -72,31 +60,6 @@ pub struct WorldConfig {
     /// reproduces the unfenced protocol so tests can demonstrate the
     /// invariant monitor catching the resulting split-brain.
     pub fence_enabled: bool,
-    /// Worker threads for the parallel event core (also the shard count of
-    /// the event queue). `1` is the sequential loop; any value produces
-    /// byte-identical output — threads change wall-clock time only. The
-    /// default honours the `DVELM_SHARDS` environment variable (the CI
-    /// matrix knob) and falls back to 1.
-    pub threads: usize,
-    /// Interest-managed (AOI) inbound routing. When enabled, inbound WAN
-    /// frames whose destination port is mapped to a zone are delivered only
-    /// to that zone's subscribers instead of broadcast to every node.
-    /// Default off: the legacy broadcast fabric, byte-identical to every
-    /// committed figure and trace.
-    pub aoi: bool,
-}
-
-/// Worker-thread count requested via the `DVELM_SHARDS` environment
-/// variable; `None` when unset or unparsable. [`WorldConfig::default`]
-/// consults this so an externally set matrix value shards every world a
-/// test suite builds, without touching each construction site.
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("DVELM_SHARDS")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
 }
 
 impl Default for WorldConfig {
@@ -114,32 +77,9 @@ impl Default for WorldConfig {
             capture_budget: CaptureBudget::UNLIMITED,
             xlate_gc_ttl_us: None,
             fence_enabled: true,
-            threads: shards_from_env().unwrap_or(1),
-            aoi: false,
         }
     }
 }
-
-/// One packet delivery of a parallel rx round. The receiving host's stack
-/// runs `on_rx` in the parallel phase; its effects land in the task's
-/// [`Mailbox`] and are applied in dispatch order at the barrier.
-struct RxTask {
-    host: usize,
-    stack: *mut HostStack,
-    at: SimTime,
-    /// The arriving frame, shared across the round (a broadcast batch has
-    /// many recipients of one frame). Workers borrow it and copy it only
-    /// when their stack keeps it — `Bytes` payloads are atomically
-    /// refcounted, so the copy is cheap and thread-safe.
-    seg: *const Segment,
-    out: Mailbox<StackEffect>,
-}
-
-// SAFETY: the round builder admits each host at most once per round, so
-// tasks reference pairwise-disjoint `HostStack`s; segments are only read;
-// and `WorkerPool::run` does not return until every worker is done, so no
-// access outlives the borrowed world state the pointers came from.
-unsafe impl Send for RxTask {}
 
 struct MigTask {
     engine: MigrationEngine,
@@ -243,7 +183,7 @@ pub struct PacketLogEntry {
 /// The simulated cluster.
 pub struct World {
     pub cfg: WorldConfig,
-    pub sched: ShardedScheduler<Event>,
+    pub sched: Scheduler<Event>,
     pub hosts: Vec<Host>,
     pub router: BroadcastRouter,
     pub switch: ClusterSwitch,
@@ -353,34 +293,16 @@ pub struct World {
     /// Pooled host lists for [`Event::BroadcastArrival`] (one list travels
     /// through the scheduler per broadcast frame and comes back here).
     bcast_pool: Vec<Vec<usize>>,
-    /// Worker pool for parallel rx rounds (`None` when `cfg.threads <= 1`:
-    /// the world then runs today's literal sequential loop).
-    pool: Option<WorkerPool>,
-    /// Conservative lookahead (smallest link latency in the fabric), cached
-    /// at the first parallel round; `run_rx_round` requires it positive.
-    min_link_latency_us: Option<u64>,
-    /// Round scratch: events popped for the current rx round (kept so the
-    /// broadcast host lists can be recycled after the barrier).
-    round_events: Vec<Event>,
-    /// Round scratch: per-delivery tasks (capacity reused across rounds).
-    round_tasks: Vec<RxTask>,
-    /// Generation stamps marking hosts already claimed by the current round
-    /// (`host_mark[h] == round_gen`), O(1) per check with no per-round
-    /// clearing.
-    host_mark: Vec<u64>,
-    round_gen: u64,
 }
 
 impl World {
     /// An empty world.
     pub fn new(cfg: WorldConfig) -> World {
         let rng = DetRng::new(cfg.seed);
-        let threads = cfg.threads.max(1);
-        let mut sched = ShardedScheduler::new(threads, Event::shard_hint);
+        let mut sched = Scheduler::new();
         if let Some(ttl) = cfg.xlate_gc_ttl_us {
             sched.schedule_after(ttl.max(1), Event::XlateGc);
         }
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let admission = AdmissionControl::new(cfg.admission);
         World {
             cfg,
@@ -423,12 +345,6 @@ impl World {
             mig_fx_pool: Vec::new(),
             stack_fx_pool: Vec::new(),
             bcast_pool: Vec::new(),
-            pool,
-            min_link_latency_us: None,
-            round_events: Vec::new(),
-            round_tasks: Vec::new(),
-            host_mark: Vec::new(),
-            round_gen: 0,
         }
     }
 
@@ -1517,169 +1433,10 @@ impl World {
 
     /// Run the event loop until `deadline` (events at the deadline are
     /// processed).
-    ///
-    /// With `cfg.threads > 1` the loop batches runs of packet-reception
-    /// events into parallel rx rounds (`run_rx_round`); every other event —
-    /// and every event at `threads == 1` — takes the classic sequential
-    /// dispatch. Output is byte-identical either way.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some((key, ev)) = self.sched.peek() {
-            if key.at > deadline {
-                break;
-            }
-            if ev.is_rx() && self.rx_rounds_active() {
-                self.run_rx_round();
-            } else {
-                let (_, event) = self.sched.pop_next().expect("peeked event exists");
-                self.dispatch(event);
-            }
-        }
-    }
-
-    /// Whether rx events may be batched into parallel rounds right now.
-    ///
-    /// The only way applying one reception's effects can synchronously
-    /// mutate *another* host's stack is a capture-queue hard-fail aborting a
-    /// migration (source and destination stacks both change). That path
-    /// requires a bounded capture budget *and* a migration in flight, so
-    /// when either is absent the receptions of one instant are pairwise
-    /// independent and safe to stack-process in parallel. The predicate
-    /// depends only on simulation state, never on the thread count, so the
-    /// chosen path — and therefore the output — is identical at any
-    /// parallelism.
-    fn rx_rounds_active(&self) -> bool {
-        self.pool.is_some()
-            && (self.cfg.capture_budget.is_unlimited() || self.migrations.is_empty())
-    }
-
-    /// Execute one parallel rx round: the maximal run of consecutive (in
-    /// dispatch order) same-instant packet receptions addressed to pairwise
-    /// distinct hosts.
-    ///
-    /// Phase 1 runs each delivery's `HostStack::on_rx` on the worker pool —
-    /// receptions only touch the receiving stack, so distinct hosts never
-    /// race. Phase 2 is the barrier: effects are applied strictly in the
-    /// popped dispatch order, which is where all shared world state (router,
-    /// switch, RNG, scheduler, apps) is touched — sequentially, exactly as
-    /// the classic loop would have.
-    ///
-    /// Restricting a round to one instant is what keeps the batch closed:
-    /// every frame an apply transmits arrives at least one link propagation
-    /// latency later (`min_link_latency_us`, asserted positive), and any
-    /// event an apply schedules for the current instant draws a higher
-    /// sequence number than every round member, so nothing that phase 2
-    /// creates could have dispatched before anything phase 1 consumed.
-    fn run_rx_round(&mut self) {
-        if self.min_link_latency_us.is_none() {
-            let lat = self
-                .router
-                .min_latency_us()
-                .min(self.switch.min_latency_us());
-            assert!(
-                lat > 0,
-                "parallel rx rounds need positive link latency for conservative lookahead"
-            );
-            self.min_link_latency_us = Some(lat);
-        }
-        let Some(t0) = self.sched.peek_time() else {
-            return;
-        };
-        self.round_gen += 1;
-        let gen = self.round_gen;
-        if self.host_mark.len() < self.hosts.len() {
-            self.host_mark.resize(self.hosts.len(), 0);
-        }
-        // Pass A: pop the round members. Popping does not advance the clock
-        // (`pop_for_round`); the apply phase advances it once, so relative
-        // scheduling during applies sees the same `now` as the classic loop.
-        debug_assert!(self.round_events.is_empty());
-        while let Some((key, ev)) = self.sched.peek() {
-            if key.at != t0 || !ev.is_rx() {
-                break;
-            }
-            let disjoint = if let Event::PacketArrival { host, .. } = ev {
-                self.host_mark[*host] != gen
-            } else if let Event::BroadcastArrival { hosts, .. } = ev {
-                hosts.iter().all(|&h| self.host_mark[h] != gen)
-            } else {
-                false // unreachable: is_rx() held above
-            };
-            if !disjoint {
-                break;
-            }
-            let Some((_, ev)) = self.sched.pop_for_round() else {
-                break;
-            };
-            if let Event::PacketArrival { host, .. } = &ev {
-                self.host_mark[*host] = gen;
-            } else if let Event::BroadcastArrival { hosts, .. } = &ev {
-                for &h in hosts {
-                    self.host_mark[h] = gen;
-                }
-            }
-            self.round_events.push(ev);
-        }
-        self.sched.advance_to(t0);
-        // Pass B: one task per live delivery. Segment pointers into
-        // `round_events` are stable from here on (no more pushes).
-        let mut tasks = std::mem::take(&mut self.round_tasks);
-        debug_assert!(tasks.is_empty());
-        for ev in &self.round_events {
-            if let Event::PacketArrival { host, seg } = ev {
-                if self.hosts[*host].alive {
-                    tasks.push(RxTask {
-                        host: *host,
-                        stack: &mut self.hosts[*host].stack,
-                        at: t0,
-                        seg,
-                        out: Mailbox::new(),
-                    });
-                }
-            } else if let Event::BroadcastArrival { hosts, seg } = ev {
-                for &h in hosts {
-                    // A host may have crashed after the frame was scheduled:
-                    // the frame dies at its doorstep, as in the classic arm.
-                    if self.hosts[h].alive {
-                        tasks.push(RxTask {
-                            host: h,
-                            stack: &mut self.hosts[h].stack,
-                            at: t0,
-                            seg,
-                            out: Mailbox::new(),
-                        });
-                    }
-                }
-            }
-        }
-        // Phase 1 (parallel): run every reception against its own stack.
-        if let Some(pool) = &self.pool {
-            pool.run_tasks(&mut tasks, |t| {
-                // SAFETY: see `RxTask`'s `Send` justification — stacks are
-                // pairwise disjoint and segments immutable for the round.
-                let stack = unsafe { &mut *t.stack };
-                let seg = unsafe { &*t.seg };
-                t.out.fill(stack.on_rx_ref(seg, t.at));
-            });
-        }
-        // Phase 2 (barrier): apply effects in dispatch order — the only
-        // place shared world state is touched.
-        for t in &mut tasks {
-            debug_assert!(
-                self.hosts[t.host].alive,
-                "no rx apply may kill a host mid-round (gated by rx_rounds_active)"
-            );
-            let host = t.host;
-            let fx = t.out.take();
-            self.apply_rx_effects(host, fx);
-        }
-        tasks.clear();
-        self.round_tasks = tasks;
-        for ev in self.round_events.drain(..) {
-            if let Event::BroadcastArrival { hosts, .. } = ev {
-                if self.bcast_pool.len() < FX_POOL_CAP {
-                    self.bcast_pool.push(hosts);
-                }
-            }
+        while self.sched.peek_time().is_some_and(|at| at <= deadline) {
+            let (_, event) = self.sched.pop_next().expect("peeked event exists");
+            self.dispatch(event);
         }
     }
 
@@ -2575,26 +2332,21 @@ impl World {
         }
         let bytes = seg.wire_size();
         if route == Ip::CLUSTER_PUBLIC {
-            // Client → cluster. Legacy: the router broadcasts to every
-            // node. AOI: a frame for a zone-mapped port fans out only to
-            // that zone's subscribers (unmapped ports still broadcast).
-            // The arrival buffer is pooled — the fan-out is the hottest
-            // loop in the world (every client frame × every recipient).
+            // Client → cluster. The router broadcasts to every node, except
+            // that a frame for a zone-mapped port fans out only to that
+            // zone's subscribers (a world that registers no zones is the
+            // paper's pure broadcast). The arrival buffer is pooled — the
+            // fan-out is the hottest loop in the world (every client frame
+            // × every recipient).
             let mut arrivals = std::mem::take(&mut self.arrival_buf);
-            let routed = if self.cfg.aoi {
-                self.router.inbound_zoned_into(
-                    now,
-                    from,
-                    bytes,
-                    seg.dst.port,
-                    &mut self.rng,
-                    &mut arrivals,
-                )
-            } else {
-                self.router
-                    .inbound_into(now, from, bytes, &mut self.rng, &mut arrivals)
-            };
-            match routed {
+            match self.router.inbound_zoned_into(
+                now,
+                from,
+                bytes,
+                seg.dst.port,
+                &mut self.rng,
+                &mut arrivals,
+            ) {
                 Ok(()) => {
                     // A partition cuts the fan-out at the cut: recipients on
                     // the far side never hear the frame (TCP retransmits

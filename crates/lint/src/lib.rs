@@ -24,7 +24,7 @@
 //! | R3 `no-wildcard-arm` | error | all crates | no `_` arm in matches over `Effect`/`AbortReason`/`Fault`/`Event` |
 //! | R4 `panic-hygiene` | error | core, stack | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
 //! | R5 `doc-hygiene` | warning | core, stack | every `pub` item documented |
-//! | R6 `shard-isolation` | error | sim, core, stack, cluster, lb | no shared-state concurrency primitives outside `sim/par.rs` |
+//! | R6 `shard-isolation` | error | sim, core, stack, cluster, lb | no threads or shared-state concurrency primitives |
 //! | R7 `effect-coverage` | error | workspace | every `Effect`/`LbEffect`/`Fault` variant dispatched and constructed |
 //! | R8 `abort-row` | error | workspace | every entered `PhaseId` has an abort row; every emittable `AbortReason` is asserted in a matrix test |
 //! | R9 `clock-dataflow` | error | sim family + dve | no `SimTime::ZERO`-derived constant into a clock parameter, transitively |
@@ -470,7 +470,7 @@ pub const RULES: &[RuleInfo] = &[
         severity: Severity::Error,
         layer: "lexical",
         scope: "sim,core,stack,cluster,lb",
-        summary: "no Mutex/RwLock/Condvar/Atomic*/mpsc/thread::spawn outside sim/par.rs",
+        summary: "no Mutex/RwLock/Condvar/Atomic*/mpsc/thread::spawn",
         fn_ident: "r6_shard_isolation",
         src: RULES_SRC,
     },

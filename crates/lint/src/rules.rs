@@ -47,8 +47,8 @@ const R3_ENUMS: &[&str] = &[
 /// (unseeded randomness) in simulation-facing crates.
 ///
 /// Lineage: the repo's acceptance bar is byte-identical fig5b/5c/timeline
-/// output across PRs and shard counts; one RandomState iteration in a hot
-/// loop silently reorders events and breaks that forever.
+/// output across PRs; one RandomState iteration in a hot loop silently
+/// reorders events and breaks that forever.
 ///
 /// Bad:  `let mut queues: HashMap<NodeId, Vec<Msg>> = HashMap::new();`
 /// Good: `let mut queues: BTreeMap<NodeId, Vec<Msg>> = BTreeMap::new();`
@@ -340,29 +340,21 @@ pub fn r5_doc_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The one sanctioned home for shared-state concurrency primitives: the
-/// worker pool implementing the parallel core's barrier protocol. Everything
-/// else in the simulation family must cross shard boundaries through the
-/// `dvelm_sim` mailbox/round API, never through ad-hoc shared state.
-const R6_EXEMPT: &[&str] = &["crates/sim/src/par.rs"];
-
 /// R6 `shard-isolation`: no `Mutex`/`RwLock`/`Condvar`/`Atomic*`/`mpsc`/
-/// `thread::spawn`/`thread::scope` in simulation-facing crates outside the
-/// sanctioned pool module. The parallel core's determinism contract is that
-/// workers communicate only through per-task mailboxes drained at the
-/// barrier in dispatch order; a stray primitive is a channel for
-/// scheduling-dependent (thread-count-dependent) behaviour to leak into
-/// simulation state.
+/// `thread::spawn`/`thread::scope` in simulation-facing crates. Every event
+/// dispatches from one totally ordered queue on one thread; that order is
+/// what makes two runs of one seed byte-identical. A thread or shared-state
+/// primitive is a channel for OS-scheduling-dependent behaviour to leak
+/// into simulation state.
 ///
-/// Lineage: PR 6 sharded the event loop with a byte-identical-at-any-
-/// thread-count guarantee; that guarantee survives only while `sim/par.rs`
-/// is the single home of shared-state primitives.
+/// Lineage: the rule once exempted `sim/par.rs`, the worker pool of a
+/// parallel event core. The core measured slower than the single loop and
+/// was removed with its exemption, so no path is exempt.
 ///
-/// Bad:  `static HITS: AtomicU64 = AtomicU64::new(0);` in a shard hot path.
-/// Good: count in the task's mailbox and merge at the barrier in dispatch
-/// order.
+/// Bad:  `static HITS: AtomicU64 = AtomicU64::new(0);` in a hot path.
+/// Good: a plain `u64` counter on the world, bumped in dispatch order.
 pub fn r6_shard_isolation(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.in_scope(R1_SCOPE) || R6_EXEMPT.contains(&ctx.path) {
+    if !ctx.in_scope(R1_SCOPE) {
         return;
     }
     for (i, t) in ctx.toks.iter().enumerate() {
@@ -371,19 +363,19 @@ pub fn r6_shard_isolation(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
         }
         let msg = match t.text.as_str() {
             "Mutex" | "RwLock" | "Condvar" => Some(format!(
-                "`{}` shares state across threads outside the barrier protocol; cross-shard values must travel through dvelm_sim mailboxes (WorkerPool rounds)",
+                "`{}` shares state across threads; the simulation is single-threaded, so keep state plain and mutate it in dispatch order",
                 t.text
             )),
             "mpsc" => Some(
-                "`mpsc` channels order messages by scheduling, not by dispatch key; use dvelm_sim mailboxes drained at the barrier".to_string(),
+                "`mpsc` channels order messages by OS scheduling, not by dispatch key; schedule an event on the world's queue instead".to_string(),
             ),
             "thread" if path_call(&ctx.toks, i, "spawn") || path_call(&ctx.toks, i, "scope") => {
                 Some(
-                    "ad-hoc threads bypass the worker pool's barrier; run parallel work through dvelm_sim::par::WorkerPool".to_string(),
+                    "threads make simulation order depend on OS scheduling; dispatch the work as events on the single event loop".to_string(),
                 )
             }
             s if s.starts_with("Atomic") && s.len() > "Atomic".len() => Some(format!(
-                "`{}` is scheduling-ordered shared state; shard results belong in per-task mailboxes merged in dispatch order",
+                "`{}` is scheduling-ordered shared state; use a plain counter updated in dispatch order",
                 t.text
             )),
             _ => None,
@@ -575,16 +567,17 @@ mod tests {
         );
         // Out of the simulation family: free to use what it likes.
         assert!(rules_hit("crates/metrics/src/x.rs", src).is_empty());
-        // The sanctioned pool module is exempt.
-        assert!(rules_hit("crates/sim/src/par.rs", src).is_empty());
+        // No path in the simulation family is exempt.
+        assert_eq!(
+            rules_hit("crates/sim/src/par.rs", src),
+            vec![("R6", 1), ("R6", 2), ("R6", 2)]
+        );
     }
 
     #[test]
-    fn r6_flags_adhoc_threads_but_not_pool_use() {
+    fn r6_flags_adhoc_threads() {
         let bad = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_hit("crates/sim/src/x.rs", bad), vec![("R6", 1)]);
-        let good = "fn f(pool: &WorkerPool, tasks: &mut [T]) { pool.run_tasks(tasks, run); }";
-        assert!(rules_hit("crates/sim/src/x.rs", good).is_empty());
         // `thread` not followed by ::spawn/::scope (e.g. a field) is fine.
         let field = "struct S { thread: u8 }";
         assert!(rules_hit("crates/sim/src/x.rs", field).is_empty());

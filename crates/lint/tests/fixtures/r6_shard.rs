@@ -1,12 +1,13 @@
 //! Bad: simulation state shared across threads through primitives instead
-//! of the parallel core's mailbox/barrier API (R6 shard-isolation).
+//! of being mutated in dispatch order on the single event loop (R6
+//! shard-isolation).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Per-shard results collected through a lock instead of per-task mailboxes:
-/// the drain order is whatever the OS scheduler produced, so the merged
-/// stream differs run to run and across thread counts.
+/// Results collected through a lock from several threads: the drain order
+/// is whatever the OS scheduler produced, so the merged stream differs run
+/// to run.
 pub struct EffectCollector {
     merged: Arc<Mutex<Vec<String>>>,
     delivered: AtomicU64,
@@ -19,7 +20,7 @@ impl EffectCollector {
     }
 }
 
-/// Ad-hoc fan-out that bypasses the worker pool's barrier entirely.
+/// Ad-hoc fan-out onto threads.
 pub fn fan_out(lines: Vec<String>, sink: &EffectCollector) {
     std::thread::scope(|s| {
         for line in lines {

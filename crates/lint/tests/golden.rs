@@ -91,12 +91,18 @@ fn r5_undoc_fixture() {
 #[test]
 fn r6_shard_fixture() {
     check_golden("r6_shard.rs", "crates/cluster/src/fixture.rs", "R6");
-    // The sanctioned pool module is the one place these primitives belong:
-    // the same source under the exempt path lints clean.
+    // No path is exempt: the old home of the parallel core is flagged like
+    // any other file in the simulation family.
     let rendered = render("r6_shard.rs", "crates/sim/src/par.rs");
+    let expected = render("r6_shard.rs", "crates/cluster/src/fixture.rs")
+        .replace("crates/cluster/src/fixture.rs", "crates/sim/src/par.rs");
     assert!(
-        rendered.is_empty(),
-        "crates/sim/src/par.rs is R6-exempt:\n{rendered}"
+        !rendered.is_empty(),
+        "crates/sim/src/par.rs must be flagged by R6"
+    );
+    assert_eq!(
+        rendered, expected,
+        "par.rs must be flagged like any other path"
     );
 }
 

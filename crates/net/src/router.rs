@@ -55,8 +55,9 @@ pub struct BroadcastRouter {
     link_template: Link,
     client_template: Link,
     /// Zone subscriptions for the interest-managed (AOI) inbound path.
-    /// Empty by default: the legacy [`inbound_into`](Self::inbound_into)
-    /// broadcast never consults it.
+    /// Empty by default, in which case
+    /// [`inbound_zoned_into`](Self::inbound_zoned_into) is the plain
+    /// broadcast.
     interest: InterestTable,
 }
 
@@ -129,27 +130,6 @@ impl BroadcastRouter {
         self.downlinks.keys().copied()
     }
 
-    /// The smallest propagation latency of any link the router can put a
-    /// frame on (templates included, so attaching later hosts cannot lower
-    /// it). This is the conservative lookahead of the parallel core: every
-    /// packet handed to the router arrives at least this much after `now`,
-    /// so events already queued for the current instant form a closed set.
-    pub fn min_latency_us(&self) -> u64 {
-        let links = [&self.link_template, &self.client_template];
-        let live = self
-            .downlinks
-            .values()
-            .chain(self.uplinks.values())
-            .chain(self.client_downlinks.values())
-            .chain(self.client_uplinks.values());
-        links
-            .into_iter()
-            .chain(live)
-            .map(|l| l.latency_us)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// A client host sends an inbound frame: it traverses the client's
     /// uplink once, then is broadcast over every node downlink. Returns the
     /// per-node arrival instants (empty if the uplink dropped it).
@@ -177,32 +157,38 @@ impl BroadcastRouter {
         rng: &mut DetRng,
         out: &mut Vec<(NodeId, SimTime)>,
     ) -> Result<(), RouteError> {
-        out.clear();
-        let up = self
-            .client_uplinks
-            .get_mut(&from_client)
-            .ok_or(RouteError::UnknownClientSource(from_client))?;
-        let Some(at_router) = up.transmit(now, bytes, rng) else {
-            return Ok(());
-        };
-        out.extend(self.downlinks.iter_mut().filter_map(|(node, link)| {
-            link.transmit(at_router, bytes, rng).map(|arr| (*node, arr))
-        }));
-        Ok(())
+        self.fan_out(now, from_client, bytes, None, rng, out)
     }
 
     /// The interest-managed variant of [`inbound_into`](Self::inbound_into):
     /// a frame whose destination port is bound to a zone fans out only to
     /// that zone's subscribers — O(subscribers) instead of O(nodes) — while
-    /// frames for unmapped ports keep the legacy full broadcast. Subscriber
-    /// order is node order (the subscriber set is ordered), matching the
-    /// deterministic fan-out order of the broadcast path.
+    /// frames for unmapped ports keep the full broadcast. Subscriber order
+    /// is node order (the subscriber set is ordered), matching the
+    /// deterministic fan-out order of the broadcast path. With no zones
+    /// mapped this is exactly [`inbound_into`](Self::inbound_into): same
+    /// arrivals, same RNG draws.
     pub fn inbound_zoned_into(
         &mut self,
         now: SimTime,
         from_client: NodeId,
         bytes: u64,
         dst_port: Port,
+        rng: &mut DetRng,
+        out: &mut Vec<(NodeId, SimTime)>,
+    ) -> Result<(), RouteError> {
+        self.fan_out(now, from_client, bytes, Some(dst_port), rng, out)
+    }
+
+    /// The inbound body both entry points share: the client uplink hop,
+    /// then either the zone's subscribers (when `dst_port` is mapped to a
+    /// zone) or every node downlink in node order.
+    fn fan_out(
+        &mut self,
+        now: SimTime,
+        from_client: NodeId,
+        bytes: u64,
+        dst_port: Option<Port>,
         rng: &mut DetRng,
         out: &mut Vec<(NodeId, SimTime)>,
     ) -> Result<(), RouteError> {
@@ -214,8 +200,7 @@ impl BroadcastRouter {
         let Some(at_router) = up.transmit(now, bytes, rng) else {
             return Ok(());
         };
-        let Some(zone) = self.interest.zone_of_port(dst_port) else {
-            // Unmapped port: legacy broadcast, same fan-out as inbound_into.
+        let Some(zone) = dst_port.and_then(|port| self.interest.zone_of_port(port)) else {
             out.extend(self.downlinks.iter_mut().filter_map(|(node, link)| {
                 link.transmit(at_router, bytes, rng).map(|arr| (*node, arr))
             }));
@@ -516,5 +501,80 @@ mod tests {
                 .len(),
             2
         );
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use crate::link::LossModel;
+    use proptest::prelude::*;
+
+    fn loss_model() -> impl Strategy<Value = LossModel> {
+        prop_oneof![
+            Just(LossModel::None),
+            (0.0f64..1.0).prop_map(LossModel::Bernoulli),
+            (0.0f64..0.5, 1u32..5).prop_map(|(p, burst)| LossModel::Burst { p, burst }),
+            (0u64..3_000, 0u64..3_000).prop_map(|(a, b)| LossModel::Window {
+                from: SimTime::from_micros(a.min(b)),
+                to: SimTime::from_micros(a.max(b)),
+            }),
+        ]
+    }
+
+    /// Two identically built routers: `losses[i]` on node `i`'s downlink,
+    /// `uplink` on the client's uplink.
+    fn twin_routers(losses: &[LossModel], uplink: LossModel) -> [BroadcastRouter; 2] {
+        [(), ()].map(|_| {
+            let mut r = BroadcastRouter::default_testbed();
+            for (i, loss) in losses.iter().enumerate() {
+                let node = NodeId(i as u32);
+                r.attach_node(node);
+                r.node_downlink_mut(node).unwrap().set_loss(*loss);
+            }
+            r.attach_client(NodeId(1000));
+            r.client_uplinks
+                .get_mut(&NodeId(1000))
+                .unwrap()
+                .set_loss(uplink);
+            r
+        })
+    }
+
+    proptest! {
+        /// With no zone mapped, the zoned inbound path is the broadcast:
+        /// frame after frame, both give identical arrivals and leave the
+        /// RNG in the same next state.
+        #[test]
+        fn zoned_path_without_zones_is_the_broadcast(
+            losses in proptest::collection::vec(loss_model(), 0..24),
+            uplink in loss_model(),
+            frames in proptest::collection::vec((0u64..400, 1u64..2_000, 0u16..u16::MAX), 1..40),
+            seed in 0u64..u64::MAX,
+        ) {
+            let [mut plain, mut zoned] = twin_routers(&losses, uplink);
+            let mut rng_plain = DetRng::new(seed);
+            let mut rng_zoned = DetRng::new(seed);
+            let (mut out_plain, mut out_zoned) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            for (gap, bytes, port) in frames {
+                now += gap;
+                plain
+                    .inbound_into(now, NodeId(1000), bytes, &mut rng_plain, &mut out_plain)
+                    .unwrap();
+                zoned
+                    .inbound_zoned_into(
+                        now,
+                        NodeId(1000),
+                        bytes,
+                        Port(port),
+                        &mut rng_zoned,
+                        &mut out_zoned,
+                    )
+                    .unwrap();
+                prop_assert_eq!(&out_plain, &out_zoned);
+                prop_assert_eq!(rng_plain.clone().next_u64(), rng_zoned.clone().next_u64());
+            }
+        }
     }
 }

@@ -55,19 +55,6 @@ impl ClusterSwitch {
         self.uplinks.keys().copied()
     }
 
-    /// The smallest propagation latency of any switch port (template
-    /// included). Part of the parallel core's conservative lookahead: no
-    /// frame crosses the switch in less than this.
-    pub fn min_latency_us(&self) -> u64 {
-        [&self.template]
-            .into_iter()
-            .chain(self.uplinks.values())
-            .chain(self.downlinks.values())
-            .map(|l| l.latency_us)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Unicast a frame from `src` to `dst`; returns the arrival instant.
     pub fn unicast(
         &mut self,

@@ -24,16 +24,14 @@
 //! assert_eq!(sched.now(), SimTime::from_millis(10));
 //! ```
 
-pub mod par;
+#![forbid(unsafe_code)]
+
 pub mod queue;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod time;
 
-pub use par::WorkerPool;
 pub use queue::{DispatchKey, EventQueue};
 pub use rng::DetRng;
 pub use sched::{SchedStats, Scheduler};
-pub use shard::{Mailbox, ShardedScheduler};
 pub use time::{Jiffies, SimTime, JIFFY, MICROSECOND, MILLISECOND, SECOND};

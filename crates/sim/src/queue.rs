@@ -2,9 +2,8 @@
 //!
 //! The sequence number guarantees FIFO order among events scheduled for the
 //! same instant, which makes the whole simulation deterministic regardless of
-//! heap internals. The ordering pair is public as [`DispatchKey`] so the
-//! sharded scheduler's barrier merge and the heap provably sort by the same
-//! key.
+//! heap internals. The ordering pair is public as [`DispatchKey`] so
+//! observers peeking at the queue see the exact dispatch order.
 //!
 //! The heap holds only 24-byte `(key, slot)` entries; the events themselves
 //! sit in a slab whose vacated slots are recycled through a free list. A
@@ -17,15 +16,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// The total order every event dispatches in: due time first, then the
-/// globally monotone insertion sequence as the tie-break. Two queues (or N
-/// shards) merged by `DispatchKey` reproduce exactly the pop order a single
-/// queue would have produced, which is the invariant the parallel core's
-/// barrier merge rests on.
+/// monotone insertion sequence as the tie-break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DispatchKey {
     /// Absolute due instant.
     pub at: SimTime,
-    /// Insertion sequence; unique across all shards of one scheduler.
+    /// Insertion sequence; unique within one queue.
     pub seq: u64,
 }
 
@@ -87,20 +83,11 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute instant `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.next_seq;
+        let key = DispatchKey {
+            at,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
-        self.insert(DispatchKey { at, seq }, event);
-    }
-
-    /// Schedule `event` under an externally allocated dispatch key. Used by
-    /// the sharded scheduler, which hands out sequence numbers from a single
-    /// counter shared by all shards so the N-way merge stays a total order.
-    pub fn push_keyed(&mut self, key: DispatchKey, event: E) {
-        self.next_seq = self.next_seq.max(key.seq + 1);
-        self.insert(key, event);
-    }
-
-    fn insert(&mut self, key: DispatchKey, event: E) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot] = Some(event);
@@ -125,11 +112,6 @@ impl<E> EventQueue<E> {
         let event = self.slab[slot].take().expect("heap entry owns its slot");
         self.free.push(slot);
         Some((key, event))
-    }
-
-    /// Dispatch key of the earliest pending event, if any.
-    pub fn peek_key(&self) -> Option<DispatchKey> {
-        self.heap.peek().map(|s| s.key)
     }
 
     /// The earliest pending event and its key, without removing it.
@@ -245,20 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_push_preserves_external_sequencing() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(4);
-        q.push_keyed(DispatchKey { at: t, seq: 7 }, "late");
-        q.push_keyed(DispatchKey { at: t, seq: 2 }, "early");
-        assert_eq!(q.peek().map(|(k, e)| (k.seq, *e)), Some((2, "early")));
-        assert_eq!(q.pop_keyed().map(|(k, e)| (k.seq, e)), Some((2, "early")));
-        assert_eq!(q.pop_keyed().map(|(k, e)| (k.seq, e)), Some((7, "late")));
-        // next_seq advanced past the largest external key.
-        q.push(t, "fresh");
-        assert_eq!(q.peek_key().map(|k| k.seq), Some(8));
-    }
-
-    #[test]
     fn vacated_slots_are_reused() {
         let mut q = EventQueue::new();
         for i in 0..8 {
@@ -286,8 +254,6 @@ mod prop_tests {
     enum Op {
         /// `n` events at one instant `delay` µs after the last pop.
         Burst(u64, usize),
-        /// One event under an external key `gap` sequence numbers ahead.
-        Keyed(u64, u64),
         Pop,
         Peek,
     }
@@ -296,7 +262,6 @@ mod prop_tests {
         proptest::collection::vec(
             prop_oneof![
                 (0u64..4, 1usize..12).prop_map(|(d, n)| Op::Burst(d, n)),
-                (0u64..50, 0u64..3).prop_map(|(d, g)| Op::Keyed(d, g)),
                 Just(Op::Pop),
                 Just(Op::Pop),
                 Just(Op::Pop),
@@ -329,13 +294,6 @@ mod prop_tests {
                             payload += 1;
                         }
                     }
-                    Op::Keyed(delay, gap) => {
-                        let key = DispatchKey { at: now + delay, seq: next_seq + gap };
-                        next_seq = key.seq + 1;
-                        q.push_keyed(key, payload);
-                        model.insert(key, payload);
-                        payload += 1;
-                    }
                     Op::Pop => {
                         let peeked = q.peek().map(|(k, e)| (k, *e));
                         let popped = q.pop_keyed();
@@ -349,7 +307,6 @@ mod prop_tests {
                     Op::Peek => {
                         let expect = model.first_key_value().map(|(k, e)| (*k, *e));
                         prop_assert_eq!(q.peek().map(|(k, e)| (k, *e)), expect);
-                        prop_assert_eq!(q.peek_key(), expect.map(|(k, _)| k));
                         prop_assert_eq!(q.peek_time(), expect.map(|(k, _)| k.at));
                     }
                 }

@@ -8,20 +8,18 @@
 use crate::queue::{DispatchKey, EventQueue};
 use crate::time::SimTime;
 
-/// Aggregate scheduler counters, identical in shape for the sequential
-/// [`Scheduler`] and the sharded one, so callers (benchmarks, tests) read
-/// exact totals rather than per-shard approximations.
+/// Aggregate scheduler counters in one struct, for callers (benchmarks,
+/// tests) that read several at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
     /// Events dispatched so far.
     pub dispatched: u64,
-    /// Events ever scheduled (across all shards, if sharded).
+    /// Events ever scheduled.
     pub scheduled: u64,
     /// Events still pending.
     pub pending: u64,
     /// `schedule_at` calls whose instant lay in the past and was clamped to
-    /// `now`. Zero in a fault-free run; nonzero under sharding would mean a
-    /// lookahead bug (an event generated behind the merged clock).
+    /// `now`. Zero in a fault-free run.
     pub clamped: u64,
 }
 

@@ -1,8 +1,9 @@
 //! The zone-handoff matrix (ISSUE 10): interest-managed routing must keep
 //! the interest table consistent across every migration strategy and every
-//! way a migration can end. Each cell runs the AOI world (zoned inbound
-//! routing armed, the zone server registered as its zone's sole serving
-//! process) and requires three properties after the dust settles:
+//! way a migration can end. Each cell runs the AOI world (the zone server
+//! registered as its zone's sole serving process, which is what routes the
+//! zone's inbound frames by interest) and requires three properties after
+//! the dust settles:
 //!
 //! * **exactly one subscriber per (pid, zone)** — whichever host ends up
 //!   owning the process is the zone's only interest seat; neither a
@@ -56,7 +57,6 @@ fn build(seed: u64, strategy: Strategy, hot: bool) -> Scenario {
     let mut w = World::new(WorldConfig {
         seed,
         strategy,
-        aoi: true,
         // Stretch control latency so the fenced cell's conductor phases are
         // wide enough to aim a partition into (harmless for direct cells).
         ctrl_latency_us: 20 * MILLISECOND,
