@@ -3,26 +3,13 @@
 //! sweep grid (default 16…1024).
 
 fn main() {
-    let conns: Vec<usize> = {
-        let args: Vec<usize> = std::env::args()
-            .skip(1)
-            .filter_map(|a| a.parse().ok())
-            .collect();
-        if args.is_empty() {
-            vec![16, 32, 64, 128, 256, 512, 1024]
-        } else {
-            args
-        }
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let conns = dvelm_bench::connections_from_args("all_figures");
 
     eprintln!("== Fig. 4 (OpenArena) ==");
     dvelm_bench::emit("fig4_openarena_delay", &dvelm_bench::fig4(24));
 
     eprintln!("== Fig. 5b/5c sweep ({conns:?}) ==");
-    let cells = dvelm_bench::freeze_sweep(&conns, 3, workers);
+    let cells = dvelm_bench::freeze_sweep(&conns);
     dvelm_bench::emit("fig5b_freeze_time", &dvelm_bench::fig5b(&cells, &conns));
     dvelm_bench::emit("fig5c_freeze_bytes", &dvelm_bench::fig5c(&cells, &conns));
 

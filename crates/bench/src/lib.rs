@@ -137,9 +137,41 @@ pub struct SweepCell {
     pub result: FreezeBenchResult,
 }
 
+/// The default Fig. 5b/5c connection-count grid.
+pub const DEFAULT_CONNECTIONS: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
+
+/// Freeze-bench repetitions per sweep cell (the figure reports the worst).
+const FREEZE_REPETITIONS: usize = 3;
+
+/// Parse a sweep binary's connection-count arguments: none gives
+/// [`DEFAULT_CONNECTIONS`]; numbers are kept in order; anything else is
+/// refused and returned as the error.
+pub fn parse_connections(args: &[String]) -> Result<Vec<usize>, String> {
+    if args.is_empty() {
+        return Ok(DEFAULT_CONNECTIONS.to_vec());
+    }
+    args.iter()
+        .map(|a| a.parse().map_err(|_| a.clone()))
+        .collect()
+}
+
+/// [`parse_connections`] over the process arguments; on a bad argument,
+/// print a usage line for `bin` and exit with code 2.
+pub fn connections_from_args(bin: &str) -> Vec<usize> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_connections(&args).unwrap_or_else(|bad| {
+        eprintln!("{bin}: not a connection count: {bad:?}");
+        eprintln!("usage: {bin} [connections...]  (default: {DEFAULT_CONNECTIONS:?})");
+        std::process::exit(2);
+    })
+}
+
 /// Run the (connections × strategy) sweep, distributing runs across scoped
-/// worker threads (each run is an independent deterministic world).
-pub fn freeze_sweep(connections: &[usize], repetitions: usize, workers: usize) -> Vec<SweepCell> {
+/// worker threads, one per available core (each run is an independent
+/// deterministic world, and the cells are sorted afterwards, so the worker
+/// count cannot change the result).
+pub fn freeze_sweep(connections: &[usize]) -> Vec<SweepCell> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut jobs: Vec<(usize, Strategy)> = Vec::new();
     for &c in connections {
         for s in Strategy::ALL {
@@ -149,7 +181,7 @@ pub fn freeze_sweep(connections: &[usize], repetitions: usize, workers: usize) -
     let jobs = Mutex::new(jobs);
     let results = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        for _ in 0..workers.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let job = jobs.lock().unwrap().pop();
                 let Some((connections, strategy)) = job else {
@@ -158,7 +190,7 @@ pub fn freeze_sweep(connections: &[usize], repetitions: usize, workers: usize) -
                 let r = run_freeze_bench(&FreezeBenchConfig {
                     connections,
                     strategy,
-                    repetitions,
+                    repetitions: FREEZE_REPETITIONS,
                     seed: 0xF16_5BC,
                     monitored: false,
                 });
@@ -371,4 +403,32 @@ pub fn fig5d(r: &FlowSimResult) -> String {
 /// The migration-time instant used to centre Fig. 4's window.
 pub fn fig4_center(report_frozen_at: SimTime) -> SimTime {
     report_frozen_at
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn no_arguments_give_the_default_sweep() {
+        assert_eq!(parse_connections(&[]), Ok(DEFAULT_CONNECTIONS.to_vec()));
+    }
+
+    #[test]
+    fn numeric_arguments_are_kept_in_order() {
+        assert_eq!(
+            parse_connections(&args(&["256", "16", "64"])),
+            Ok(vec![256, 16, 64])
+        );
+    }
+
+    #[test]
+    fn a_non_numeric_argument_is_refused() {
+        assert_eq!(parse_connections(&args(&["foo"])), Err("foo".into()));
+        assert_eq!(parse_connections(&args(&["16", "6x4"])), Err("6x4".into()));
+    }
 }

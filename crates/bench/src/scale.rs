@@ -5,9 +5,8 @@
 //! harness measures the *simulator itself*: wall-clock per simulated
 //! second, dispatched events per wall second, peak capture-queue depths
 //! and per-phase migration costs at increasing cluster sizes. Its output
-//! is machine-readable (`BENCH_scale.json` / `BENCH_stack.json`, see
-//! [`scale_json`]/[`stack_json`]) so CI can detect performance
-//! regressions by parsing the files back.
+//! is machine-readable (see [`scale_json`]) so CI can detect throughput
+//! regressions with [`compare_bench`].
 //!
 //! The simulated world is deterministic for a given [`ScaleConfig`]; only
 //! the wall-clock fields vary between runs. [`ScaleCell::det_fingerprint`]
@@ -46,10 +45,10 @@ pub struct ScaleConfig {
     /// `tests/determinism_replay.rs`).
     pub monitored: bool,
     /// Socket-migration strategy for the cell's migrations (and the
-    /// world's conductor ceiling). The default trajectory runs
-    /// [`Strategy::IncrementalCollective`]; the `--strategy` sweep covers
-    /// the full five-variant family, whose residual counters
-    /// (`demand_fetch_*`/`writeback_*`) land in `BENCH_scale.json`.
+    /// world's conductor ceiling). The `bench_scale` cells run
+    /// [`Strategy::IncrementalCollective`]; the residual-strategy replay
+    /// tests run post-copy and hybrid, whose `demand_fetch_*`/`writeback_*`
+    /// counters enter the fingerprint.
     pub strategy: Strategy,
     /// Interest-managed (AOI) routing: each server's port is mapped to its
     /// own zone, so inbound usercmds reach only the serving node instead of
@@ -383,8 +382,8 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
 }
 
 fn cell_key(cfg: &ScaleConfig) -> String {
-    // Default-configuration cells keep their historical key so committed
-    // baselines compare like-for-like; strategy-sweep and AOI rows get a
+    // Default-strategy cells keep their historical key so the committed
+    // baseline compares like-for-like; other strategies and AOI rows get a
     // distinct key.
     let mut key = if cfg.strategy == Strategy::IncrementalCollective {
         format!("{}x{}", cfg.nodes, cfg.clients)
@@ -402,52 +401,16 @@ fn cell_key(cfg: &ScaleConfig) -> String {
     key
 }
 
-/// Physical parallelism available on this machine (1 when unknown).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 fn round2(x: f64) -> f64 {
     (x * 100.0).round() / 100.0
 }
 
-/// Render `BENCH_scale.json`: throughput metrics per cell, plus the
-/// pre-optimization baseline and the measured speedup when the sweep
-/// contains the 64-node/1000-client cell.
-pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
+/// Render `BENCH_scale.json`: throughput metrics and deterministic
+/// counters per cell.
+pub fn scale_json(cells: &[ScaleCell]) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("scale".into()));
-    doc.set("schema_version", Json::Num(3.0));
-    // Physical cores on the measuring host, recorded next to the
-    // wall-clock numbers they qualify.
-    doc.set("host_cores", Json::Num(host_cores() as f64));
-    if let Some(b) = baseline {
-        let mut base = Json::obj();
-        base.set("label", Json::Str(b.label.clone()));
-        base.set("cell", Json::Str(b.cell.clone()));
-        base.set("events_per_sec", Json::Num(round2(b.events_per_sec)));
-        base.set(
-            "deliveries_per_sec",
-            Json::Num(round2(b.deliveries_per_sec)),
-        );
-        base.set("wall_ms_per_sim_s", Json::Num(round2(b.wall_ms_per_sim_s)));
-        let fresh = cells.iter().find(|c| cell_key(&c.cfg) == b.cell);
-        if let Some(fresh) = fresh.filter(|_| b.deliveries_per_sec > 0.0) {
-            base.set(
-                "speedup",
-                Json::Num(round2(fresh.deliveries_per_sec / b.deliveries_per_sec)),
-            );
-        }
-        if let Some(fresh) =
-            fresh.filter(|f| b.wall_ms_per_sim_s > 0.0 && f.wall_ms_per_sim_s > 0.0)
-        {
-            base.set(
-                "sim_throughput_speedup",
-                Json::Num(round2(b.wall_ms_per_sim_s / fresh.wall_ms_per_sim_s)),
-            );
-        }
-        doc.set("baseline", base);
-    }
+    doc.set("schema_version", Json::Num(4.0));
     let mut arr = Vec::with_capacity(cells.len());
     for c in cells {
         let mut o = Json::obj();
@@ -490,53 +453,6 @@ pub fn scale_json(cells: &[ScaleCell], baseline: Option<&Baseline>) -> Json {
     }
     doc.set("cells", Json::Arr(arr));
     doc
-}
-
-/// Render `BENCH_stack.json`: stack-side metrics per cell — peak capture
-/// queue depths, shed counts and per-phase migration costs.
-pub fn stack_json(cells: &[ScaleCell]) -> Json {
-    let mut doc = Json::obj();
-    doc.set("bench", Json::Str("stack".into()));
-    doc.set("schema_version", Json::Num(1.0));
-    let mut arr = Vec::with_capacity(cells.len());
-    for c in cells {
-        let mut o = Json::obj();
-        o.set("cell", Json::Str(cell_key(&c.cfg)));
-        o.set("nodes", Json::Num(c.cfg.nodes as f64));
-        o.set("clients", Json::Num(c.cfg.clients as f64));
-        o.set(
-            "peak_queued_packets",
-            Json::Num(c.peak_queued_packets as f64),
-        );
-        o.set("peak_queued_bytes", Json::Num(c.peak_queued_bytes as f64));
-        o.set("shed_udp", Json::Num(c.shed_udp as f64));
-        o.set("freeze_us_max", Json::Num(c.freeze_us_max as f64));
-        o.set("total_us_max", Json::Num(c.total_us_max as f64));
-        let mut phases = Json::obj();
-        for (name, us) in &c.phase_us {
-            phases.set(name, Json::Num(*us as f64));
-        }
-        o.set("phase_us", phases);
-        arr.push(o);
-    }
-    doc.set("cells", Json::Arr(arr));
-    doc
-}
-
-/// The pre-optimization reference point embedded in `BENCH_scale.json`.
-#[derive(Debug, Clone)]
-pub struct Baseline {
-    /// Where the numbers came from (commit, build flags).
-    pub label: String,
-    /// Which cell they measure, as `"<nodes>x<clients>"`.
-    pub cell: String,
-    /// Events per wall-clock second at that cell.
-    pub events_per_sec: f64,
-    /// Stack deliveries per wall-clock second at that cell (the cross-tree
-    /// throughput figure the speedup is computed from).
-    pub deliveries_per_sec: f64,
-    /// Wall-clock milliseconds per simulated second at that cell.
-    pub wall_ms_per_sim_s: f64,
 }
 
 /// What [`compare_bench`] found: `problems` fail the gate; `warnings` are
@@ -652,25 +568,22 @@ mod tests {
 
     #[test]
     fn compare_passes_within_tolerance_and_fails_beyond() {
-        let base = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)], None);
-        let ok = scale_json(&[fake_cell(4, 100, 600.0, 90.0)], None);
+        let base = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)]);
+        let ok = scale_json(&[fake_cell(4, 100, 600.0, 90.0)]);
         assert!(compare_bench(&base, &ok, 2.0).problems.is_empty());
-        let slow = scale_json(&[fake_cell(4, 100, 400.0, 90.0)], None);
+        let slow = scale_json(&[fake_cell(4, 100, 400.0, 90.0)]);
         assert_eq!(compare_bench(&base, &slow, 2.0).problems.len(), 1);
-        let crawl = scale_json(&[fake_cell(4, 100, 400.0, 150.0)], None);
+        let crawl = scale_json(&[fake_cell(4, 100, 400.0, 150.0)]);
         assert_eq!(compare_bench(&base, &crawl, 2.0).problems.len(), 2);
     }
 
     #[test]
     fn compare_flags_missing_cells() {
-        let base = scale_json(
-            &[
-                fake_cell(4, 100, 1000.0, 50.0),
-                fake_cell(16, 1000, 1000.0, 50.0),
-            ],
-            None,
-        );
-        let fresh = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)], None);
+        let base = scale_json(&[
+            fake_cell(4, 100, 1000.0, 50.0),
+            fake_cell(16, 1000, 1000.0, 50.0),
+        ]);
+        let fresh = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)]);
         assert_eq!(compare_bench(&base, &fresh, 2.0).problems.len(), 1);
     }
 
@@ -696,8 +609,8 @@ mod tests {
 
     #[test]
     fn compare_skips_missing_metric_keys_with_warning_both_directions() {
-        let base = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)], None);
-        let fresh = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)], None);
+        let base = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)]);
+        let fresh = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)]);
         // Old baseline predating a newly-added key: skip, warn, pass.
         let old_base = without_key(&base, "wall_ms_per_sim_s");
         let out = compare_bench(&old_base, &fresh, 2.0);
@@ -712,7 +625,7 @@ mod tests {
         assert!(out.warnings[0].contains("wall_ms_per_sim_s missing from fresh results"));
         // The still-present metric is still gated: a regression on
         // events_per_sec fails even while the other key skips.
-        let slow = scale_json(&[fake_cell(4, 100, 100.0, 50.0)], None);
+        let slow = scale_json(&[fake_cell(4, 100, 100.0, 50.0)]);
         let out = compare_bench(&old_base, &slow, 2.0);
         assert_eq!(out.problems.len(), 1);
         assert!(out.problems[0].contains("events_per_sec"));
@@ -726,23 +639,5 @@ mod tests {
         let mut c = fake_cell(4, 100, 1000.0, 50.0);
         c.sched_clamped = 3;
         assert_ne!(a.det_fingerprint(), c.det_fingerprint());
-    }
-
-    #[test]
-    fn scale_json_embeds_baseline_speedup() {
-        let b = Baseline {
-            label: "test".into(),
-            cell: "4x100".into(),
-            events_per_sec: 500.0,
-            deliveries_per_sec: 500.0,
-            wall_ms_per_sim_s: 100.0,
-        };
-        let doc = scale_json(&[fake_cell(4, 100, 1000.0, 50.0)], Some(&b));
-        let speedup = doc
-            .get("baseline")
-            .and_then(|b| b.get("speedup"))
-            .and_then(Json::as_f64)
-            .unwrap();
-        assert!((speedup - 2.0).abs() < 1e-9);
     }
 }
