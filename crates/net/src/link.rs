@@ -6,6 +6,7 @@
 //! buffer on Gigabit Ethernet really occupies the wire for ~28 ms — the
 //! effect behind the collective-vs-iterative comparison in Fig. 5b.
 
+use crate::addr::NodeId;
 use dvelm_sim::{DetRng, SimTime};
 
 /// Gigabit Ethernet payload bandwidth, bytes per second.
@@ -152,6 +153,59 @@ impl Link {
     /// Transfer counters.
     pub fn stats(&self) -> LinkStats {
         self.stats
+    }
+}
+
+/// One link per attached node, stored densely by `NodeId` (the cluster
+/// assigns node ids densely). Iteration is in ascending node id, which is
+/// the fan-out order, so the loss models draw randomness in that order.
+#[derive(Debug, Default)]
+pub(crate) struct NodeLinks {
+    slots: Vec<Option<Link>>,
+}
+
+impl NodeLinks {
+    /// Give `node` a fresh `link`, replacing any it had.
+    pub(crate) fn attach(&mut self, node: NodeId, link: Link) {
+        let i = node.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        self.slots[i] = Some(link);
+    }
+
+    /// Drop `node`'s link, if any.
+    pub(crate) fn detach(&mut self, node: NodeId) {
+        if let Some(slot) = self.slots.get_mut(node.0 as usize) {
+            *slot = None;
+        }
+    }
+
+    /// `node`'s link, if attached.
+    pub(crate) fn get_mut(&mut self, node: NodeId) -> Option<&mut Link> {
+        self.slots.get_mut(node.0 as usize)?.as_mut()
+    }
+
+    /// Whether `node` has a link.
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
+        self.slots.get(node.0 as usize).is_some_and(Option::is_some)
+    }
+
+    /// Attached nodes, ascending.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(i, _)| NodeId(i as u32))
+    }
+
+    /// Attached nodes and their links, ascending by node.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (NodeId, &mut Link)> {
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, slot)| Some((NodeId(i as u32), slot.as_mut()?)))
     }
 }
 

@@ -11,9 +11,8 @@
 
 use crate::addr::{NodeId, Port};
 use crate::interest::InterestTable;
-use crate::link::Link;
+use crate::link::{Link, NodeLinks};
 use dvelm_sim::{DetRng, SimTime};
-use std::collections::BTreeMap;
 
 /// Why the router could not route a frame. Unknown endpoints are a normal
 /// consequence of hosts crashing or leaving while frames are in flight, so
@@ -45,13 +44,13 @@ impl std::error::Error for RouteError {}
 #[derive(Debug)]
 pub struct BroadcastRouter {
     /// router → node public interface (one per server node).
-    downlinks: BTreeMap<NodeId, Link>,
+    downlinks: NodeLinks,
     /// node public interface → router.
-    uplinks: BTreeMap<NodeId, Link>,
+    uplinks: NodeLinks,
     /// router → client host.
-    client_downlinks: BTreeMap<NodeId, Link>,
+    client_downlinks: NodeLinks,
     /// client host → router.
-    client_uplinks: BTreeMap<NodeId, Link>,
+    client_uplinks: NodeLinks,
     link_template: Link,
     client_template: Link,
     /// Zone subscriptions for the interest-managed (AOI) inbound path.
@@ -66,10 +65,10 @@ impl BroadcastRouter {
     /// whose client access links are copies of `client_link`.
     pub fn new(cluster_link: Link, client_link: Link) -> BroadcastRouter {
         BroadcastRouter {
-            downlinks: BTreeMap::new(),
-            uplinks: BTreeMap::new(),
-            client_downlinks: BTreeMap::new(),
-            client_uplinks: BTreeMap::new(),
+            downlinks: NodeLinks::default(),
+            uplinks: NodeLinks::default(),
+            client_downlinks: NodeLinks::default(),
+            client_uplinks: NodeLinks::default(),
             link_template: cluster_link,
             client_template: client_link,
             interest: InterestTable::new(),
@@ -83,15 +82,15 @@ impl BroadcastRouter {
 
     /// Attach a server node's public interface.
     pub fn attach_node(&mut self, node: NodeId) {
-        self.downlinks.insert(node, self.link_template.clone());
-        self.uplinks.insert(node, self.link_template.clone());
+        self.downlinks.attach(node, self.link_template.clone());
+        self.uplinks.attach(node, self.link_template.clone());
     }
 
     /// Detach a server node (node leave). Its zone subscriptions are purged
     /// with its links — a gone node must not linger in any fan-out set.
     pub fn detach_node(&mut self, node: NodeId) {
-        self.downlinks.remove(&node);
-        self.uplinks.remove(&node);
+        self.downlinks.detach(node);
+        self.uplinks.detach(node);
         self.interest.purge_node(node);
     }
 
@@ -111,9 +110,9 @@ impl BroadcastRouter {
     /// Attach a client host on the WAN side.
     pub fn attach_client(&mut self, host: NodeId) {
         self.client_downlinks
-            .insert(host, self.client_template.clone());
+            .attach(host, self.client_template.clone());
         self.client_uplinks
-            .insert(host, self.client_template.clone());
+            .attach(host, self.client_template.clone());
     }
 
     /// Detach a client host (client departure or crash): both access links
@@ -121,13 +120,13 @@ impl BroadcastRouter {
     /// [`RouteError::UnknownClientDest`] instead of serializing onto a link
     /// nobody listens to.
     pub fn detach_client(&mut self, host: NodeId) {
-        self.client_downlinks.remove(&host);
-        self.client_uplinks.remove(&host);
+        self.client_downlinks.detach(host);
+        self.client_uplinks.detach(host);
     }
 
     /// Server nodes currently attached.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.downlinks.keys().copied()
+        self.downlinks.nodes()
     }
 
     /// A client host sends an inbound frame: it traverses the client's
@@ -195,14 +194,14 @@ impl BroadcastRouter {
         out.clear();
         let up = self
             .client_uplinks
-            .get_mut(&from_client)
+            .get_mut(from_client)
             .ok_or(RouteError::UnknownClientSource(from_client))?;
         let Some(at_router) = up.transmit(now, bytes, rng) else {
             return Ok(());
         };
         let Some(zone) = dst_port.and_then(|port| self.interest.zone_of_port(port)) else {
             out.extend(self.downlinks.iter_mut().filter_map(|(node, link)| {
-                link.transmit(at_router, bytes, rng).map(|arr| (*node, arr))
+                link.transmit(at_router, bytes, rng).map(|arr| (node, arr))
             }));
             return Ok(());
         };
@@ -210,7 +209,7 @@ impl BroadcastRouter {
             for &node in subs {
                 // A subscriber with no downlink is a node that crashed
                 // before its subscriptions were purged — skip, don't panic.
-                if let Some(link) = self.downlinks.get_mut(&node) {
+                if let Some(link) = self.downlinks.get_mut(node) {
                     if let Some(arr) = link.transmit(at_router, bytes, rng) {
                         out.push((node, arr));
                     }
@@ -236,30 +235,30 @@ impl BroadcastRouter {
     ) -> Result<Option<SimTime>, RouteError> {
         let up = self
             .uplinks
-            .get_mut(&from_node)
+            .get_mut(from_node)
             .ok_or(RouteError::UnknownNode(from_node))?;
         let Some(at_router) = up.transmit(now, bytes, rng) else {
             return Ok(None);
         };
         let down = self
             .client_downlinks
-            .get_mut(&to_client)
+            .get_mut(to_client)
             .ok_or(RouteError::UnknownClientDest(to_client))?;
         Ok(down.transmit(at_router, bytes, rng))
     }
 
     /// Mutable access to a node downlink (for ablation loss injection).
     pub fn node_downlink_mut(&mut self, node: NodeId) -> Option<&mut Link> {
-        self.downlinks.get_mut(&node)
+        self.downlinks.get_mut(node)
     }
 
     /// Install a loss model on every client access link, both directions
     /// (failure injection: a lossy WAN).
     pub fn set_client_loss(&mut self, loss: crate::link::LossModel) {
-        for link in self
+        for (_, link) in self
             .client_uplinks
-            .values_mut()
-            .chain(self.client_downlinks.values_mut())
+            .iter_mut()
+            .chain(self.client_downlinks.iter_mut())
         {
             link.set_loss(loss);
         }
@@ -356,7 +355,7 @@ mod tests {
     fn uplink_drop_means_nobody_receives() {
         let mut r = router_with(3);
         r.client_uplinks
-            .get_mut(&NodeId(100))
+            .get_mut(NodeId(100))
             .unwrap()
             .set_loss(LossModel::Bernoulli(1.0));
         assert!(r
@@ -481,6 +480,84 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Nodes attached out of order, one of them detached and re-attached:
+    /// the dense link table keeps ascending node order in `nodes()`, in the
+    /// broadcast fan-out and on the zoned path.
+    #[test]
+    fn sparse_out_of_order_attach_keeps_node_order() {
+        use crate::interest::ZoneId;
+        let mut r = BroadcastRouter::default_testbed();
+        for n in [5, 2, 9] {
+            r.attach_node(NodeId(n));
+        }
+        r.detach_node(NodeId(2));
+        let ids = |r: &BroadcastRouter| r.nodes().map(|n| n.0).collect::<Vec<_>>();
+        assert_eq!(ids(&r), vec![5, 9]);
+        r.attach_node(NodeId(2));
+        assert_eq!(ids(&r), vec![2, 5, 9]);
+        r.attach_client(NodeId(100));
+        let mut rng = rng();
+        let fan = |out: &[(NodeId, SimTime)]| out.iter().map(|(n, _)| n.0).collect::<Vec<_>>();
+        let arrivals = r
+            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng)
+            .unwrap();
+        assert_eq!(fan(&arrivals), vec![2, 5, 9]);
+        r.interest_mut().map_port(Port(27960), ZoneId(1));
+        r.interest_mut().subscribe(ZoneId(1), NodeId(9));
+        r.interest_mut().subscribe(ZoneId(1), NodeId(2));
+        let mut out = Vec::new();
+        for (port, expect) in [(27960, vec![2, 9]), (27961, vec![2, 5, 9])] {
+            r.inbound_zoned_into(
+                SimTime::from_secs(1),
+                NodeId(100),
+                256,
+                Port(port),
+                &mut rng,
+                &mut out,
+            )
+            .unwrap();
+            assert_eq!(fan(&out), expect, "port {port}");
+        }
+    }
+
+    /// A detached id, or one past every attached node, is a typed error
+    /// on every path — never an out-of-bounds panic.
+    #[test]
+    fn detached_and_unseen_ids_are_route_errors() {
+        let mut r = router_with(3);
+        r.detach_node(NodeId(1));
+        r.detach_client(NodeId(100));
+        r.detach_node(NodeId(4_000));
+        r.detach_client(NodeId(4_000));
+        r.attach_client(NodeId(101));
+        let t = SimTime::ZERO;
+        assert_eq!(
+            r.outbound(t, NodeId(1), NodeId(101), 1, &mut rng()),
+            Err(RouteError::UnknownNode(NodeId(1)))
+        );
+        assert_eq!(
+            r.outbound(t, NodeId(4_000), NodeId(101), 1, &mut rng()),
+            Err(RouteError::UnknownNode(NodeId(4_000)))
+        );
+        assert_eq!(
+            r.outbound(t, NodeId(0), NodeId(100), 1, &mut rng()),
+            Err(RouteError::UnknownClientDest(NodeId(100)))
+        );
+        assert_eq!(
+            r.outbound(t, NodeId(0), NodeId(4_000), 1, &mut rng()),
+            Err(RouteError::UnknownClientDest(NodeId(4_000)))
+        );
+        for client in [NodeId(100), NodeId(4_000)] {
+            assert_eq!(
+                r.inbound(t, client, 1, &mut rng()),
+                Err(RouteError::UnknownClientSource(client))
+            );
+        }
+        assert!(r.node_downlink_mut(NodeId(1)).is_none());
+        assert!(r.node_downlink_mut(NodeId(4_000)).is_none());
+        assert_eq!(r.nodes().map(|n| n.0).collect::<Vec<_>>(), vec![0, 2]);
+    }
+
     #[test]
     fn detach_client_releases_both_access_links() {
         let mut r = router_with(2);
@@ -534,7 +611,7 @@ mod prop_tests {
             }
             r.attach_client(NodeId(1000));
             r.client_uplinks
-                .get_mut(&NodeId(1000))
+                .get_mut(NodeId(1000))
                 .unwrap()
                 .set_loss(uplink);
             r

@@ -6,15 +6,14 @@
 //! downlink from the switch, all Gigabit by default.
 
 use crate::addr::NodeId;
-use crate::link::Link;
+use crate::link::{Link, NodeLinks};
 use dvelm_sim::{DetRng, SimTime};
-use std::collections::BTreeMap;
 
 /// The local-network switch.
 #[derive(Debug)]
 pub struct ClusterSwitch {
-    uplinks: BTreeMap<NodeId, Link>,
-    downlinks: BTreeMap<NodeId, Link>,
+    uplinks: NodeLinks,
+    downlinks: NodeLinks,
     template: Link,
 }
 
@@ -22,8 +21,8 @@ impl ClusterSwitch {
     /// A switch whose port links are copies of `link`.
     pub fn new(link: Link) -> ClusterSwitch {
         ClusterSwitch {
-            uplinks: BTreeMap::new(),
-            downlinks: BTreeMap::new(),
+            uplinks: NodeLinks::default(),
+            downlinks: NodeLinks::default(),
             template: link,
         }
     }
@@ -35,24 +34,24 @@ impl ClusterSwitch {
 
     /// Attach a host's local interface.
     pub fn attach(&mut self, node: NodeId) {
-        self.uplinks.insert(node, self.template.clone());
-        self.downlinks.insert(node, self.template.clone());
+        self.uplinks.attach(node, self.template.clone());
+        self.downlinks.attach(node, self.template.clone());
     }
 
     /// Detach a host.
     pub fn detach(&mut self, node: NodeId) {
-        self.uplinks.remove(&node);
-        self.downlinks.remove(&node);
+        self.uplinks.detach(node);
+        self.downlinks.detach(node);
     }
 
     /// Whether a host is attached.
     pub fn is_attached(&self, node: NodeId) -> bool {
-        self.uplinks.contains_key(&node)
+        self.uplinks.contains(node)
     }
 
     /// Attached hosts.
     pub fn hosts(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.uplinks.keys().copied()
+        self.uplinks.nodes()
     }
 
     /// Unicast a frame from `src` to `dst`; returns the arrival instant.
@@ -66,12 +65,12 @@ impl ClusterSwitch {
     ) -> Option<SimTime> {
         let up = self
             .uplinks
-            .get_mut(&src)
+            .get_mut(src)
             .unwrap_or_else(|| panic!("{src} not attached to switch"));
         let at_switch = up.transmit(now, bytes, rng)?;
         let down = self
             .downlinks
-            .get_mut(&dst)
+            .get_mut(dst)
             .unwrap_or_else(|| panic!("{dst} not attached to switch"));
         down.transmit(at_switch, bytes, rng)
     }
@@ -87,21 +86,21 @@ impl ClusterSwitch {
     ) -> Vec<(NodeId, SimTime)> {
         let up = self
             .uplinks
-            .get_mut(&src)
+            .get_mut(src)
             .unwrap_or_else(|| panic!("{src} not attached to switch"));
         let Some(at_switch) = up.transmit(now, bytes, rng) else {
             return Vec::new();
         };
         self.downlinks
             .iter_mut()
-            .filter(|(node, _)| **node != src)
-            .filter_map(|(node, link)| link.transmit(at_switch, bytes, rng).map(|t| (*node, t)))
+            .filter(|(node, _)| *node != src)
+            .filter_map(|(node, link)| link.transmit(at_switch, bytes, rng).map(|t| (node, t)))
             .collect()
     }
 
     /// Mutable access to a host's downlink (for loss injection in tests).
     pub fn downlink_mut(&mut self, node: NodeId) -> Option<&mut Link> {
-        self.downlinks.get_mut(&node)
+        self.downlinks.get_mut(node)
     }
 }
 
@@ -156,6 +155,29 @@ mod tests {
         assert!(!s.is_attached(NodeId(1)));
         let arr = s.broadcast(SimTime::ZERO, NodeId(0), 10, &mut rng());
         assert_eq!(arr.len(), 1);
+    }
+
+    /// Hosts attached out of order, one detached and re-attached: the
+    /// dense link table keeps ascending host order in `hosts()` and in the
+    /// broadcast, and `is_attached` answers for ids it never saw.
+    #[test]
+    fn sparse_out_of_order_attach_keeps_host_order() {
+        let mut s = ClusterSwitch::gige();
+        for n in [5, 2, 9] {
+            s.attach(NodeId(n));
+        }
+        s.detach(NodeId(2));
+        assert!(!s.is_attached(NodeId(2)));
+        s.attach(NodeId(2));
+        let hosts: Vec<u32> = s.hosts().map(|n| n.0).collect();
+        assert_eq!(hosts, vec![2, 5, 9]);
+        assert!(s.is_attached(NodeId(2)) && s.is_attached(NodeId(9)));
+        assert!(!s.is_attached(NodeId(3)) && !s.is_attached(NodeId(1_000)));
+        let arr = s.broadcast(SimTime::ZERO, NodeId(5), 100, &mut rng());
+        let nodes: Vec<u32> = arr.iter().map(|(n, _)| n.0).collect();
+        assert_eq!(nodes, vec![2, 9]);
+        s.detach(NodeId(1_000)); // unseen id: a no-op
+        assert_eq!(s.hosts().count(), 3);
     }
 
     #[test]

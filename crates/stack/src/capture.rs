@@ -10,9 +10,11 @@
 //! sequence order and each packet is re-submitted to the stack via the
 //! equivalent of netfilter's `okfn()`.
 
+use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
 use dvelm_net::{Port, SockAddr};
 use dvelm_sim::SimTime;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 /// What a capture entry matches: the migrating socket's local port plus, for
@@ -212,6 +214,9 @@ pub struct CaptureStats {
 #[derive(Debug, Default)]
 pub struct CaptureTable {
     entries: BTreeMap<CaptureKey, CaptureEntry>,
+    /// The local ports of `entries`' keys: the receive path's summary of
+    /// which frames this table could steal.
+    ports: PortClaims,
     stats: CaptureStats,
     /// Fault injection: the next this many [`try_enable`](Self::try_enable)
     /// calls fail (a hook registration the kernel refused).
@@ -232,14 +237,17 @@ impl CaptureTable {
     /// Enable capturing for `key`. Idempotent: re-enabling keeps already
     /// captured packets.
     pub fn enable(&mut self, key: CaptureKey, now: SimTime) {
-        self.entries.entry(key).or_insert(CaptureEntry {
-            tcp_queue: BTreeMap::new(),
-            udp_queue: VecDeque::new(),
-            enabled_at: now,
-            duplicates: 0,
-            queued_bytes: 0,
-            udp_bytes: 0,
-        });
+        if let Entry::Vacant(slot) = self.entries.entry(key) {
+            slot.insert(CaptureEntry {
+                tcp_queue: BTreeMap::new(),
+                udp_queue: VecDeque::new(),
+                enabled_at: now,
+                duplicates: 0,
+                queued_bytes: 0,
+                udp_bytes: 0,
+            });
+            self.ports.add(key.local_port);
+        }
     }
 
     /// Set the per-entry byte/packet budget (default: unlimited).
@@ -286,6 +294,30 @@ impl CaptureTable {
         self.entries.contains_key(key)
     }
 
+    /// Whether any enabled entry has local port `port`. A frame to a port
+    /// no entry claims is never stolen.
+    #[inline]
+    pub(crate) fn claims_port(&self, port: Port) -> bool {
+        self.ports.claims(port)
+    }
+
+    /// The key [`capture`](Self::capture) looks `seg` up under: the
+    /// connected key for its source when that entry is enabled, else the
+    /// wildcard for its destination port.
+    fn lookup_key(&self, seg: &Segment) -> CaptureKey {
+        let connected = CaptureKey::connected(seg.src, seg.dst.port);
+        if self.entries.contains_key(&connected) {
+            connected
+        } else {
+            CaptureKey::any_remote(seg.dst.port)
+        }
+    }
+
+    /// Whether [`capture`](Self::capture) would find an entry for `seg`.
+    pub(crate) fn matches(&self, seg: &Segment) -> bool {
+        self.entries.contains_key(&self.lookup_key(seg))
+    }
+
     /// Packets currently queued under `key`.
     pub fn queued(&self, key: &CaptureKey) -> usize {
         self.entries
@@ -309,13 +341,7 @@ impl CaptureTable {
     /// Hook function with the full budget verdict. [`try_capture`](Self::try_capture)
     /// is the boolean view of this.
     pub fn capture(&mut self, seg: &Segment) -> CaptureOutcome {
-        let connected = CaptureKey::connected(seg.src, seg.dst.port);
-        let wildcard = CaptureKey::any_remote(seg.dst.port);
-        let key = if self.entries.contains_key(&connected) {
-            connected
-        } else {
-            wildcard
-        };
+        let key = self.lookup_key(seg);
         let Some(entry) = self.entries.get_mut(&key) else {
             return CaptureOutcome::NotMatched;
         };
@@ -461,6 +487,7 @@ impl CaptureTable {
         let Some(entry) = self.entries.remove(key) else {
             return Vec::new();
         };
+        self.ports.remove(key.local_port);
         let mut out: Vec<Segment> = entry.tcp_queue.into_values().collect();
         out.extend(entry.udp_queue);
         self.stats.reinjected += out.len() as u64;

@@ -27,6 +27,8 @@ pub mod capture;
 pub mod host;
 /// Netfilter-style hook points traversed by the rx/tx paths.
 pub mod netfilter;
+/// Per-port claim counts: the receive path's summary of what a host keeps.
+mod ports;
 /// Wire segments (the simulated packets).
 pub mod seg;
 /// Socket buffers with byte accounting.

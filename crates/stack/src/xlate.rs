@@ -19,6 +19,7 @@
 //!   checksum; `fix_checksum = false` leaves `Segment::checksum_ok` false and
 //!   the receiving stack drops the segment.
 
+use crate::ports::PortClaims;
 use crate::seg::Segment;
 use dvelm_net::{Ip, Port, SockAddr};
 use dvelm_sim::SimTime;
@@ -104,6 +105,10 @@ struct TimedRule {
 pub struct XlateTable {
     rules: Vec<TimedRule>,
     self_rules: Vec<SelfXlateRule>,
+    /// The ports arriving frames must carry to match a rule: each peer
+    /// rule's `peer_local` port and each self rule's `sock_local` port.
+    /// The receive path's summary of which frames this table rewrites.
+    ports: PortClaims,
     stats: XlateStats,
     /// Budget: max peer rules before least-recently-hit shedding.
     max_rules: usize,
@@ -114,6 +119,7 @@ impl Default for XlateTable {
         XlateTable {
             rules: Vec::new(),
             self_rules: Vec::new(),
+            ports: PortClaims::default(),
             stats: XlateStats::default(),
             max_rules: usize::MAX,
         }
@@ -133,15 +139,12 @@ impl XlateTable {
     /// caller must thread the sim clock (rule R2 — PR 3 shipped a default of
     /// `SimTime::ZERO` here and TTL GC evicted live rules).
     pub fn install_at(&mut self, rule: XlateRule, now: SimTime) {
-        self.rules.retain(|t| {
-            !(t.rule.peer_local == rule.peer_local
-                && t.rule.remote_port == rule.remote_port
-                && t.rule.old_remote_ip == rule.old_remote_ip)
-        });
+        self.remove(rule.peer_local, rule.old_remote_ip, rule.remote_port);
         self.rules.push(TimedRule {
             rule,
             last_hit: now,
         });
+        self.ports.add(rule.peer_local.port);
         // Budget: shed the least recently hit rule (never the newcomer).
         while self.rules.len() > self.max_rules {
             let oldest = self
@@ -153,7 +156,8 @@ impl XlateTable {
                 .map(|(i, _)| i);
             match oldest {
                 Some(i) => {
-                    self.rules.remove(i);
+                    let shed = self.rules.remove(i);
+                    self.ports.remove(shed.rule.peer_local.port);
                     self.stats.shed_rules += 1;
                 }
                 None => break,
@@ -180,19 +184,34 @@ impl XlateTable {
             .partition(|t| now.saturating_since(t.last_hit) > ttl_us);
         self.rules = live;
         self.stats.gc_evicted += dead.len() as u64;
-        dead.into_iter().map(|t| t.rule).collect()
+        self.release_rules(dead)
     }
 
     /// Remove every rule for the given connection; returns how many were
     /// removed.
     pub fn remove(&mut self, peer_local: SockAddr, old_remote_ip: Ip, remote_port: Port) -> usize {
         let before = self.rules.len();
+        let ports = &mut self.ports;
         self.rules.retain(|t| {
-            !(t.rule.peer_local == peer_local
+            let hit = t.rule.peer_local == peer_local
                 && t.rule.old_remote_ip == old_remote_ip
-                && t.rule.remote_port == remote_port)
+                && t.rule.remote_port == remote_port;
+            if hit {
+                ports.remove(peer_local.port);
+            }
+            !hit
         });
         before - self.rules.len()
+    }
+
+    /// Release the port claims of peer rules just taken out of the table.
+    fn release_rules(&mut self, gone: Vec<TimedRule>) -> Vec<XlateRule> {
+        gone.into_iter()
+            .map(|t| {
+                self.ports.remove(t.rule.peer_local.port);
+                t.rule
+            })
+            .collect()
     }
 
     /// Number of installed rules.
@@ -208,17 +227,15 @@ impl XlateTable {
     /// Install a destination-side rule for a socket this host just received
     /// via migration. Replaces any previous rule for the same socket.
     pub fn install_self(&mut self, rule: SelfXlateRule) {
-        self.self_rules
-            .retain(|r| r.sock_local != rule.sock_local || r.peer != rule.peer);
+        self.take_self_rules_where(|r| r.sock_local == rule.sock_local && r.peer == rule.peer);
         self.self_rules.push(rule);
+        self.ports.add(rule.sock_local.port);
     }
 
     /// Remove destination-side rules for a socket that is migrating away
     /// (leaves no residual dependency on this host).
     pub fn remove_self(&mut self, sock_local: SockAddr) -> usize {
-        let before = self.self_rules.len();
-        self.self_rules.retain(|r| r.sock_local != sock_local);
-        before - self.self_rules.len()
+        self.take_self_rules_for(sock_local).len()
     }
 
     /// Number of destination-side rules.
@@ -236,11 +253,21 @@ impl XlateTable {
     /// migrating away — like [`remove_self`](Self::remove_self), but the
     /// caller keeps the rules so an aborted migration can reinstate them.
     pub fn take_self_rules_for(&mut self, sock_local: SockAddr) -> Vec<SelfXlateRule> {
-        let (taken, kept): (Vec<SelfXlateRule>, Vec<SelfXlateRule>) = self
-            .self_rules
-            .iter()
-            .partition(|r| r.sock_local == sock_local);
+        self.take_self_rules_where(|r| r.sock_local == sock_local)
+    }
+
+    /// Remove and return the self rules `pred` selects, releasing their
+    /// port claims.
+    fn take_self_rules_where(
+        &mut self,
+        pred: impl Fn(&SelfXlateRule) -> bool,
+    ) -> Vec<SelfXlateRule> {
+        let (taken, kept): (Vec<SelfXlateRule>, Vec<SelfXlateRule>) =
+            self.self_rules.iter().partition(|r| pred(r));
         self.self_rules = kept;
+        for r in &taken {
+            self.ports.remove(r.sock_local.port);
+        }
         taken
     }
 
@@ -253,7 +280,7 @@ impl XlateTable {
             .iter()
             .partition(|t| t.rule.peer_local == peer_local);
         self.rules = kept;
-        taken.into_iter().map(|t| t.rule).collect()
+        self.release_rules(taken)
     }
 
     /// `LOCAL_OUT` hook: rewrite a locally-originated segment. A segment may
@@ -311,31 +338,52 @@ impl XlateTable {
     /// so matched peer rules refresh their TTL. A borrowed segment is copied
     /// only when a rule actually rewrites it.
     pub fn incoming_at(&mut self, seg: &mut Cow<'_, Segment>, now: SimTime) {
-        let self_hit = self
-            .self_rules
-            .iter()
-            .find(|r| {
-                seg.dst.ip == r.host_ip
-                    && seg.dst.port == r.sock_local.port
-                    && seg.src.port == r.peer.port
-            })
-            .copied();
-        if let Some(rule) = self_hit {
+        if let Some(rule) = self.self_hit_in(seg) {
             seg.to_mut().rewrite_dst_ip(rule.sock_local.ip, true);
             self.stats.rewritten_in += 1;
         }
-        let peer_hit = self.rules.iter().position(|t| {
-            seg.dst.port == t.rule.peer_local.port
-                && seg.src.ip == t.rule.new_remote_ip
-                && seg.src.port == t.rule.remote_port
-        });
-        if let Some(i) = peer_hit {
+        if let Some(i) = self.peer_hit_in(seg) {
             self.rules[i].last_hit = self.rules[i].last_hit.max(now);
             let rule = self.rules[i].rule;
             seg.to_mut()
                 .rewrite_src_ip(rule.old_remote_ip, rule.fix_checksum);
             self.stats.rewritten_in += 1;
         }
+    }
+
+    /// The self rule whose destination half rewrites arriving `seg`.
+    fn self_hit_in(&self, seg: &Segment) -> Option<SelfXlateRule> {
+        self.self_rules
+            .iter()
+            .find(|r| {
+                seg.dst.ip == r.host_ip
+                    && seg.dst.port == r.sock_local.port
+                    && seg.src.port == r.peer.port
+            })
+            .copied()
+    }
+
+    /// The index of the peer rule whose source half rewrites arriving
+    /// `seg`. It matches on ports and the source only, so the self half's
+    /// destination rewrite never changes the answer.
+    fn peer_hit_in(&self, seg: &Segment) -> Option<usize> {
+        self.rules.iter().position(|t| {
+            seg.dst.port == t.rule.peer_local.port
+                && seg.src.ip == t.rule.new_remote_ip
+                && seg.src.port == t.rule.remote_port
+        })
+    }
+
+    /// Whether [`incoming_at`](Self::incoming_at) would rewrite `seg`.
+    pub(crate) fn rewrites_incoming(&self, seg: &Segment) -> bool {
+        self.self_hit_in(seg).is_some() || self.peer_hit_in(seg).is_some()
+    }
+
+    /// Whether any rule matches arriving frames to local port `port`. A
+    /// frame to a port no rule claims passes `LOCAL_IN` untouched.
+    #[inline]
+    pub(crate) fn claims_port(&self, port: Port) -> bool {
+        self.ports.claims(port)
     }
 
     /// Aggregate counters.

@@ -1,14 +1,19 @@
-//! Differential test of the borrowed receive path.
+//! Differential test of the receive path.
 //!
-//! `HostStack::on_rx_ref` copies a frame only when the host keeps it. The
-//! oracle below is the receive path as it was before that: every arriving
-//! copy is cloned up front, translated in place, offered to the capture
-//! hook, checksum-checked and delivered. Random segment streams are fed
-//! into three identically built stacks — through `on_rx_ref`, through the
-//! owned `on_rx` wrapper, and through the oracle — and every observable
-//! must agree after every step: effects, `StackStats`, `CaptureStats`,
-//! `XlateStats`, pressure events, `read_udp`/`read_tcp` contents and the
-//! final socket table.
+//! `HostStack::on_rx_ref` copies a frame only when the host keeps it, and
+//! both receive entry points drop a frame whose destination port no
+//! socket, capture entry or translation rule claims before entering any
+//! table. The oracle below is the receive path as it was before either:
+//! every arriving copy is cloned up front, translated in place, offered to
+//! the capture hook, checksum-checked and delivered. Random segment
+//! streams, interleaved with ownership churn (sockets detached for
+//! migration and reinstalled, sockets released, capture entries enabled
+//! and drained, translation rules installed, removed and aged out), are
+//! fed into three identically built stacks — through `on_rx_ref`, through
+//! the owned `on_rx` wrapper, and through the oracle — and every
+//! observable must agree after every step: effects, `StackStats`,
+//! `CaptureStats`, `XlateStats`, pressure events, `read_udp`/`read_tcp`
+//! contents and the final socket table.
 
 use bytes::Bytes;
 use dvelm_net::{Ip, NodeId, Port, SockAddr};
@@ -16,7 +21,7 @@ use dvelm_sim::{Jiffies, SimTime};
 use dvelm_stack::capture::CaptureOutcome;
 use dvelm_stack::netfilter::HookKind;
 use dvelm_stack::{
-    CaptureBudget, CaptureKey, HookPoint, HostStack, Segment, SelfXlateRule, StackEffect,
+    CaptureBudget, CaptureKey, HookPoint, HostStack, Segment, SelfXlateRule, Socket, StackEffect,
     StackStats, TcpFlags, TcpShedPolicy, XlateRule,
 };
 use proptest::prelude::*;
@@ -123,6 +128,23 @@ enum Op {
     Read,
     /// Every capture entry is drained and its packets reinjected.
     Reinject,
+    /// Disable the n-th socket (modulo the socket count) for migration.
+    Detach(usize),
+    /// Reinstall every socket detached so far.
+    Reinstall,
+    /// Release the n-th socket (modulo the socket count).
+    Release(usize),
+    /// Enable the k-th capture key, or drain and reinject it if enabled.
+    ToggleCapture(usize),
+    /// Install the peer translation rule, or remove it (by connection, or
+    /// with `take` as a migrating process's rules are taken).
+    TogglePeerRule {
+        take: bool,
+    },
+    /// Install the self translation rule, or remove it.
+    ToggleSelfRule,
+    /// Translation TTL garbage collection with a 1 ms TTL.
+    XlateGc,
 }
 
 /// Any segment from the address and port pools.
@@ -167,12 +189,26 @@ fn stream_arrival() -> impl Strategy<Value = Op> {
     })
 }
 
+/// A change to what the host owns: the tables behind the port summary.
+fn churn() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..8).prop_map(Op::Detach),
+        Just(Op::Reinstall),
+        (0usize..8).prop_map(Op::Release),
+        (0usize..4).prop_map(Op::ToggleCapture),
+        (0u8..2).prop_map(|take| Op::TogglePeerRule { take: take == 1 }),
+        Just(Op::ToggleSelfRule),
+        Just(Op::XlateGc),
+    ]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         random_arrival(),
         random_arrival(),
         stream_arrival(),
         (0u8..3).prop_map(|i| if i == 0 { Op::Reinject } else { Op::Read }),
+        churn(),
     ]
 }
 
@@ -183,6 +219,8 @@ struct Host {
     db: Option<HostStack>,
     /// The host's end of its database connection.
     db_local: Option<SockAddr>,
+    /// Sockets detached for migration, awaiting reinstallation.
+    parked: Vec<Socket>,
 }
 
 impl Host {
@@ -196,6 +234,7 @@ impl Host {
                 .db
                 .then(|| HostStack::server_node(NodeId(1), 9_000, 11)),
             db_local: None,
+            parked: Vec::new(),
         };
         for (i, &bound) in spec.udp_binds.iter().enumerate() {
             if bound {
@@ -221,30 +260,21 @@ impl Host {
             h.db_local = h.stack.sock(sid).map(|s| s.local());
             h.pump(fx);
         }
-        if let (Some(fix_checksum), Some(local)) = (spec.xlate_peer, h.db_local) {
+        if let Some(fix_checksum) = spec.xlate_peer {
             // The database migrated from node 1 to node 2.
             h.stack.xlate.install_at(
                 XlateRule {
                     fix_checksum,
-                    ..XlateRule::new(
-                        local,
-                        Ip::local_of(NodeId(1)),
-                        Ip::local_of(NodeId(2)),
-                        Port(DB_PORT),
-                    )
+                    ..h.peer_rule()
                 },
                 T0,
             );
         }
         if spec.xlate_self {
             // A UDP socket that lived at node 5 now runs here.
-            let sock_local = SockAddr::new(Ip::local_of(NodeId(5)), MIGRATED_PORT);
-            h.stack.udp_bind(sock_local).expect("fresh port");
-            h.stack.xlate.install_self(SelfXlateRule {
-                sock_local,
-                peer: SockAddr::new(Ip::local_of(NodeId(1)), DB_PORT),
-                host_ip: h.stack.local_ip,
-            });
+            let rule = h.self_rule();
+            h.stack.udp_bind(rule.sock_local).expect("fresh port");
+            h.stack.xlate.install_self(rule);
         }
         if spec.chain > 0 {
             h.stack
@@ -267,6 +297,96 @@ impl Host {
             h.stack.capture.enable(key, T0);
         }
         h
+    }
+
+    /// The peer rule for the database's move from node 1 to node 2. Without
+    /// a database session it names a local port no socket holds.
+    fn peer_rule(&self) -> XlateRule {
+        let local = self
+            .db_local
+            .unwrap_or(SockAddr::new(self.stack.local_ip, 32_768));
+        XlateRule::new(
+            local,
+            Ip::local_of(NodeId(1)),
+            Ip::local_of(NodeId(2)),
+            Port(DB_PORT),
+        )
+    }
+
+    /// The self rule for a socket that lived at node 5 and now runs here.
+    fn self_rule(&self) -> SelfXlateRule {
+        SelfXlateRule {
+            sock_local: SockAddr::new(Ip::local_of(NodeId(5)), MIGRATED_PORT),
+            peer: SockAddr::new(Ip::local_of(NodeId(1)), DB_PORT),
+            host_ip: self.stack.local_ip,
+        }
+    }
+
+    /// Apply an ownership change; returns the effects it produced, rendered.
+    fn churn(&mut self, op: &Op, keys: &[CaptureKey; 4], now: SimTime) -> String {
+        let nth = |stack: &HostStack, n: usize| {
+            let ids = stack.socket_ids();
+            (!ids.is_empty()).then(|| ids[n % ids.len()])
+        };
+        let mut fx = Vec::new();
+        match *op {
+            Op::Detach(n) => {
+                if let Some(sock) = nth(&self.stack, n).and_then(|s| self.stack.detach_socket(s)) {
+                    self.parked.push(sock);
+                }
+            }
+            Op::Reinstall => {
+                for sock in std::mem::take(&mut self.parked) {
+                    let (sid, out) = self.stack.install_socket(sock, now);
+                    fx.push(format!("{sid:?}"));
+                    fx.push(format!("{out:?}"));
+                }
+            }
+            Op::Release(n) => {
+                if let Some(sid) = nth(&self.stack, n) {
+                    fx.push(format!("{:?}", self.stack.release(sid).is_some()));
+                }
+            }
+            Op::ToggleCapture(k) => {
+                let key = keys[k];
+                if self.stack.capture.is_enabled(&key) {
+                    for seg in self.stack.capture.disable_and_drain(&key) {
+                        fx.push(format!("{:?}", self.stack.reinject(seg, now)));
+                    }
+                } else {
+                    self.stack.capture.enable(key, now);
+                }
+            }
+            Op::TogglePeerRule { take } => {
+                let rule = self.peer_rule();
+                if self.stack.xlate.is_empty() {
+                    self.stack.xlate.install_at(rule, now);
+                } else if take {
+                    let taken = self.stack.xlate.take_rules_for(rule.peer_local);
+                    fx.push(format!("{taken:?}"));
+                } else {
+                    let removed = self.stack.xlate.remove(
+                        rule.peer_local,
+                        rule.old_remote_ip,
+                        rule.remote_port,
+                    );
+                    fx.push(format!("{removed}"));
+                }
+            }
+            Op::ToggleSelfRule => {
+                let rule = self.self_rule();
+                if self.stack.xlate.self_rule_count() == 0 {
+                    self.stack.xlate.install_self(rule);
+                } else {
+                    fx.push(format!("{}", self.stack.xlate.remove_self(rule.sock_local)));
+                }
+            }
+            Op::XlateGc => {
+                fx.push(format!("{:?}", self.stack.xlate.gc(now, 1_000)));
+            }
+            Op::Arrive(_) | Op::Read | Op::Reinject => unreachable!("not a churn op"),
+        }
+        fx.join(" ")
     }
 
     /// Deliver frames among the host and its peers until quiet.
@@ -381,14 +501,21 @@ impl Host {
     }
 }
 
-fn capture_keys(spec: &Spec, h: &Host) -> Vec<CaptureKey> {
-    let keys = [
+/// Every capture key a host may enable: a connected entry on client 0, and
+/// wildcards on UDP port 0, the listener and the capture-only port.
+fn all_capture_keys(h: &Host) -> [CaptureKey; 4] {
+    [
         CaptureKey::connected(h.client_addr(0), Port(LISTEN_PORT)),
         CaptureKey::any_remote(Port(UDP_PORTS[0])),
         CaptureKey::any_remote(Port(LISTEN_PORT)),
         CaptureKey::any_remote(Port(CAPTURE_ONLY_PORT)),
-    ];
-    keys.into_iter()
+    ]
+}
+
+/// The capture keys `spec` enables at build time.
+fn capture_keys(spec: &Spec, h: &Host) -> Vec<CaptureKey> {
+    all_capture_keys(h)
+        .into_iter()
         .zip(spec.captures)
         .filter_map(|(k, on)| on.then_some(k))
         .collect()
@@ -489,7 +616,7 @@ proptest! {
         let mut borrowed = Host::build(&spec);
         let mut owned = Host::build(&spec);
         let mut reference = Host::build(&spec);
-        let keys = capture_keys(&spec, &borrowed);
+        let keys = all_capture_keys(&borrowed);
         let mut shadow = Shadow::default();
         let mut now = T0;
         for op in &ops {
@@ -515,6 +642,11 @@ proptest! {
                     let c = reinject_all(&mut reference.stack, &keys, now);
                     prop_assert_eq!(reinject_all(&mut borrowed.stack, &keys, now), c.clone());
                     prop_assert_eq!(reinject_all(&mut owned.stack, &keys, now), c);
+                }
+                churn => {
+                    let c = reference.churn(churn, &keys, now);
+                    prop_assert_eq!(borrowed.churn(churn, &keys, now), c.clone(), "{:?}", churn);
+                    prop_assert_eq!(owned.churn(churn, &keys, now), c, "{:?}", churn);
                 }
             }
             let expect = reference_stats(&reference.stack, &shadow);
