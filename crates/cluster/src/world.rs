@@ -1959,10 +1959,13 @@ impl World {
     fn host_by_node(&self, node: NodeId) -> Option<usize> {
         // Node ids are assigned as `NodeId(hosts.len())` at creation and
         // hosts are never removed from the vector (crashes only mark them
-        // dead), so the id doubles as the index. The equality check keeps
-        // this honest should that invariant ever change.
+        // dead), so the id doubles as the index. Release builds trust that
+        // and touch no `Host`: the router's fan-out maps every recipient
+        // through here. Debug builds check it.
         let idx = node.0 as usize;
-        (self.hosts.get(idx)?.stack.node == node).then_some(idx)
+        let host = self.hosts.get(idx)?;
+        debug_assert_eq!(host.stack.node, node, "node ids index the host table");
+        Some(idx)
     }
 
     // ------------------------------------------------------------------
