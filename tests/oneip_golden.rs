@@ -8,8 +8,9 @@
 //! destination, reinjection after restore, translation on the database
 //! host) and one migration aborted past its detach point (capture drained
 //! back into the source). Every host's `StackStats`, `CaptureStats` and
-//! `XlateStats` and the rendered effect stream are pinned, so a receive
-//! path change that claims identical behaviour must leave them unchanged.
+//! `XlateStats`, its socket table as `netstat` and `socket_ids` show it,
+//! and the rendered effect stream are pinned, so a receive path or socket
+//! table change that claims identical behaviour must leave them unchanged.
 
 use dvelm::dve::{DbServer, SwarmClient, ZoneServer, DB_PORT, ZONE_BASE_PORT};
 use dvelm::migrate::AbortReason;
@@ -43,14 +44,17 @@ fn fnv(lines: impl IntoIterator<Item = String>) -> u64 {
 }
 
 /// The pinned outputs: the effect stream (digest, length, end instant),
-/// a digest of every host's stack, capture and translation counters, and
-/// a few cluster-wide totals that say at a glance what moved.
+/// a digest of every host's stack, capture and translation counters, a
+/// digest of every host's socket table, and a few cluster-wide totals that
+/// say at a glance what moved.
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
     effects_digest: u64,
     effects: usize,
     end_us: u64,
     counters_digest: u64,
+    sockets_digest: u64,
+    sockets: usize,
     rx_total: u64,
     rx_dropped_no_socket: u64,
     rx_captured: u64,
@@ -63,6 +67,8 @@ const GOLDEN: Golden = Golden {
     effects: 199,
     end_us: 5_628_049,
     counters_digest: 0x3617_a6bd_2fe4_2dfe,
+    sockets_digest: 0x7235_0b03_d825_5516,
+    sockets: 88,
     rx_total: 80_648,
     rx_dropped_no_socket: 62_685,
     rx_captured: 5,
@@ -86,6 +92,18 @@ fn counter_lines(w: &World) -> Vec<String> {
         .collect()
 }
 
+/// Each host's socket ids and `netstat` table, in host order.
+fn socket_lines(w: &World) -> Vec<String> {
+    w.hosts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, h)| {
+            let ids: Vec<u64> = h.stack.socket_ids().iter().map(|s| s.0).collect();
+            [format!("{i} {ids:?}"), h.stack.netstat()]
+        })
+        .collect()
+}
+
 fn golden_of(w: &World) -> Golden {
     let sum = |f: &dyn Fn(&dvelm::cluster::Host) -> u64| w.hosts.iter().map(f).sum();
     Golden {
@@ -93,6 +111,8 @@ fn golden_of(w: &World) -> Golden {
         effects: w.effect_log().len(),
         end_us: w.now().as_micros(),
         counters_digest: fnv(counter_lines(w)),
+        sockets_digest: fnv(socket_lines(w)),
+        sockets: w.hosts.iter().map(|h| h.stack.socket_count()).sum(),
         rx_total: sum(&|h| h.stack.stats().rx_total),
         rx_dropped_no_socket: sum(&|h| h.stack.stats().rx_dropped_no_socket),
         rx_captured: sum(&|h| h.stack.stats().rx_captured),
@@ -236,7 +256,8 @@ fn oneip_world_counters_match_golden() {
     assert_eq!(
         got,
         GOLDEN,
-        "per-host counters:\n{}",
-        counter_lines(&w).join("\n")
+        "per-host counters:\n{}\nper-host sockets:\n{}",
+        counter_lines(&w).join("\n"),
+        socket_lines(&w).join("\n")
     );
 }
