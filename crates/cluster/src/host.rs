@@ -3,7 +3,7 @@
 use crate::app::App;
 use dvelm_lb::{Conductor, LoadMonitor};
 use dvelm_proc::{Fd, Pid, Process};
-use dvelm_stack::{HostStack, SockId};
+use dvelm_stack::{HostStack, SockId, SockTable};
 use std::collections::BTreeMap;
 
 /// What role a host plays in the testbed.
@@ -43,7 +43,7 @@ pub struct Host {
     pub procs: BTreeMap<Pid, ProcEntry>,
     pub conductor: Option<Conductor>,
     /// Which process+fd owns each socket (for effect dispatch).
-    pub sock_owner: BTreeMap<SockId, (Pid, Fd)>,
+    pub sock_owner: SockTable<(Pid, Fd)>,
     /// Base (OS + services) CPU load, percent.
     pub base_cpu: f64,
     /// EWMA smoother over CPU samples (the atop-style indicator the
@@ -60,7 +60,7 @@ impl Host {
             stack,
             procs: BTreeMap::new(),
             conductor: None,
-            sock_owner: BTreeMap::new(),
+            sock_owner: SockTable::new(),
             base_cpu: 5.0,
             load_monitor: LoadMonitor::default(),
         }

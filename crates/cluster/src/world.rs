@@ -1694,7 +1694,7 @@ impl World {
 
     fn on_app_read(&mut self, host: usize, pid: Pid, sock: SockId) {
         // The socket may have moved or closed since the event was scheduled.
-        let Some(&(owner_pid, fd)) = self.hosts[host].sock_owner.get(&sock) else {
+        let Some(&(owner_pid, fd)) = self.hosts[host].sock_owner.get(sock) else {
             return;
         };
         if owner_pid != pid {
@@ -2277,7 +2277,7 @@ impl World {
         match effect {
             StackEffect::Tx { seg, route } => self.transmit(host, seg, route),
             StackEffect::DataReadable { sock } => {
-                if let Some(&(pid, _)) = self.hosts[host].sock_owner.get(&sock) {
+                if let Some(&(pid, _)) = self.hosts[host].sock_owner.get(sock) {
                     let suspended = self.hosts[host].procs.get(&pid).is_none_or(|e| e.suspended);
                     if !suspended {
                         self.sched.schedule_after(
@@ -2292,12 +2292,12 @@ impl World {
                     .schedule_at(at, Event::SockTimer { host, sock, gen });
             }
             StackEffect::Established { sock } => {
-                if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(&sock) {
+                if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(sock) {
                     self.with_app(host, pid, |app, ctx| app.on_connected(ctx, fd));
                 }
             }
             StackEffect::NewConnection { listener, child } => {
-                if let Some(&(pid, lfd)) = self.hosts[host].sock_owner.get(&listener) {
+                if let Some(&(pid, lfd)) = self.hosts[host].sock_owner.get(listener) {
                     let cfd = {
                         let h = &mut self.hosts[host];
                         let entry = h.procs.get_mut(&pid).expect("listener owner exists");
@@ -2309,12 +2309,12 @@ impl World {
                 }
             }
             StackEffect::PeerFin { sock } => {
-                if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(&sock) {
+                if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(sock) {
                     self.with_app(host, pid, |app, ctx| app.on_conn_closed(ctx, fd));
                 }
             }
             StackEffect::SockClosed { sock } => {
-                self.hosts[host].sock_owner.remove(&sock);
+                self.hosts[host].sock_owner.remove(sock);
             }
         }
     }

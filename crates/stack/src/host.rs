@@ -11,6 +11,7 @@ use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
 use crate::skb::Skb;
 use crate::socket::Socket;
+use crate::socktable::SockTable;
 use crate::tcp::{TcpCtx, TcpOut, TcpSocket};
 use crate::udp::{Datagram, UdpSocket};
 use crate::xlate::XlateTable;
@@ -115,14 +116,14 @@ pub struct HostStack {
     /// Address-translation table (in-cluster migration, §V-D).
     pub xlate: XlateTable,
 
-    socks: BTreeMap<SockId, Socket>,
+    socks: SockTable<Socket>,
     ehash: BTreeMap<FourTuple, SockId>,
     bhash: BTreeMap<(Ip, Port), SockId>,
     /// The ports of every `bhash` entry and the local ports of every
     /// `ehash` entry: the sockets' part of the receive path's summary.
     ports: PortClaims,
     /// Children accepted by a listener but not yet established.
-    pending_children: BTreeMap<SockId, SockId>,
+    pending_children: SockTable<SockId>,
     next_sock: u64,
     next_ephemeral: u16,
     stamp: u64,
@@ -144,11 +145,11 @@ impl HostStack {
             netfilter: HookRegistry::default(),
             capture: CaptureTable::new(),
             xlate: XlateTable::new(),
-            socks: BTreeMap::new(),
+            socks: SockTable::new(),
             ehash: BTreeMap::new(),
             bhash: BTreeMap::new(),
             ports: PortClaims::default(),
-            pending_children: BTreeMap::new(),
+            pending_children: SockTable::new(),
             next_sock: 1,
             next_ephemeral: 32_768,
             stamp: 0,
@@ -192,19 +193,17 @@ impl HostStack {
 
     /// All socket ids (sorted, deterministic).
     pub fn socket_ids(&self) -> Vec<SockId> {
-        let mut ids: Vec<SockId> = self.socks.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.socks.ids().collect()
     }
 
     /// Shared access to a socket.
     pub fn sock(&self, sid: SockId) -> Option<&Socket> {
-        self.socks.get(&sid)
+        self.socks.get(sid)
     }
 
     /// Mutable access to a socket (tests and the migration engine).
     pub fn sock_mut(&mut self, sid: SockId) -> Option<&mut Socket> {
-        self.socks.get_mut(&sid)
+        self.socks.get_mut(sid)
     }
 
     /// Whether a (ip, port) pair is bound on this host.
@@ -220,7 +219,7 @@ impl HostStack {
             "{:<6}{:<6}{:<24}{:<24}{:<14}{}\n",
             "sock", "proto", "local", "remote", "state", "queues(w/r/o/b/p)"
         ));
-        for (&sid, sock) in &self.socks {
+        for (sid, sock) in self.socks.iter() {
             let (proto, remote, state, queues) = match sock {
                 Socket::Tcp(t) => {
                     let q = t.queue_lens();
@@ -373,7 +372,7 @@ impl HostStack {
 
     /// Set the default peer of a UDP socket.
     pub fn udp_connect(&mut self, sid: SockId, remote: SockAddr) {
-        if let Some(sock) = self.socks.get_mut(&sid) {
+        if let Some(sock) = self.socks.get_mut(sid) {
             sock.udp_mut().connect(remote);
         }
     }
@@ -385,7 +384,7 @@ impl HostStack {
     /// Send on a connected socket (TCP stream data or UDP to the default
     /// peer).
     pub fn send(&mut self, sid: SockId, data: Bytes, now: SimTime) -> Vec<StackEffect> {
-        match self.socks.get_mut(&sid) {
+        match self.socks.get_mut(sid) {
             Some(Socket::Tcp(_)) => match self.with_tcp(sid, now, |t, ctx| t.send(data, ctx)) {
                 Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
                 None => Vec::new(),
@@ -406,7 +405,7 @@ impl HostStack {
         data: Bytes,
         now: SimTime,
     ) -> Vec<StackEffect> {
-        let Some(sock) = self.socks.get(&sid) else {
+        let Some(sock) = self.socks.get(sid) else {
             return Vec::new();
         };
         let seg = sock.udp().send_to(dst, data);
@@ -422,7 +421,7 @@ impl HostStack {
 
     /// Read buffered UDP datagrams.
     pub fn read_udp(&mut self, sid: SockId) -> Vec<Datagram> {
-        match self.socks.get_mut(&sid) {
+        match self.socks.get_mut(sid) {
             Some(Socket::Udp(u)) => u.read(&mut self.stamp),
             _ => Vec::new(),
         }
@@ -430,7 +429,7 @@ impl HostStack {
 
     /// Close a TCP connection (graceful FIN) or release a UDP socket.
     pub fn close(&mut self, sid: SockId, now: SimTime) -> Vec<StackEffect> {
-        match self.socks.get(&sid) {
+        match self.socks.get(sid) {
             Some(Socket::Tcp(_)) => match self.with_tcp(sid, now, |t, ctx| t.close(ctx)) {
                 Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
                 None => Vec::new(),
@@ -445,9 +444,9 @@ impl HostStack {
 
     /// Remove a socket and all its table entries (final cleanup).
     pub fn release(&mut self, sid: SockId) -> Option<Socket> {
-        let sock = self.socks.remove(&sid)?;
-        self.unhash(&sock);
-        self.pending_children.remove(&sid);
+        let sock = self.socks.remove(sid)?;
+        self.unhash(TableKey::of(&sock));
+        self.pending_children.remove(sid);
         Some(sock)
     }
 
@@ -458,8 +457,8 @@ impl HostStack {
         }
     }
 
-    fn unhash(&mut self, sock: &Socket) {
-        match TableKey::of(sock) {
+    fn unhash(&mut self, key: TableKey) {
+        match key {
             TableKey::Established(tuple) => {
                 if self.ehash.remove(&tuple).is_some() {
                     self.ports.remove(tuple.local.port);
@@ -490,7 +489,7 @@ impl HostStack {
     /// Mark the socket user-locked (application inside a handler holding the
     /// socket lock): arriving segments divert to the backlog.
     pub fn set_user_locked(&mut self, sid: SockId, locked: bool, now: SimTime) -> Vec<StackEffect> {
-        let Some(Socket::Tcp(t)) = self.socks.get_mut(&sid) else {
+        let Some(Socket::Tcp(t)) = self.socks.get_mut(sid) else {
             return Vec::new();
         };
         t.user_locked = locked;
@@ -505,7 +504,7 @@ impl HostStack {
 
     /// Toggle the fast-path reader flag (blocked-in-recv emulation).
     pub fn set_fast_path(&mut self, sid: SockId, active: bool, now: SimTime) -> Vec<StackEffect> {
-        let Some(Socket::Tcp(t)) = self.socks.get_mut(&sid) else {
+        let Some(Socket::Tcp(t)) = self.socks.get_mut(sid) else {
             return Vec::new();
         };
         t.fast_path_reader = active;
@@ -698,7 +697,7 @@ impl HostStack {
                 }
                 if flags.syn && !flags.ack {
                     if let Some(&lid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
-                        if self.socks.get(&lid).is_some_and(Socket::is_listener) {
+                        if self.socks.get(lid).is_some_and(Socket::is_listener) {
                             return self.accept_syn(lid, &seg, now);
                         }
                     }
@@ -710,7 +709,7 @@ impl HostStack {
             }
             Transport::Udp { .. } => {
                 if let Some(&sid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
-                    if let Some(Socket::Udp(u)) = self.socks.get_mut(&sid) {
+                    if let Some(Socket::Udp(u)) = self.socks.get_mut(sid) {
                         let jiffies = Jiffies::at(self.jiffies_base, now);
                         let seg = seg.into_owned();
                         let notify = u.on_datagram(seg, now, jiffies, &mut self.stamp);
@@ -762,7 +761,7 @@ impl HostStack {
     /// socket, bumped generation, rescheduled deadline) are ignored — lazy
     /// cancellation.
     pub fn on_timer(&mut self, sid: SockId, gen: u64, now: SimTime) -> Vec<StackEffect> {
-        let Some(Socket::Tcp(t)) = self.socks.get(&sid) else {
+        let Some(Socket::Tcp(t)) = self.socks.get(sid) else {
             return Vec::new();
         };
         if t.timer_gen != gen {
@@ -785,12 +784,12 @@ impl HostStack {
     /// "Disable" a socket for migration: unhash from ehash/bhash, clear its
     /// retransmission timer and take it out of the socket table (§V-C1).
     pub fn detach_socket(&mut self, sid: SockId) -> Option<Socket> {
-        let mut sock = self.socks.remove(&sid)?;
-        self.unhash(&sock);
+        let mut sock = self.socks.remove(sid)?;
+        self.unhash(TableKey::of(&sock));
         if let Socket::Tcp(t) = &mut sock {
             t.quiesce_for_migration();
         }
-        self.pending_children.remove(&sid);
+        self.pending_children.remove(sid);
         Some(sock)
     }
 
@@ -844,7 +843,7 @@ impl HostStack {
         f: impl FnOnce(&mut TcpSocket, &mut TcpCtx<'_>) -> R,
     ) -> Option<(R, u64)> {
         let jiffies = Jiffies::at(self.jiffies_base, now);
-        let Some(Socket::Tcp(t)) = self.socks.get_mut(&sid) else {
+        let Some(Socket::Tcp(t)) = self.socks.get_mut(sid) else {
             return None;
         };
         let mut ctx = TcpCtx {
@@ -886,7 +885,7 @@ impl HostStack {
                 TcpOut::Tx(seg) => fx.push(self.route_out(seg, now)),
                 TcpOut::DataReadable => fx.push(StackEffect::DataReadable { sock: sid }),
                 TcpOut::Established => {
-                    if let Some(listener) = self.pending_children.remove(&sid) {
+                    if let Some(listener) = self.pending_children.remove(sid) {
                         fx.push(StackEffect::NewConnection {
                             listener,
                             child: sid,
@@ -901,9 +900,8 @@ impl HostStack {
                 TcpOut::Closed => {
                     // Unhash so the 4-tuple becomes reusable; the struct
                     // stays readable until release().
-                    if let Some(sock) = self.socks.get(&sid) {
-                        let sock = sock.clone();
-                        self.unhash(&sock);
+                    if let Some(key) = self.socks.get(sid).map(TableKey::of) {
+                        self.unhash(key);
                     }
                     fx.push(StackEffect::SockClosed { sock: sid });
                 }

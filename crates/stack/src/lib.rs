@@ -35,6 +35,8 @@ pub mod seg;
 pub mod skb;
 /// The tagged socket union (TCP or UDP).
 pub mod socket;
+/// The dense [`SockId`]-indexed table behind every socket lookup.
+pub mod socktable;
 /// The TCP state machine and its checkpointable record.
 pub mod tcp;
 /// UDP sockets and their checkpointable record.
@@ -51,6 +53,7 @@ pub use netfilter::{HookPoint, Verdict};
 pub use seg::{Segment, TcpFlags, Transport, IP_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN};
 pub use skb::Skb;
 pub use socket::Socket;
+pub use socktable::SockTable;
 pub use tcp::{TcpSocket, TcpSocketRecord, TcpState};
 pub use udp::{UdpSocket, UdpSocketRecord};
 pub use xlate::{SelfXlateRule, XlateRule, XlateTable};
