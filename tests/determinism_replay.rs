@@ -381,9 +381,10 @@ fn assert_logs_identical(label_a: &str, log_a: &[String], label_b: &str, log_b: 
     );
 }
 
-/// The chaos scenario replays into its golden effect stream. Its bounded
-/// capture budget and scripted faults exercise capture hard-fails, aborts
-/// and hybrid escalation.
+/// The chaos scenario replays into its golden effect stream: five
+/// completed migrations under scripted faults. The soak's processes own no
+/// sockets, so its bounded capture budget never sees a packet; the
+/// capture-pressure path is pinned by `tests/oneip_golden.rs`.
 #[test]
 fn chaos_seed_matches_golden() {
     let (log, end) = replay();

@@ -11,11 +11,16 @@
 //! `XlateStats`, its socket table as `netstat` and `socket_ids` show it,
 //! and the rendered effect stream are pinned, so a receive path or socket
 //! table change that claims identical behaviour must leave them unchanged.
+//!
+//! The same world runs a second time under a small capture budget with the
+//! hard-fail TCP policy, pinning the capture-pressure path: the refused
+//! segment's `QueuePressure` line and the abort it forces.
 
 use dvelm::dve::{DbServer, SwarmClient, ZoneServer, DB_PORT, ZONE_BASE_PORT};
 use dvelm::migrate::AbortReason;
 use dvelm::openarena::apps::{OaClient, OaServer, OA_PORT};
 use dvelm::prelude::*;
+use dvelm::stack::{CaptureBudget, TcpShedPolicy};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -76,6 +81,19 @@ const GOLDEN: Golden = Golden {
     xlate_rewritten: 72,
 };
 
+/// A budget that admits a 48-byte usercmd but not a 64-byte swarm
+/// command: the game server's destination still captures, the zone
+/// server's refuses its first segment.
+const PRESSURE_BUDGET: CaptureBudget = CaptureBudget {
+    max_packets: 4,
+    max_bytes: 56,
+    tcp_policy: TcpShedPolicy::HardFail,
+};
+
+/// [`capture_pressure_world_matches_golden`]'s pins: the effect-log
+/// digest, its length and the per-host counter digest.
+const PRESSURE_GOLDEN: (u64, usize, u64) = (0xec97_a46d_4caa_8635, 206, 0x39db_2a82_fe0d_eab0);
+
 /// Each host's counters, one line per host in host order.
 fn counter_lines(w: &World) -> Vec<String> {
     w.hosts
@@ -124,10 +142,24 @@ fn golden_of(w: &World) -> Golden {
     }
 }
 
-/// Build and run the world; returns it with both migrations settled.
-fn run() -> World {
+/// The world after its scripted run, with the ids the checks need.
+struct Run {
+    w: World,
+    nodes: Vec<usize>,
+    zone: Pid,
+    game_server: Pid,
+    /// The game server's migration, aborted past its detach point.
+    aborted: u64,
+    /// The zone server's migration.
+    zone_mig: u64,
+}
+
+/// Build and run the world under `capture_budget`; both migrations have
+/// settled when it returns.
+fn run(capture_budget: CaptureBudget) -> Run {
     let mut w = World::new(WorldConfig {
         seed: SEED,
+        capture_budget,
         ..WorldConfig::default()
     });
     w.enable_effect_log();
@@ -205,15 +237,37 @@ fn run() -> World {
     // The zone server moves to node 5 and completes: the destination
     // captures the swarm's segments during the freeze and reinjects them
     // after restore; the database host translates its session.
-    let done = w
+    let zone_mig = w
         .begin_migration(zone, nodes[5], Strategy::IncrementalCollective)
         .expect("zone migration admitted");
     w.run_for(3 * SECOND);
 
+    Run {
+        w,
+        nodes,
+        zone,
+        game_server: oa_pids[0],
+        aborted,
+        zone_mig,
+    }
+}
+
+/// The world exercises what the module docs claim, then matches its pins.
+#[test]
+fn oneip_world_counters_match_golden() {
+    let Run {
+        mut w,
+        nodes,
+        zone,
+        game_server,
+        aborted,
+        zone_mig,
+    } = run(CaptureBudget::UNLIMITED);
     assert!(
-        w.migration_outcome(done).is_some_and(|o| o.is_completed()),
+        w.migration_outcome(zone_mig)
+            .is_some_and(|o| o.is_completed()),
         "the zone migration completes: {:?}",
-        w.migration_outcome(done)
+        w.migration_outcome(zone_mig)
     );
     assert!(
         w.migration_outcome(aborted)
@@ -222,7 +276,7 @@ fn run() -> World {
         w.migration_outcome(aborted)
     );
     assert_eq!(w.host_of(zone), Some(nodes[5]));
-    assert_eq!(w.host_of(oa_pids[0]), Some(nodes[0]));
+    assert_eq!(w.host_of(game_server), Some(nodes[0]));
     let stats = |n: usize| w.hosts[nodes[n]].stack.stats();
     assert!(
         stats(5).rx_captured > 0 && stats(5).reinjected == stats(5).rx_captured,
@@ -237,13 +291,6 @@ fn run() -> World {
     );
     w.monitor_sweep();
     assert!(w.violations().is_empty(), "{:?}", w.violations());
-    w
-}
-
-/// The world exercises what the module docs claim, then matches its pins.
-#[test]
-fn oneip_world_counters_match_golden() {
-    let w = run();
     let got = golden_of(&w);
     assert!(
         got.xlate_rewritten > 0,
@@ -259,5 +306,32 @@ fn oneip_world_counters_match_golden() {
         "per-host counters:\n{}\nper-host sockets:\n{}",
         counter_lines(&w).join("\n"),
         socket_lines(&w).join("\n")
+    );
+}
+
+/// The same world under a small capture budget with the hard-fail TCP
+/// policy: the zone server's destination refuses a segment its queue
+/// cannot hold, records the pressure on the migration's effect stream and
+/// aborts it as overloaded. The effect stream and every host's counters
+/// are pinned, so the capture-pressure path keeps its output too.
+#[test]
+fn capture_pressure_world_matches_golden() {
+    let Run { w, .. } = run(PRESSURE_BUDGET);
+    let log = w.effect_log();
+    assert!(
+        log.iter().any(|l| l.contains(" QueuePressure ")),
+        "the run records capture pressure"
+    );
+    assert!(
+        log.iter()
+            .any(|l| l.contains(" Aborted {") && l.contains("reason: overloaded")),
+        "a hard-fail refusal aborts its migration as overloaded"
+    );
+    let got = (fnv(log.iter().cloned()), log.len(), fnv(counter_lines(&w)));
+    assert_eq!(
+        got,
+        PRESSURE_GOLDEN,
+        "per-host counters:\n{}",
+        counter_lines(&w).join("\n")
     );
 }
