@@ -35,10 +35,6 @@ pub struct WorldConfig {
     pub lb: PolicyConfig,
     /// Socket-migration strategy used by conductor-initiated migrations.
     pub strategy: Strategy,
-    /// Conductor tick period, µs.
-    pub conductor_tick_us: u64,
-    /// Delay between data becoming readable and the app consuming it, µs.
-    pub app_read_delay_us: u64,
     /// One-way latency of control messages (xlate requests, lb messages), µs.
     pub ctrl_latency_us: u64,
     /// Cluster-wide migration admission budgets (default: unlimited — the
@@ -69,8 +65,6 @@ impl Default for WorldConfig {
             cost: CostModel::default(),
             lb: PolicyConfig::default(),
             strategy: Strategy::IncrementalCollective,
-            conductor_tick_us: 500_000,
-            app_read_delay_us: 100,
             ctrl_latency_us: 75,
             admission: AdmissionConfig::UNLIMITED,
             overload_guard: OverloadGuard::DISABLED,
@@ -165,6 +159,12 @@ pub struct ResourceUsage {
     pub surged_hosts: usize,
 }
 
+/// Conductor tick period, µs.
+const CONDUCTOR_TICK_US: u64 = 500_000;
+
+/// Delay between data becoming readable and the app consuming it, µs.
+const APP_READ_DELAY_US: u64 = 100;
+
 /// Freelist cap for the pooled effect/arrival buffers: enough for any
 /// realistic re-entrancy depth while keeping the idle memory bounded (some
 /// callers hand the pool vectors the stack allocated itself).
@@ -189,9 +189,11 @@ pub struct World {
     pub switch: ClusterSwitch,
     pub rng: DetRng,
     migrations: BTreeMap<MigId, MigTask>,
-    /// Pids with a migration in flight (kept in sync with `migrations`;
-    /// O(1) duplicate check in [`begin_migration`](World::begin_migration)).
-    migrating: BTreeSet<Pid>,
+    /// The in-flight migration of each migrating pid (kept in sync with
+    /// `migrations`): the duplicate check in
+    /// [`begin_migration`](World::begin_migration) and
+    /// [`migration_of`](World::migration_of) both read it.
+    migrating: BTreeMap<Pid, MigId>,
     next_mig: MigId,
     next_pid: u64,
     /// Terminal state of every finished migration, by id.
@@ -312,7 +314,7 @@ impl World {
             switch: ClusterSwitch::gige(),
             rng,
             migrations: BTreeMap::new(),
-            migrating: BTreeSet::new(),
+            migrating: BTreeMap::new(),
             next_mig: 1,
             next_pid: 1,
             outcomes: BTreeMap::new(),
@@ -447,7 +449,7 @@ impl World {
             let Some(&pid) = self.zone_owner.get(&zone) else {
                 continue; // zone mapped but ownerless: dark, not leaked
             };
-            if self.migrating.contains(&pid) {
+            if self.migrating.contains_key(&pid) {
                 continue;
             }
             for &node in subs {
@@ -593,10 +595,8 @@ impl World {
         };
         let socks: Vec<SockId> = entry.process.fds.sockets().map(|(_, s)| s).collect();
         for sock in socks {
-            self.sched.schedule_after(
-                self.cfg.app_read_delay_us,
-                Event::AppRead { host, pid, sock },
-            );
+            self.sched
+                .schedule_after(APP_READ_DELAY_US, Event::AppRead { host, pid, sock });
         }
     }
 
@@ -755,9 +755,9 @@ impl World {
         if !self.hosts[src_host].alive || !self.hosts[dst_host].alive {
             return None;
         }
-        // One migration per process at a time; the pid index makes the
-        // duplicate check O(1) regardless of how many tasks are in flight.
-        if !self.migrating.insert(pid) {
+        // One migration per process at a time; the pid index answers
+        // without a scan of the tasks in flight.
+        if self.migrating.contains_key(&pid) {
             return None;
         }
         // Admission control: the ledger bounds cluster/per-node concurrency
@@ -776,7 +776,6 @@ impl World {
             .admit(mig, src_node, dst_node, image_bytes)
             .is_err()
         {
-            self.migrating.remove(&pid);
             return None;
         }
         let mut engine = MigrationEngine::new(pid, src_node, dst_node, strategy, self.cfg.cost);
@@ -789,6 +788,7 @@ impl World {
             engine.zones = pairs.iter().map(|&(_, z)| z).collect();
         }
         self.next_mig += 1;
+        self.migrating.insert(pid, mig);
         self.migrations.insert(
             mig,
             MigTask {
@@ -1014,10 +1014,7 @@ impl World {
 
     /// The in-flight migration of `pid`, if any.
     pub fn migration_of(&self, pid: Pid) -> Option<MigId> {
-        self.migrations
-            .iter()
-            .find(|(_, t)| t.pid == pid)
-            .map(|(m, _)| *m)
+        self.migrating.get(&pid).copied()
     }
 
     /// Whether an in-flight migration is past its detach point (the point
@@ -1258,41 +1255,17 @@ impl World {
         // effect can re-enter this path (abort chains), so each activation
         // takes its own buffer off the freelist.
         let mut buf = EffectBuf::with_storage(self.mig_fx_pool.pop().unwrap_or_default());
-        {
-            let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
-            let (left, right) = self.hosts.split_at_mut(hi);
-            let (src_host, dst_host) = if src < dst {
-                (&mut left[lo], &mut right[0])
-            } else {
-                (&mut right[0], &mut left[lo])
-            };
-            let src_stack = src_host.alive.then_some(&mut src_host.stack);
-            let dst_stack = dst_host.alive.then_some(&mut dst_host.stack);
-            task.engine.abort(
-                reason,
-                AbortIo {
-                    now,
-                    src_stack,
-                    dst_stack,
-                },
-                &mut buf,
-            );
-        }
-        let mut effects = buf.take();
-        for (at, effect) in &effects {
-            task.recorder.observe(*at, effect);
-        }
-        if let Some(log) = &mut self.effect_log {
-            for (at, effect) in &effects {
-                log.push(render_effect(mig, *at, effect));
-            }
-        }
-        for (_, effect) in effects.drain(..) {
-            self.apply_effect(mig, src, dst, pid, effect);
-        }
-        if self.mig_fx_pool.len() < FX_POOL_CAP {
-            self.mig_fx_pool.push(effects);
-        }
+        let (src_host, dst_host) = host_pair(&mut self.hosts, src, dst);
+        task.engine.abort(
+            reason,
+            AbortIo {
+                now,
+                src_stack: src_host.alive.then_some(&mut src_host.stack),
+                dst_stack: dst_host.alive.then_some(&mut dst_host.stack),
+            },
+            &mut buf,
+        );
+        self.dispatch_mig_effects(mig, src, dst, pid, buf.take());
         true
     }
 
@@ -1475,7 +1448,9 @@ impl World {
             Event::PacketArrival { host, seg } => {
                 let now = self.now();
                 let fx = self.hosts[host].stack.on_rx(seg, now);
-                self.apply_rx_effects(host, fx);
+                if !fx.is_empty() {
+                    self.apply_effects(host, fx);
+                }
             }
             Event::BroadcastArrival { hosts, seg } => {
                 let now = self.now();
@@ -1486,8 +1461,12 @@ impl World {
                     if !self.hosts[host].alive {
                         continue;
                     }
+                    // Most copies are dropped by their receiver and leave
+                    // no effect: those cost one emptiness check.
                     let fx = self.hosts[host].stack.on_rx_ref(&seg, now);
-                    self.apply_rx_effects(host, fx);
+                    if !fx.is_empty() {
+                        self.apply_effects(host, fx);
+                    }
                 }
                 if self.bcast_pool.len() < FX_POOL_CAP {
                     self.bcast_pool.push(hosts);
@@ -1554,71 +1533,6 @@ impl World {
                     }
                 }
                 self.sched.schedule_after(ttl.max(1), Event::XlateGc);
-            }
-        }
-    }
-
-    /// Apply the effects of one frame reception on `host`, then its capture
-    /// pressure. Most broadcast copies are dropped by their receiver and
-    /// leave neither, so they skip both.
-    fn apply_rx_effects(&mut self, host: usize, fx: Vec<StackEffect>) {
-        if fx.is_empty() && !self.hosts[host].stack.capture.has_pressure_events() {
-            return;
-        }
-        self.apply_effects(host, fx);
-        self.drain_capture_pressure(host);
-    }
-
-    /// Turn capture-queue pressure recorded by `host`'s stack into
-    /// [`Effect::QueuePressure`] on the migration whose destination this
-    /// host is, and abort it (reason [`AbortReason::Overloaded`]) when the
-    /// hard-fail shed policy refused a TCP segment whose state dedup could
-    /// not have recovered.
-    fn drain_capture_pressure(&mut self, host: usize) {
-        let events = self.hosts[host].stack.capture.take_pressure_events();
-        if events.is_empty() {
-            return;
-        }
-        let now = self.now();
-        for ev in events {
-            // The owning migration is the one that *installed* this event's
-            // capture entry on the destination stack, per the
-            // `capture_owner` index maintained from InstallCapture /
-            // RemoveCapture effects. Two concurrent migrations into one
-            // host can carry the same capture key (`CaptureTable::enable`
-            // is idempotent, so they silently share one entry); scanning
-            // for any engine whose key set contains the key picked
-            // whichever sorted first and could charge — and HardFail-abort
-            // — the wrong sibling.
-            let owner = self.capture_owner.get(&(host, ev.key)).copied();
-            // No engine claims the key (it was already drained by an abort
-            // in this same batch): record the pressure on the earliest
-            // migration into this host for observability, but never abort
-            // a migration that does not own the queue.
-            let mig = owner.or_else(|| {
-                self.migrations
-                    .iter()
-                    .filter(|(_, t)| t.dst == host)
-                    .map(|(m, _)| *m)
-                    .min()
-            });
-            let Some(mig) = mig else {
-                continue; // hook outlived its migration; nothing to charge
-            };
-            let effect = Effect::QueuePressure {
-                key: ev.key,
-                queued_packets: ev.queued_packets,
-                queued_bytes: ev.queued_bytes,
-                shed_packets: ev.shed_packets,
-            };
-            if let Some(task) = self.migrations.get_mut(&mig) {
-                task.recorder.observe(now, &effect);
-            }
-            if let Some(log) = &mut self.effect_log {
-                log.push(render_effect(mig, now, &effect));
-            }
-            if ev.kind == PressureKind::HardFail && owner == Some(mig) {
-                self.abort_migration(mig, AbortReason::Overloaded);
             }
         }
     }
@@ -1753,7 +1667,7 @@ impl World {
             .on_tick(now, local, &procs);
         self.apply_lb_effects(host, effects);
         self.sched
-            .schedule_after(self.cfg.conductor_tick_us, Event::ConductorTick { host });
+            .schedule_after(CONDUCTOR_TICK_US, Event::ConductorTick { host });
     }
 
     fn on_lb_message(&mut self, host: usize, from: NodeId, msg: LbMsg) {
@@ -2029,50 +1943,58 @@ impl World {
             .migrations
             .get_mut(&mig)
             .expect("checked above, not removed since");
-        let plan = {
-            let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
-            let (left, right) = self.hosts.split_at_mut(hi);
-            let (src_host, dst_host) = if src < dst {
-                (&mut left[lo], &mut right[0])
-            } else {
-                (&mut right[0], &mut left[lo])
-            };
-            let entry = src_host
-                .procs
-                .get_mut(&pid)
-                .expect("migrating process on source");
-            task.engine.step(
-                StepIo {
-                    now,
-                    src_stack: &mut src_host.stack,
-                    dst_stack: &mut dst_host.stack,
-                    proc: &mut entry.process,
-                },
-                &mut buf,
-            )
-        };
+        let (src_host, dst_host) = host_pair(&mut self.hosts, src, dst);
+        let entry = src_host
+            .procs
+            .get_mut(&pid)
+            .expect("migrating process on source");
+        let plan = task.engine.step(
+            StepIo {
+                now,
+                src_stack: &mut src_host.stack,
+                dst_stack: &mut dst_host.stack,
+                proc: &mut entry.process,
+            },
+            &mut buf,
+        );
+        self.dispatch_mig_effects(mig, src, dst, pid, buf.take());
+        if let Some(after) = plan.next_step_after_us {
+            self.sched
+                .schedule_after(after, Event::MigrationStep { mig });
+        }
+    }
 
-        // Feed the trace spine, then dispatch each effect in emission
-        // order. A Complete effect (always last) consumes the task — hence
-        // the two passes.
-        let mut effects = buf.take();
-        for (at, effect) in &effects {
-            task.recorder.observe(*at, effect);
+    /// Fold one migration effect into the migration's trace spine and, when
+    /// enabled, the effect log.
+    fn record_effect(&mut self, mig: MigId, at: SimTime, effect: &Effect) {
+        if let Some(task) = self.migrations.get_mut(&mig) {
+            task.recorder.observe(at, effect);
         }
         if let Some(log) = &mut self.effect_log {
-            for (at, effect) in &effects {
-                log.push(render_effect(mig, *at, effect));
-            }
+            log.push(render_effect(mig, at, effect));
+        }
+    }
+
+    /// Record a step's or an abort's effects, then dispatch each in
+    /// emission order and return the buffer to the pool. A `Complete` or
+    /// `Aborted` effect (always last) consumes the task — hence the two
+    /// passes.
+    fn dispatch_mig_effects(
+        &mut self,
+        mig: MigId,
+        src: usize,
+        dst: usize,
+        pid: Pid,
+        mut effects: Vec<(SimTime, Effect)>,
+    ) {
+        for (at, effect) in &effects {
+            self.record_effect(mig, *at, effect);
         }
         for (_, effect) in effects.drain(..) {
             self.apply_effect(mig, src, dst, pid, effect);
         }
         if self.mig_fx_pool.len() < FX_POOL_CAP {
             self.mig_fx_pool.push(effects);
-        }
-        if let Some(after) = plan.next_step_after_us {
-            self.sched
-                .schedule_after(after, Event::MigrationStep { mig });
         }
     }
 
@@ -2280,10 +2202,8 @@ impl World {
                 if let Some(&(pid, _)) = self.hosts[host].sock_owner.get(sock) {
                     let suspended = self.hosts[host].procs.get(&pid).is_none_or(|e| e.suspended);
                     if !suspended {
-                        self.sched.schedule_after(
-                            self.cfg.app_read_delay_us,
-                            Event::AppRead { host, pid, sock },
-                        );
+                        self.sched
+                            .schedule_after(APP_READ_DELAY_US, Event::AppRead { host, pid, sock });
                     }
                 }
             }
@@ -2315,6 +2235,41 @@ impl World {
             }
             StackEffect::SockClosed { sock } => {
                 self.hosts[host].sock_owner.remove(sock);
+            }
+            StackEffect::CapturePressure(ev) => {
+                // The owning migration is the one that *installed* this
+                // event's capture entry on the destination stack, per the
+                // `capture_owner` index maintained from InstallCapture /
+                // RemoveCapture effects. Two concurrent migrations into one
+                // host can carry the same capture key
+                // (`CaptureTable::enable` is idempotent, so they silently
+                // share one entry); scanning for any engine whose key set
+                // contains the key picked whichever sorted first and could
+                // charge — and HardFail-abort — the wrong sibling.
+                let owner = self.capture_owner.get(&(host, ev.key)).copied();
+                // No migration owns the key: record the pressure on the
+                // earliest migration into this host for observability, but
+                // never abort a migration that does not own the queue.
+                let mig = owner.or_else(|| {
+                    self.migrations
+                        .iter()
+                        .filter(|(_, t)| t.dst == host)
+                        .map(|(m, _)| *m)
+                        .min()
+                });
+                let Some(mig) = mig else {
+                    return; // hook outlived its migration; nothing to charge
+                };
+                let effect = Effect::QueuePressure {
+                    key: ev.key,
+                    queued_packets: ev.queued_packets,
+                    queued_bytes: ev.queued_bytes,
+                    shed_packets: ev.shed_packets,
+                };
+                self.record_effect(mig, self.now(), &effect);
+                if ev.kind == PressureKind::HardFail && owner == Some(mig) {
+                    self.abort_migration(mig, AbortReason::Overloaded);
+                }
             }
         }
     }
@@ -2490,6 +2445,18 @@ impl World {
         if let Some(log) = &mut self.effect_log {
             log.push(format!("{}us route-error {}", now.as_micros(), err));
         }
+    }
+}
+
+/// The source and destination hosts of a migration, borrowed together
+/// (`src != dst`): the engine drives both stacks in one call.
+fn host_pair(hosts: &mut [Host], src: usize, dst: usize) -> (&mut Host, &mut Host) {
+    let (lo, hi) = if src < dst { (src, dst) } else { (dst, src) };
+    let (left, right) = hosts.split_at_mut(hi);
+    if src < dst {
+        (&mut left[lo], &mut right[0])
+    } else {
+        (&mut right[0], &mut left[lo])
     }
 }
 

@@ -65,13 +65,7 @@ pub fn run_scenario(s: &OaScenario) -> OaResult {
     let mut w = World::new(cfg);
     let n0 = w.add_server_node();
     let n1 = w.add_server_node();
-    if s.disable_capture {
-        use dvelm_stack::netfilter::{HookKind, HookPoint};
-        w.hosts[n1]
-            .stack
-            .netfilter
-            .unregister(HookPoint::LocalIn, HookKind::Capture);
-    }
+    w.hosts[n1].stack.capture_hook = !s.disable_capture;
     w.enable_packet_log(Port(OA_PORT));
 
     let usercmds = Rc::new(RefCell::new(0u64));

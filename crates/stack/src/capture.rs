@@ -108,7 +108,8 @@ impl Default for CaptureBudget {
     }
 }
 
-/// What [`CaptureTable::capture`] did with a segment.
+/// What [`CaptureTable::capture`] did with a segment. Every outcome the
+/// budget forced carries its [`PressureEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureOutcome {
     /// No enabled entry matches; the hook passes the packet on.
@@ -120,15 +121,15 @@ pub enum CaptureOutcome {
     Duplicate,
     /// Stolen and queued after shedding the oldest queued UDP datagram(s)
     /// to make room.
-    CapturedShedOldest,
+    CapturedShedOldest(PressureEvent),
     /// Refused under budget pressure. The packet must be treated as lost
     /// on the wire; the transport (TCP retransmission) or the service
     /// model (UDP best-effort) recovers.
-    RefusedRecoverable,
+    RefusedRecoverable(PressureEvent),
     /// Refused under [`TcpShedPolicy::HardFail`]: queueing would exceed
     /// the budget and shedding is forbidden. The caller must abort the
     /// migration so the source copy resumes and ACKs the retransmission.
-    HardFailRefused,
+    HardFailRefused(PressureEvent),
 }
 
 /// Why a [`PressureEvent`] was recorded.
@@ -145,8 +146,9 @@ pub enum PressureKind {
     HardFail,
 }
 
-/// A budget-pressure incident on one capture queue, recorded so the world
-/// can surface it on the owning migration's effect stream.
+/// A budget-pressure incident on one capture queue, handed out with the
+/// [`CaptureOutcome`] so the world can surface it on the owning
+/// migration's effect stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PressureEvent {
     /// The capture entry whose budget was hit.
@@ -223,9 +225,6 @@ pub struct CaptureTable {
     armed_failures: u32,
     /// Per-entry budget applied by [`capture`](Self::capture).
     budget: CaptureBudget,
-    /// Pressure incidents since the last [`take_pressure_events`]
-    /// (Self::take_pressure_events) call.
-    pressure: Vec<PressureEvent>,
 }
 
 impl CaptureTable {
@@ -334,11 +333,12 @@ impl CaptureTable {
             self.capture(seg),
             CaptureOutcome::Captured
                 | CaptureOutcome::Duplicate
-                | CaptureOutcome::CapturedShedOldest
+                | CaptureOutcome::CapturedShedOldest(_)
         )
     }
 
-    /// Hook function with the full budget verdict. [`try_capture`](Self::try_capture)
+    /// Hook function with the full budget verdict; an incident the budget
+    /// forced comes back inside the outcome. [`try_capture`](Self::try_capture)
     /// is the boolean view of this.
     pub fn capture(&mut self, seg: &Segment) -> CaptureOutcome {
         let key = self.lookup_key(seg);
@@ -360,25 +360,21 @@ impl CaptureTable {
                 if entry.queued_packets() + 1 > budget.max_packets
                     || entry.queued_bytes.saturating_add(len) > budget.max_bytes
                 {
-                    let event = PressureEvent {
+                    let event = |kind| PressureEvent {
                         key,
-                        kind: match budget.tcp_policy {
-                            TcpShedPolicy::CoalesceBySeq => PressureKind::RefusedTcp,
-                            TcpShedPolicy::HardFail => PressureKind::HardFail,
-                        },
+                        kind,
                         queued_packets: entry.queued_packets() as u64,
                         queued_bytes: entry.queued_bytes as u64,
                         shed_packets: 1,
                     };
-                    self.pressure.push(event);
                     return match budget.tcp_policy {
                         TcpShedPolicy::CoalesceBySeq => {
                             self.stats.shed_tcp_refused += 1;
-                            CaptureOutcome::RefusedRecoverable
+                            CaptureOutcome::RefusedRecoverable(event(PressureKind::RefusedTcp))
                         }
                         TcpShedPolicy::HardFail => {
                             self.stats.hard_failures += 1;
-                            CaptureOutcome::HardFailRefused
+                            CaptureOutcome::HardFailRefused(event(PressureKind::HardFail))
                         }
                     };
                 }
@@ -399,14 +395,13 @@ impl CaptureTable {
                     || tcp_bytes.saturating_add(len) > budget.max_bytes
                 {
                     self.stats.shed_udp += 1;
-                    self.pressure.push(PressureEvent {
+                    return CaptureOutcome::RefusedRecoverable(PressureEvent {
                         key,
                         kind: PressureKind::RefusedUdp,
                         queued_packets: entry.queued_packets() as u64,
                         queued_bytes: entry.queued_bytes as u64,
                         shed_packets: 1,
                     });
-                    return CaptureOutcome::RefusedRecoverable;
                 }
                 let mut shed = 0u64;
                 // Drop-oldest: UDP datagrams are best-effort, so the most
@@ -431,15 +426,13 @@ impl CaptureTable {
                 self.stats.captured += 1;
                 Self::note_peak(&mut self.stats, entry);
                 if shed > 0 {
-                    let event = PressureEvent {
+                    CaptureOutcome::CapturedShedOldest(PressureEvent {
                         key,
                         kind: PressureKind::ShedOldestUdp,
                         queued_packets: entry.queued_packets() as u64,
                         queued_bytes: entry.queued_bytes as u64,
                         shed_packets: shed,
-                    };
-                    self.pressure.push(event);
-                    CaptureOutcome::CapturedShedOldest
+                    })
                 } else {
                     CaptureOutcome::Captured
                 }
@@ -469,16 +462,6 @@ impl CaptureTable {
     /// Total packets queued across all entries.
     pub fn total_queued_packets(&self) -> usize {
         self.entries.values().map(|e| e.queued_packets()).sum()
-    }
-
-    /// Drain the budget-pressure incidents recorded since the last call.
-    pub fn take_pressure_events(&mut self) -> Vec<PressureEvent> {
-        std::mem::take(&mut self.pressure)
-    }
-
-    /// Whether incidents await [`take_pressure_events`](Self::take_pressure_events).
-    pub fn has_pressure_events(&self) -> bool {
-        !self.pressure.is_empty()
     }
 
     /// Disable the entry and return its queued packets in reinjection order
@@ -529,6 +512,18 @@ mod tests {
             Jiffies(0),
             Bytes::from(vec![0u8; len]),
         )
+    }
+
+    /// The pressure incident an outcome carries, if the budget forced one.
+    fn pressure(outcome: CaptureOutcome) -> Option<PressureEvent> {
+        match outcome {
+            CaptureOutcome::CapturedShedOldest(ev)
+            | CaptureOutcome::RefusedRecoverable(ev)
+            | CaptureOutcome::HardFailRefused(ev) => Some(ev),
+            CaptureOutcome::NotMatched | CaptureOutcome::Captured | CaptureOutcome::Duplicate => {
+                None
+            }
+        }
     }
 
     #[test]
@@ -711,9 +706,18 @@ mod tests {
         t.set_budget(CaptureBudget::bounded(3, usize::MAX));
         let key = CaptureKey::any_remote(Port(27960));
         t.enable(key, SimTime::ZERO);
+        let mut events = Vec::new();
         for i in 0..5u8 {
             let seg = Segment::udp(sa(8, 1000 + i as u16), sa(1, 27960), Bytes::from(vec![i]));
-            assert!(t.try_capture(&seg), "newest datagram always admitted");
+            let outcome = t.capture(&seg);
+            assert!(
+                matches!(
+                    outcome,
+                    CaptureOutcome::Captured | CaptureOutcome::CapturedShedOldest(_)
+                ),
+                "newest datagram always admitted"
+            );
+            events.extend(pressure(outcome));
         }
         assert_eq!(t.queued(&key), 3, "budget respected");
         assert_eq!(t.stats().shed_udp, 2);
@@ -722,9 +726,8 @@ mod tests {
         // Oldest were shed: the three newest survive in arrival order.
         let ports: Vec<u16> = drained.iter().map(|s| s.src.port.0).collect();
         assert_eq!(ports, vec![1002, 1003, 1004]);
-        let pressure = t.take_pressure_events();
-        assert_eq!(pressure.len(), 2);
-        assert!(pressure
+        assert_eq!(events.len(), 2);
+        assert!(events
             .iter()
             .all(|p| p.kind == PressureKind::ShedOldestUdp && p.key == key));
     }
@@ -738,7 +741,8 @@ mod tests {
         assert!(t.try_capture(&tcp_seg(100, 10)));
         assert!(t.try_capture(&tcp_seg(110, 10)));
         // A *new* segment is refused (wire loss: retransmission recovers)…
-        assert!(!t.try_capture(&tcp_seg(120, 10)));
+        let refused = t.capture(&tcp_seg(120, 10));
+        assert!(matches!(refused, CaptureOutcome::RefusedRecoverable(_)));
         // …but a retransmission of a queued one is still coalesced.
         assert!(t.try_capture(&tcp_seg(100, 10)));
         assert_eq!(t.queued(&key), 2);
@@ -751,9 +755,10 @@ mod tests {
             .map(|s| s.tcp_seq().unwrap())
             .collect();
         assert_eq!(seqs, vec![100, 110]);
-        let pressure = t.take_pressure_events();
-        assert_eq!(pressure.len(), 1);
-        assert_eq!(pressure[0].kind, PressureKind::RefusedTcp);
+        assert_eq!(
+            pressure(refused).map(|p| p.kind),
+            Some(PressureKind::RefusedTcp)
+        );
     }
 
     #[test]
@@ -780,14 +785,13 @@ mod tests {
         let key = CaptureKey::connected(sa(3, 3306), Port(5000));
         t.enable(key, SimTime::ZERO);
         assert_eq!(t.capture(&tcp_seg(100, 10)), CaptureOutcome::Captured);
-        assert_eq!(
-            t.capture(&tcp_seg(110, 10)),
-            CaptureOutcome::HardFailRefused
-        );
+        let refused = t.capture(&tcp_seg(110, 10));
+        assert!(matches!(refused, CaptureOutcome::HardFailRefused(_)));
         assert_eq!(t.stats().hard_failures, 1);
-        let pressure = t.take_pressure_events();
-        assert_eq!(pressure.len(), 1);
-        assert_eq!(pressure[0].kind, PressureKind::HardFail);
+        assert_eq!(
+            pressure(refused).map(|p| p.kind),
+            Some(PressureKind::HardFail)
+        );
         // The queue itself never exceeded its budget.
         assert_eq!(t.queued(&key), 1);
     }
@@ -800,7 +804,10 @@ mod tests {
         t.enable(key, SimTime::ZERO);
         assert!(t.try_capture(&tcp_seg(100, 10)));
         let udp = Segment::udp(sa(8, 1111), sa(1, 5000), Bytes::from_static(b"x"));
-        assert_eq!(t.capture(&udp), CaptureOutcome::RefusedRecoverable);
+        assert!(matches!(
+            t.capture(&udp),
+            CaptureOutcome::RefusedRecoverable(_)
+        ));
         assert_eq!(t.queued(&key), 1, "TCP segment is never displaced by UDP");
         assert_eq!(t.stats().shed_udp, 1);
     }
@@ -820,17 +827,17 @@ mod tests {
             assert!(t.try_capture(&seg));
         }
         let big = Segment::udp(sa(8, 2000), sa(1, 5000), Bytes::from(vec![9u8; 20]));
-        assert_eq!(t.capture(&big), CaptureOutcome::RefusedRecoverable);
+        let refused = t.capture(&big);
+        assert!(matches!(refused, CaptureOutcome::RefusedRecoverable(_)));
         assert_eq!(
             t.occupancy(&key),
             Some((3, 20)),
             "previously queued packets must not be shed for a hopeless newcomer"
         );
         assert_eq!(t.stats().shed_udp, 1, "only the newcomer is counted");
-        let pressure = t.take_pressure_events();
-        assert_eq!(pressure.len(), 1);
-        assert_eq!(pressure[0].kind, PressureKind::RefusedUdp);
-        assert_eq!(pressure[0].shed_packets, 1);
+        let event = pressure(refused).expect("a refusal carries its incident");
+        assert_eq!(event.kind, PressureKind::RefusedUdp);
+        assert_eq!(event.shed_packets, 1);
     }
 
     #[test]
@@ -840,10 +847,9 @@ mod tests {
         let key = CaptureKey::connected(sa(3, 3306), Port(5000));
         t.enable(key, SimTime::ZERO);
         for seq in 0..1000u32 {
-            assert!(t.try_capture(&tcp_seg(seq * 10, 10)));
+            assert_eq!(t.capture(&tcp_seg(seq * 10, 10)), CaptureOutcome::Captured);
         }
         assert_eq!(t.queued(&key), 1000);
-        assert!(t.take_pressure_events().is_empty());
         assert_eq!(t.stats().shed_tcp_refused + t.stats().shed_udp, 0);
     }
 

@@ -1,12 +1,12 @@
-//! The per-node host stack: socket table, ehash/bhash lookup, netfilter
-//! traversal, timers and the migration detach/install operations.
+//! The per-node host stack: socket table, ehash/bhash lookup, the
+//! `LOCAL_IN` / `LOCAL_OUT` hooks, timers and the migration detach/install
+//! operations.
 //!
 //! This is the "kernel" of a simulated node. All entry points are
 //! deterministic state-machine steps that return [`StackEffect`]s for the
 //! cluster runtime to schedule.
 
-use crate::capture::CaptureTable;
-use crate::netfilter::{HookKind, HookPoint, HookRegistry};
+use crate::capture::{CaptureOutcome, CaptureTable, PressureEvent};
 use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
 use crate::skb::Skb;
@@ -73,6 +73,9 @@ pub enum StackEffect {
     SockClosed { sock: SockId },
     /// Arm the retransmission timer; deliver `on_timer(sock, gen)` at `at`.
     ArmTimer { sock: SockId, gen: u64, at: SimTime },
+    /// The capture hook hit a queue's budget (§V-B): the runtime charges
+    /// the incident to the migration that installed the capture entry.
+    CapturePressure(PressureEvent),
 }
 
 /// Aggregate stack counters (per host).
@@ -109,8 +112,10 @@ pub struct HostStack {
     pub local_ip: Ip,
     /// This node's jiffies boot offset (differs per node, §V-C1).
     pub jiffies_base: u64,
-    /// Netfilter hook configuration.
-    pub netfilter: HookRegistry,
+    /// Whether the capture hook runs on `LOCAL_IN` (default `true`, as in
+    /// the prototype). Switching it off is the §V-B ablation: frames for a
+    /// socket in transit are dropped instead of queued for reinjection.
+    pub capture_hook: bool,
     /// Packet-capture table (loss prevention, §V-B).
     pub capture: CaptureTable,
     /// Address-translation table (in-cluster migration, §V-D).
@@ -142,7 +147,7 @@ impl HostStack {
             public_ip,
             local_ip,
             jiffies_base,
-            netfilter: HookRegistry::default(),
+            capture_hook: true,
             capture: CaptureTable::new(),
             xlate: XlateTable::new(),
             socks: SockTable::new(),
@@ -521,8 +526,8 @@ impl HostStack {
     // receive path
     // ------------------------------------------------------------------
 
-    /// A frame arrived on either interface: run the `LOCAL_IN` netfilter
-    /// chain, then deliver to a socket.
+    /// A frame arrived on either interface: run the `LOCAL_IN` hooks, then
+    /// deliver to a socket.
     #[inline]
     pub fn on_rx(&mut self, seg: Segment, now: SimTime) -> Vec<StackEffect> {
         if self.drop_unclaimed(&seg) {
@@ -585,7 +590,11 @@ impl HostStack {
     }
 
     /// The receive path after [`drop_unclaimed`](Self::drop_unclaimed):
-    /// the `LOCAL_IN` hooks, the checksum check and delivery. Inlined into
+    /// the `LOCAL_IN` hooks, the checksum check and delivery. The hooks run
+    /// in the prototype's fixed order: translation first, so capture
+    /// matches a translated segment by its rewritten addresses (§V-B,
+    /// §V-D). A budget incident comes back as
+    /// [`StackEffect::CapturePressure`]. Inlined into
     /// [`receive_owned`](Self::receive_owned) and
     /// [`receive_borrowed`](Self::receive_borrowed) so every copy knows
     /// whether it holds an owned or a borrowed frame: the owned path then
@@ -593,28 +602,26 @@ impl HostStack {
     /// it is kept.
     #[inline(always)]
     fn receive(&mut self, mut seg: Cow<'_, Segment>, now: SimTime) -> Vec<StackEffect> {
-        let (hooks, n_hooks) = self.netfilter.chain_copy(HookPoint::LocalIn);
-        for kind in hooks.into_iter().take(n_hooks) {
-            match kind {
-                HookKind::Translate => self.xlate.incoming_at(&mut seg, now),
-                HookKind::Capture => match self.capture.capture(&seg) {
-                    crate::capture::CaptureOutcome::NotMatched => {}
-                    crate::capture::CaptureOutcome::Captured
-                    | crate::capture::CaptureOutcome::Duplicate
-                    | crate::capture::CaptureOutcome::CapturedShedOldest => {
-                        self.stats.rx_captured += 1;
-                        return Vec::new();
-                    }
-                    crate::capture::CaptureOutcome::RefusedRecoverable
-                    | crate::capture::CaptureOutcome::HardFailRefused => {
-                        // Budget refusal: the hook drops the packet as wire
-                        // loss. Pressure events record the incident; a
-                        // hard-fail one obliges the runtime to abort the
-                        // migration owning this capture.
-                        self.stats.rx_capture_shed += 1;
-                        return Vec::new();
-                    }
-                },
+        self.xlate.incoming_at(&mut seg, now);
+        if self.capture_hook {
+            match self.capture.capture(&seg) {
+                CaptureOutcome::NotMatched => {}
+                CaptureOutcome::Captured | CaptureOutcome::Duplicate => {
+                    self.stats.rx_captured += 1;
+                    return Vec::new();
+                }
+                CaptureOutcome::CapturedShedOldest(event) => {
+                    self.stats.rx_captured += 1;
+                    return vec![StackEffect::CapturePressure(event)];
+                }
+                CaptureOutcome::RefusedRecoverable(event)
+                | CaptureOutcome::HardFailRefused(event) => {
+                    // Budget refusal: the hook drops the packet as wire
+                    // loss. A hard-fail incident obliges the runtime to
+                    // abort the migration owning this capture.
+                    self.stats.rx_capture_shed += 1;
+                    return vec![StackEffect::CapturePressure(event)];
+                }
             }
         }
         if !seg.checksum_ok {
@@ -856,18 +863,12 @@ impl HostStack {
         Some((r, gen))
     }
 
-    /// Run the `LOCAL_OUT` chain and produce the transmit effect. The clock
-    /// is threaded through so a matched translation rule refreshes its
-    /// `last_hit` — outbound-only flows must keep their rule alive under
-    /// TTL GC just like inbound ones.
+    /// Run the `LOCAL_OUT` hook (translation alone) and produce the
+    /// transmit effect. The clock is threaded through so a matched
+    /// translation rule refreshes its `last_hit` — outbound-only flows must
+    /// keep their rule alive under TTL GC just like inbound ones.
     fn route_out(&mut self, mut seg: Segment, now: SimTime) -> StackEffect {
-        let mut route = seg.dst.ip;
-        let (hooks, n_hooks) = self.netfilter.chain_copy(HookPoint::LocalOut);
-        for kind in hooks.into_iter().take(n_hooks) {
-            if kind == HookKind::Translate {
-                route = self.xlate.outgoing_at(&mut seg, now);
-            }
-        }
+        let route = self.xlate.outgoing_at(&mut seg, now);
         self.stats.tx_total += 1;
         StackEffect::Tx { seg, route }
     }

@@ -12,21 +12,23 @@
 //!   the socket is user-locked) and prequeue (fast-path receive).
 //! * **jiffies-based TCP timestamps** feeding RTT estimation and congestion
 //!   control — the structures that must be shifted on the destination node.
-//! * **netfilter hooks** on `LOCAL_IN` / `LOCAL_OUT`, carrying the packet
-//!   capture (loss prevention) and address translation (in-cluster
-//!   migration) filters.
+//! * the **netfilter hooks** of the prototype, in its fixed order: on
+//!   `LOCAL_IN` address translation (in-cluster migration) and then packet
+//!   capture (loss prevention), so capture matches a translated segment by
+//!   its rewritten addresses; on `LOCAL_OUT` translation alone.
+//!   [`HostStack::capture_hook`] switches capture off for the §V-B
+//!   ablation.
 //!
 //! The stack is a deterministic state machine: all entry points take the
 //! current [`SimTime`](dvelm_sim::SimTime) and return
 //! [`StackEffect`]s (segments to transmit, data to deliver,
-//! timers to arm) that the cluster runtime turns into events.
+//! timers to arm, capture-budget incidents) that the cluster runtime turns
+//! into events.
 
 /// Incoming-packet capture for loss prevention during migration (§V-B).
 pub mod capture;
 /// The per-node stack: socket table, ehash/bhash, timers, migration ops.
 pub mod host;
-/// Netfilter-style hook points traversed by the rx/tx paths.
-pub mod netfilter;
 /// Per-port claim counts: the receive path's summary of what a host keeps.
 mod ports;
 /// Wire segments (the simulated packets).
@@ -49,7 +51,6 @@ pub use capture::{
     TcpShedPolicy,
 };
 pub use host::{HostStack, SockId, StackEffect, StackStats};
-pub use netfilter::{HookPoint, Verdict};
 pub use seg::{Segment, TcpFlags, Transport, IP_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN};
 pub use skb::Skb;
 pub use socket::Socket;

@@ -11,18 +11,18 @@
 //! and drained, translation rules installed, removed and aged out), are
 //! fed into three identically built stacks — through `on_rx_ref`, through
 //! the owned `on_rx` wrapper, and through the oracle — and every
-//! observable must agree after every step: effects, `StackStats`,
-//! `CaptureStats`, `XlateStats`, pressure events, `read_udp`/`read_tcp`
-//! contents and the final socket table.
+//! observable must agree after every step: effects (capture-budget
+//! pressure among them), `StackStats`, `CaptureStats`, `XlateStats`,
+//! `read_udp`/`read_tcp` contents and the final socket table. Each stream
+//! runs with the capture hook on and, for the §V-B ablation, off.
 
 use bytes::Bytes;
 use dvelm_net::{Ip, NodeId, Port, SockAddr};
 use dvelm_sim::{Jiffies, SimTime};
 use dvelm_stack::capture::CaptureOutcome;
-use dvelm_stack::netfilter::HookKind;
 use dvelm_stack::{
-    CaptureBudget, CaptureKey, HookPoint, HostStack, Segment, SelfXlateRule, Socket, StackEffect,
-    StackStats, TcpFlags, TcpShedPolicy, XlateRule,
+    CaptureBudget, CaptureKey, HostStack, Segment, SelfXlateRule, Socket, StackEffect, StackStats,
+    TcpFlags, TcpShedPolicy, XlateRule,
 };
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -55,9 +55,8 @@ struct Spec {
     /// the listener, wildcard on the capture-only port.
     captures: [bool; 4],
     budget: CaptureBudget,
-    /// 0: default `LOCAL_IN` chain; 1: capture hook removed (ablation);
-    /// 2: capture before translation.
-    chain: u8,
+    /// Whether the capture hook runs (off: the §V-B ablation).
+    capture_hook: bool,
 }
 
 fn bit(mask: u8, i: u8) -> bool {
@@ -69,14 +68,14 @@ fn spec() -> impl Strategy<Value = Spec> {
         (0u8..4, 0u8..2, 0usize..3, 0u8..2),
         (0u8..3, 0u8..2),
         (0u8..16, 0u8..2, 1usize..6, 16usize..256, 0u8..2),
-        0u8..3,
+        0u8..2,
     )
         .prop_map(
             |(
                 (udp, listen, clients, db),
                 (peer, self_rule),
                 (caps, bounded, pk, by, hard),
-                chain,
+                capture_hook,
             )| {
                 Spec {
                     udp_binds: [bit(udp, 0), bit(udp, 1)],
@@ -100,7 +99,7 @@ fn spec() -> impl Strategy<Value = Spec> {
                     } else {
                         CaptureBudget::UNLIMITED
                     },
-                    chain,
+                    capture_hook: capture_hook == 1,
                 }
             },
         )
@@ -276,22 +275,7 @@ impl Host {
             h.stack.udp_bind(rule.sock_local).expect("fresh port");
             h.stack.xlate.install_self(rule);
         }
-        if spec.chain > 0 {
-            h.stack
-                .netfilter
-                .unregister(HookPoint::LocalIn, HookKind::Translate);
-            h.stack
-                .netfilter
-                .unregister(HookPoint::LocalIn, HookKind::Capture);
-            if spec.chain == 2 {
-                h.stack
-                    .netfilter
-                    .register(HookPoint::LocalIn, HookKind::Capture);
-            }
-            h.stack
-                .netfilter
-                .register(HookPoint::LocalIn, HookKind::Translate);
-        }
+        h.stack.capture_hook = spec.capture_hook;
         h.stack.capture.set_budget(spec.budget);
         for key in capture_keys(spec, &h) {
             h.stack.capture.enable(key, T0);
@@ -544,23 +528,22 @@ fn reference_on_rx(
 ) -> Vec<StackEffect> {
     let mut seg = Cow::Owned(seg.clone());
     shadow.rx_total += 1;
-    let chain = stack.netfilter.chain(HookPoint::LocalIn).to_vec();
-    for kind in chain {
-        match kind {
-            HookKind::Translate => stack.xlate.incoming_at(&mut seg, now),
-            HookKind::Capture => match stack.capture.capture(&seg) {
-                CaptureOutcome::NotMatched => {}
-                CaptureOutcome::Captured
-                | CaptureOutcome::Duplicate
-                | CaptureOutcome::CapturedShedOldest => {
-                    shadow.rx_captured += 1;
-                    return Vec::new();
-                }
-                CaptureOutcome::RefusedRecoverable | CaptureOutcome::HardFailRefused => {
-                    shadow.rx_capture_shed += 1;
-                    return Vec::new();
-                }
-            },
+    stack.xlate.incoming_at(&mut seg, now);
+    if stack.capture_hook {
+        match stack.capture.capture(&seg) {
+            CaptureOutcome::NotMatched => {}
+            CaptureOutcome::Captured | CaptureOutcome::Duplicate => {
+                shadow.rx_captured += 1;
+                return Vec::new();
+            }
+            CaptureOutcome::CapturedShedOldest(event) => {
+                shadow.rx_captured += 1;
+                return vec![StackEffect::CapturePressure(event)];
+            }
+            CaptureOutcome::RefusedRecoverable(event) | CaptureOutcome::HardFailRefused(event) => {
+                shadow.rx_capture_shed += 1;
+                return vec![StackEffect::CapturePressure(event)];
+            }
         }
     }
     if !seg.checksum_ok {
@@ -658,9 +641,6 @@ proptest! {
             let xl = reference.stack.xlate.stats();
             prop_assert_eq!(borrowed.stack.xlate.stats(), xl);
             prop_assert_eq!(owned.stack.xlate.stats(), xl);
-            let pressure = reference.stack.capture.take_pressure_events();
-            prop_assert_eq!(borrowed.stack.capture.take_pressure_events(), pressure.clone());
-            prop_assert_eq!(owned.stack.capture.take_pressure_events(), pressure);
         }
         let table = reference.stack.netstat();
         prop_assert_eq!(borrowed.stack.netstat(), table.clone());
