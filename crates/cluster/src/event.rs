@@ -19,8 +19,11 @@ pub enum Event {
     /// order, which is exactly the dispatch order the per-host events had
     /// (consecutive scheduler sequence numbers at an equal instant).
     BroadcastArrival { hosts: Vec<usize>, seg: Segment },
-    /// A socket retransmission timer fires.
-    SockTimer { host: usize, sock: SockId, gen: u64 },
+    /// A socket's one pending retransmission fire, pushed at the dispatch
+    /// key with sequence `seq` (see [`SockTimers`]).
+    ///
+    /// [`SockTimers`]: dvelm_stack::SockTimers
+    SockTimer { host: usize, sock: SockId, seq: u64 },
     /// One iteration of an application's real-time loop. `gen` names the
     /// tick chain: events from a chain that was replaced (the process was
     /// suspended and resumed, killed and restarted) are stale and ignored,

@@ -3,7 +3,7 @@
 use crate::app::App;
 use dvelm_lb::{Conductor, LoadMonitor};
 use dvelm_proc::{Fd, Pid, Process};
-use dvelm_stack::{HostStack, SockId, SockTable};
+use dvelm_stack::{HostStack, SockId, SockTable, SockTimers};
 use std::collections::BTreeMap;
 
 /// What role a host plays in the testbed.
@@ -44,6 +44,8 @@ pub struct Host {
     pub conductor: Option<Conductor>,
     /// Which process+fd owns each socket (for effect dispatch).
     pub sock_owner: SockTable<(Pid, Fd)>,
+    /// The sockets' retransmission timers: one pending fire each.
+    pub timers: SockTimers,
     /// Base (OS + services) CPU load, percent.
     pub base_cpu: f64,
     /// EWMA smoother over CPU samples (the atop-style indicator the
@@ -61,6 +63,7 @@ impl Host {
             procs: BTreeMap::new(),
             conductor: None,
             sock_owner: SockTable::new(),
+            timers: SockTimers::new(),
             base_cpu: 5.0,
             load_monitor: LoadMonitor::default(),
         }

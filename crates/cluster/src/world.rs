@@ -18,9 +18,9 @@ use dvelm_net::{
     BroadcastRouter, ClusterSwitch, Ip, LossModel, NodeId, Port, RouteError, SockAddr, ZoneId,
 };
 use dvelm_proc::{Fd, FdEntry, Pid, Process, PAGE_SIZE};
-use dvelm_sim::{DetRng, Scheduler, SimTime};
+use dvelm_sim::{DetRng, DispatchKey, Scheduler, SimTime};
 use dvelm_stack::{
-    CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect,
+    CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect, TimerFire,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1406,6 +1406,13 @@ impl World {
 
     /// Run the event loop until `deadline` (events at the deadline are
     /// processed).
+    ///
+    /// The clock stops at the last event dispatched, not at `deadline`:
+    /// [`now`](Self::now) reads that event's instant afterwards, so an
+    /// action taken between two calls (a migration begun, a fault injected)
+    /// and a following `run_for` both start from it. Which events exist
+    /// therefore matters even when they do nothing: a fire that pops for
+    /// nothing can be the last event before the deadline.
     pub fn run_until(&mut self, deadline: SimTime) {
         while self.sched.peek_time().is_some_and(|at| at <= deadline) {
             let (_, event) = self.sched.pop_next().expect("peeked event exists");
@@ -1413,7 +1420,9 @@ impl World {
         }
     }
 
-    /// Run for `us` microseconds of simulated time.
+    /// Run for `us` microseconds of simulated time, counted from
+    /// [`now`](Self::now): the last event dispatched, which may lie before
+    /// the previous call's deadline (see [`run_until`](Self::run_until)).
     pub fn run_for(&mut self, us: u64) {
         let deadline = self.now() + us;
         self.run_until(deadline);
@@ -1472,10 +1481,19 @@ impl World {
                     self.bcast_pool.push(hosts);
                 }
             }
-            Event::SockTimer { host, sock, gen } => {
+            Event::SockTimer { host, sock, seq } => {
                 let now = self.now();
-                let fx = self.hosts[host].stack.on_timer(sock, gen, now);
-                self.apply_effects(host, fx);
+                match self.hosts[host]
+                    .timers
+                    .fire(sock, DispatchKey { at: now, seq })
+                {
+                    TimerFire::Stale => {}
+                    TimerFire::Due(gen) => {
+                        let fx = self.hosts[host].stack.on_timer(sock, gen, now);
+                        self.apply_effects(host, fx);
+                    }
+                    TimerFire::Requeue(key) => self.push_timer_fire(host, sock, key),
+                }
             }
             Event::AppTick { host, pid, gen } => self.on_app_tick(host, pid, gen),
             Event::AppRead { host, pid, sock } => self.on_app_read(host, pid, sock),
@@ -2195,6 +2213,13 @@ impl World {
         }
     }
 
+    /// Push a socket's one pending retransmission fire at a reserved key.
+    fn push_timer_fire(&mut self, host: usize, sock: SockId, key: DispatchKey) {
+        let seq = key.seq;
+        self.sched
+            .schedule_reserved(key, Event::SockTimer { host, sock, seq });
+    }
+
     fn apply_stack_effect(&mut self, host: usize, effect: StackEffect) {
         match effect {
             StackEffect::Tx { seg, route } => self.transmit(host, seg, route),
@@ -2208,8 +2233,12 @@ impl World {
                 }
             }
             StackEffect::ArmTimer { sock, gen, at } => {
-                self.sched
-                    .schedule_at(at, Event::SockTimer { host, sock, gen });
+                // The key is taken now, so the fire that reaches this arm
+                // dispatches where a push per arm would have put it.
+                let key = self.sched.reserve_at(at);
+                if self.hosts[host].timers.arm(sock, gen, key) {
+                    self.push_timer_fire(host, sock, key);
+                }
             }
             StackEffect::Established { sock } => {
                 if let Some(&(pid, fd)) = self.hosts[host].sock_owner.get(sock) {

@@ -83,11 +83,27 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute instant `at`.
     pub fn push(&mut self, at: SimTime, event: E) {
+        let key = self.reserve(at);
+        self.push_reserved(key, event);
+    }
+
+    /// Take the next insertion sequence for instant `at` without pushing
+    /// anything. An event later pushed at the returned key with
+    /// [`push_reserved`](Self::push_reserved) pops exactly where a `push`
+    /// made now would have.
+    pub(crate) fn reserve(&mut self, at: SimTime) -> DispatchKey {
         let key = DispatchKey {
             at,
             seq: self.next_seq,
         };
         self.next_seq += 1;
+        key
+    }
+
+    /// Push `event` at a key taken from [`reserve`](Self::reserve). Each
+    /// reserved key carries at most one event.
+    pub(crate) fn push_reserved(&mut self, key: DispatchKey, event: E) {
+        debug_assert!(key.seq < self.next_seq, "key was never reserved");
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.slab[slot] = Some(event);

@@ -59,10 +59,30 @@ impl<E> Scheduler<E> {
     /// clamped to `now` (the event fires immediately, after already-pending
     /// events for `now`) and counted in [`SchedStats::clamped`].
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
+        let key = self.reserve_at(at);
+        self.queue.push_reserved(key, event);
+    }
+
+    /// Reserve the dispatch key a `schedule_at(at, ..)` made now would get,
+    /// without scheduling anything: the instant is clamped and counted
+    /// exactly as there, and the sequence number is used up. An event later
+    /// handed to [`schedule_reserved`](Self::schedule_reserved) with this
+    /// key dispatches in the very place that `schedule_at` would have put
+    /// it, so a caller can defer or skip the push without moving any other
+    /// event.
+    pub fn reserve_at(&mut self, at: SimTime) -> DispatchKey {
         if at < self.now {
             self.clamped += 1;
         }
-        self.queue.push(at.max(self.now), event);
+        self.queue.reserve(at.max(self.now))
+    }
+
+    /// Schedule `event` at a key from [`reserve_at`](Self::reserve_at). The
+    /// push must happen before the clock passes the key, and each key
+    /// carries at most one event.
+    pub fn schedule_reserved(&mut self, key: DispatchKey, event: E) {
+        debug_assert!(key.at >= self.now, "reserved key already passed");
+        self.queue.push_reserved(key, event);
     }
 
     /// Schedule an event `delay_us` microseconds from now.
@@ -181,6 +201,45 @@ mod tests {
     }
 
     #[test]
+    fn reserved_key_keeps_its_place_among_equal_instants() {
+        let mut s: Scheduler<&str> = Scheduler::new();
+        let t = SimTime::from_micros(10);
+        let key = s.reserve_at(t);
+        s.schedule_at(t, "later");
+        s.schedule_at(SimTime::from_micros(5), "earlier");
+        s.schedule_reserved(key, "reserved");
+        let order: Vec<&str> = std::iter::from_fn(|| s.pop_next().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["earlier", "reserved", "later"]);
+        assert_eq!(s.stats().scheduled, 3);
+    }
+
+    #[test]
+    fn reserving_uses_up_a_sequence_even_if_nothing_is_pushed() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let skipped = s.reserve_at(SimTime::from_micros(1));
+        s.schedule_at(SimTime::from_micros(1), 7);
+        let (key, _) = s.peek().unwrap();
+        assert_eq!(key.seq, skipped.seq + 1);
+        assert_eq!(s.pending(), 1);
+        assert_eq!(s.stats().scheduled, 2);
+    }
+
+    #[test]
+    fn reserving_a_past_instant_clamps_and_counts_like_schedule_at() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.schedule_after(100, 0);
+        s.pop_next();
+        let key = s.reserve_at(SimTime::from_micros(10));
+        assert_eq!(key.at, SimTime::from_micros(100));
+        assert_eq!(s.clamped(), 1);
+        // Exactly `now` is not a clamp.
+        assert_eq!(s.reserve_at(s.now()).at, s.now());
+        assert_eq!(s.clamped(), 1);
+        s.schedule_reserved(key, 1);
+        assert_eq!(s.pop_next(), Some((SimTime::from_micros(100), 1)));
+    }
+
+    #[test]
     fn peek_exposes_key_without_dispatching() {
         let mut s: Scheduler<&str> = Scheduler::new();
         s.schedule_after(5, "x");
@@ -195,6 +254,30 @@ mod tests {
 mod prop_tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One step of [`reserved_push_matches_schedule_at`]'s workload.
+    /// Instants are `now + ahead - back` µs, so some lie in the past.
+    #[derive(Debug, Clone, Copy)]
+    enum ReserveOp {
+        Schedule(u64, u64),
+        Reserve(u64, u64),
+        /// Push one outstanding reservation, chosen by index.
+        Fill(usize),
+        Pop,
+    }
+
+    fn reserve_ops() -> impl Strategy<Value = Vec<ReserveOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u64..3, 0u64..6).prop_map(|(b, a)| ReserveOp::Schedule(b, a)),
+                (0u64..3, 0u64..6).prop_map(|(b, a)| ReserveOp::Reserve(b, a)),
+                (0usize..64).prop_map(ReserveOp::Fill),
+                Just(ReserveOp::Pop),
+                Just(ReserveOp::Pop),
+            ],
+            1..300,
+        )
+    }
 
     proptest! {
         /// Events always come out in nondecreasing time order and the clock
@@ -213,6 +296,60 @@ mod prop_tests {
                 popped += 1;
             }
             prop_assert_eq!(popped, delays.len());
+        }
+
+        /// An event pushed at a reserved key dispatches exactly where a
+        /// `schedule_at` made at reservation time would have, however the
+        /// push is delayed, provided it lands before the clock passes the
+        /// key. The reference scheduler makes every `schedule_at` at once;
+        /// both must pop the same keys and payloads, clamp the same
+        /// instants and count the same sequences.
+        #[test]
+        fn reserved_push_matches_schedule_at(ops in reserve_ops()) {
+            let mut s: Scheduler<u64> = Scheduler::new();
+            let mut reference: Scheduler<u64> = Scheduler::new();
+            let mut outstanding: Vec<(DispatchKey, u64)> = Vec::new();
+            let mut payload = 0u64;
+            for op in ops {
+                match op {
+                    ReserveOp::Schedule(back, ahead) | ReserveOp::Reserve(back, ahead) => {
+                        let at = SimTime::from_micros(
+                            (s.now().as_micros() + ahead).saturating_sub(back),
+                        );
+                        reference.schedule_at(at, payload);
+                        if matches!(op, ReserveOp::Schedule(..)) {
+                            s.schedule_at(at, payload);
+                        } else {
+                            outstanding.push((s.reserve_at(at), payload));
+                        }
+                        payload += 1;
+                    }
+                    ReserveOp::Fill(pick) => {
+                        if !outstanding.is_empty() {
+                            let (key, e) = outstanding.swap_remove(pick % outstanding.len());
+                            s.schedule_reserved(key, e);
+                        }
+                    }
+                    ReserveOp::Pop => {
+                        // A reservation must be pushed before the clock
+                        // passes it: push the earliest one if it is due.
+                        let earliest = (0..outstanding.len()).min_by_key(|&i| outstanding[i].0);
+                        if let Some(i) = earliest {
+                            if s.peek().is_none_or(|(head, _)| outstanding[i].0 < head) {
+                                let (key, e) = outstanding.swap_remove(i);
+                                s.schedule_reserved(key, e);
+                            }
+                        }
+                        let key = s.peek().map(|(k, _)| k);
+                        let popped = s.pop_next();
+                        prop_assert_eq!(key, reference.peek().map(|(k, _)| k));
+                        prop_assert_eq!(popped, reference.pop_next());
+                    }
+                }
+                prop_assert_eq!(s.clamped(), reference.clamped());
+                prop_assert_eq!(s.stats().scheduled, reference.stats().scheduled);
+                prop_assert_eq!(s.now(), reference.now());
+            }
         }
 
         /// FIFO among equal timestamps regardless of surrounding events.

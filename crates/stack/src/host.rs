@@ -71,7 +71,10 @@ pub enum StackEffect {
     PeerFin { sock: SockId },
     /// The connection fully closed.
     SockClosed { sock: SockId },
-    /// Arm the retransmission timer; deliver `on_timer(sock, gen)` at `at`.
+    /// Arm (or re-arm) the retransmission timer: deliver
+    /// `on_timer(sock, gen)` at `at`, unless a later arm of the same
+    /// socket replaces this one first. The runtime keeps one pending fire
+    /// per socket ([`SockTimers`](crate::SockTimers)).
     ArmTimer { sock: SockId, gen: u64, at: SimTime },
     /// The capture hook hit a queue's budget (§V-B): the runtime charges
     /// the incident to the migration that installed the capture entry.
@@ -764,9 +767,14 @@ impl HostStack {
     // timers
     // ------------------------------------------------------------------
 
-    /// A previously armed retransmission timer fired. Stale fires (released
-    /// socket, bumped generation, rescheduled deadline) are ignored — lazy
-    /// cancellation.
+    /// The socket's retransmission timer expired: the one pending fire the
+    /// runtime keeps per socket ([`SockTimers`]) reached the latest arm,
+    /// which carried `gen`. The RTO runs only if the socket still exists,
+    /// `gen` is still its generation and its deadline has come. A timer
+    /// cleared since that arm (acknowledged, closed, detached) has moved
+    /// the generation on, so cancelling needs no event of its own.
+    ///
+    /// [`SockTimers`]: crate::SockTimers
     pub fn on_timer(&mut self, sid: SockId, gen: u64, now: SimTime) -> Vec<StackEffect> {
         let Some(Socket::Tcp(t)) = self.socks.get(sid) else {
             return Vec::new();
@@ -873,6 +881,10 @@ impl HostStack {
         StackEffect::Tx { seg, route }
     }
 
+    /// Turn a socket's outputs into effects. `gen` is the socket's timer
+    /// generation after the call; every `ArmTimer` carries it, so the
+    /// runtime can hand it back to [`on_timer`](Self::on_timer) when the
+    /// socket's one pending fire reaches that arm.
     fn map_tcp_outs(
         &mut self,
         sid: SockId,
@@ -897,7 +909,6 @@ impl HostStack {
                 }
                 TcpOut::PeerFin => fx.push(StackEffect::PeerFin { sock: sid }),
                 TcpOut::ArmTimer(at) => fx.push(StackEffect::ArmTimer { sock: sid, gen, at }),
-                TcpOut::StopTimer => {} // lazy cancellation
                 TcpOut::Closed => {
                     // Unhash so the 4-tuple becomes reusable; the struct
                     // stays readable until release().

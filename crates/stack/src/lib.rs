@@ -41,6 +41,8 @@ pub mod socket;
 pub mod socktable;
 /// The TCP state machine and its checkpointable record.
 pub mod tcp;
+/// One pending retransmission fire per socket.
+pub mod timer;
 /// UDP sockets and their checkpointable record.
 pub mod udp;
 /// Address translation for in-cluster connection migration (§V-D).
@@ -56,5 +58,6 @@ pub use skb::Skb;
 pub use socket::Socket;
 pub use socktable::SockTable;
 pub use tcp::{TcpSocket, TcpSocketRecord, TcpState};
+pub use timer::{SockTimers, TimerFire};
 pub use udp::{UdpSocket, UdpSocketRecord};
 pub use xlate::{SelfXlateRule, XlateRule, XlateTable};

@@ -82,8 +82,6 @@ pub enum TcpOut {
     PeerFin,
     /// (Re)arm the retransmission timer for this deadline.
     ArmTimer(SimTime),
-    /// Cancel the retransmission timer.
-    StopTimer,
     /// The connection reached `Closed`.
     Closed,
 }
@@ -167,7 +165,9 @@ pub struct TcpSocket {
 
     // --- retransmission timer ---
     rto_deadline: Option<SimTime>,
-    /// Bumped whenever the timer is cleared; stale fires are ignored.
+    /// Bumped whenever the timer is cleared or restarted. Each arm carries
+    /// the generation it was made in, and a fire whose generation the
+    /// socket has moved past is ignored: clearing the timer pushes no event.
     pub timer_gen: u64,
 
     /// Stamp of the last mutation to any part of this socket.
@@ -521,7 +521,6 @@ impl TcpSocket {
             self.state = TcpState::Closed;
             self.clear_timer();
             self.touch_scalar(ctx);
-            out.push(TcpOut::StopTimer);
             out.push(TcpOut::Closed);
             return out;
         }
@@ -537,7 +536,6 @@ impl TcpSocket {
                     self.state = TcpState::Established;
                     self.clear_timer();
                     self.touch_scalar(ctx);
-                    out.push(TcpOut::StopTimer);
                     out.push(TcpOut::Tx(self.make_ack(ctx)));
                     out.push(TcpOut::Established);
                 }
@@ -550,7 +548,6 @@ impl TcpSocket {
                     self.state = TcpState::Established;
                     self.clear_timer();
                     self.touch_scalar(ctx);
-                    out.push(TcpOut::StopTimer);
                     out.push(TcpOut::Established);
                     // fall through: the handshake ACK may carry data
                 } else {
@@ -616,7 +613,6 @@ impl TcpSocket {
                     self.state = TcpState::Closed;
                     self.clear_timer();
                     self.touch_scalar(ctx);
-                    out.push(TcpOut::StopTimer);
                     out.push(TcpOut::Closed);
                 }
                 _ => {}
@@ -685,7 +681,6 @@ impl TcpSocket {
             out.push(TcpOut::ArmTimer(deadline));
         } else if self.rto_deadline.is_some() {
             self.clear_timer();
-            out.push(TcpOut::StopTimer);
         }
 
         // Window may have opened: push more data.

@@ -5,24 +5,40 @@
 //! receiving application must observe every sent byte exactly once, in
 //! order — the invariant socket migration later relies on (re-injected
 //! captured packets are just another source of duplication/reordering).
+//!
+//! The loop turns retransmission arms into events either as the cluster
+//! runtime does, one pending fire per socket ([`SockTimers`]), or with one
+//! event per arm. The differential test at the end drives the same random
+//! schedules through both and requires the same trace.
 
 use bytes::Bytes;
 use dvelm_net::{Ip, NodeId, SockAddr};
-use dvelm_sim::{DetRng, EventQueue, SimTime, MILLISECOND, SECOND};
-use dvelm_stack::{HostStack, SockId, StackEffect, TcpState};
+use dvelm_sim::{DetRng, DispatchKey, Scheduler, SimTime, MILLISECOND, SECOND};
+use dvelm_stack::{HostStack, SockId, SockTimers, StackEffect, TcpState, TimerFire};
+use std::collections::{BTreeMap, BTreeSet};
 
 enum Ev {
     Deliver {
         host: usize,
         seg: dvelm_stack::Segment,
     },
-    Timer {
-        host: usize,
-        sock: SockId,
-        gen: u64,
-    },
+    /// A retransmission fire. `tag` is the arm's generation under
+    /// [`Timers::PerArm`] and the sequence of the key the fire was pushed
+    /// at under [`Timers::OnePending`].
+    Timer { host: usize, sock: SockId, tag: u64 },
 }
 
+/// How the loop turns `ArmTimer` effects into events.
+enum Timers {
+    /// At most one pending fire per socket, as the cluster runtime keeps
+    /// them.
+    OnePending([SockTimers; 2]),
+    /// One event per arm; fires of replaced arms reach `on_timer` and do
+    /// nothing there.
+    PerArm,
+}
+
+#[derive(Clone, Copy)]
 struct Wire {
     /// Drop probability per traversal.
     loss: f64,
@@ -34,23 +50,43 @@ struct Wire {
 
 struct Torture {
     hosts: [HostStack; 2],
-    queue: EventQueue<Ev>,
+    queue: Scheduler<Ev>,
     now: SimTime,
     rng: DetRng,
     wire: Wire,
+    timers: Timers,
+    /// Sequences of the timer events in the queue, per (host, socket).
+    queued_fires: BTreeMap<(usize, SockId), BTreeSet<u64>>,
+    /// Most timer events in the queue at once.
+    peak_fires: usize,
+    /// Every dispatch that acted, with its key: each delivery, and each
+    /// timer that ran the RTO (it changed the deadline or had effects).
+    trace: Vec<String>,
 }
 
 impl Torture {
     fn new(seed: u64, wire: Wire) -> Torture {
+        Torture::with_timers(
+            seed,
+            wire,
+            Timers::OnePending([SockTimers::new(), SockTimers::new()]),
+        )
+    }
+
+    fn with_timers(seed: u64, wire: Wire, timers: Timers) -> Torture {
         Torture {
             hosts: [
                 HostStack::server_node(NodeId(0), 1_000, seed ^ 1),
                 HostStack::server_node(NodeId(1), 2_000, seed ^ 2),
             ],
-            queue: EventQueue::new(),
+            queue: Scheduler::new(),
             now: SimTime::ZERO,
             rng: DetRng::new(seed),
             wire,
+            timers,
+            queued_fires: BTreeMap::new(),
+            peak_fires: 0,
+            trace: Vec::new(),
         }
     }
 
@@ -75,7 +111,7 @@ impl Torture {
                     }
                     for _ in 0..copies {
                         let delay = 500 + self.rng.range_u64(0, self.wire.jitter_us.max(1));
-                        self.queue.push(
+                        self.queue.schedule_at(
                             self.now + delay,
                             Ev::Deliver {
                                 host: target,
@@ -85,39 +121,80 @@ impl Torture {
                     }
                 }
                 StackEffect::ArmTimer { sock, gen, at } => {
-                    self.queue.push(
-                        at,
-                        Ev::Timer {
-                            host: from,
-                            sock,
-                            gen,
-                        },
-                    );
+                    let key = self.queue.reserve_at(at);
+                    let (push, tag) = match &mut self.timers {
+                        Timers::OnePending(t) => (t[from].arm(sock, gen, key), key.seq),
+                        Timers::PerArm => (true, gen),
+                    };
+                    if push {
+                        self.push_fire(from, sock, key, tag);
+                    }
                 }
                 _ => {}
             }
         }
     }
 
+    fn push_fire(&mut self, host: usize, sock: SockId, key: DispatchKey, tag: u64) {
+        self.queue
+            .schedule_reserved(key, Ev::Timer { host, sock, tag });
+        self.queued_fires
+            .entry((host, sock))
+            .or_default()
+            .insert(key.seq);
+        let queued = self.queued_fires.values().map(BTreeSet::len).sum();
+        self.peak_fires = self.peak_fires.max(queued);
+    }
+
     fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
+        while let Some((key, _)) = self.queue.peek() {
+            if key.at > deadline {
                 break;
             }
-            let (t, ev) = self.queue.pop().expect("peeked");
+            let (t, ev) = self.queue.pop_next().expect("peeked");
             self.now = t;
             match ev {
                 Ev::Deliver { host, seg } => {
+                    let head = format!("{key:?} h{host} rx {seg:?}");
                     let fx = self.hosts[host].on_rx(seg, t);
+                    self.trace.push(format!("{head} -> {fx:?}"));
                     self.apply(host, fx);
                 }
-                Ev::Timer { host, sock, gen } => {
+                Ev::Timer { host, sock, tag } => {
+                    if let Some(fires) = self.queued_fires.get_mut(&(host, sock)) {
+                        fires.remove(&key.seq);
+                    }
+                    let gen = match &mut self.timers {
+                        Timers::PerArm => tag,
+                        Timers::OnePending(timers) => match timers[host].fire(sock, key) {
+                            TimerFire::Stale => continue,
+                            TimerFire::Due(gen) => gen,
+                            TimerFire::Requeue(at) => {
+                                self.push_fire(host, sock, at, at.seq);
+                                continue;
+                            }
+                        },
+                    };
+                    let before = self.deadline(host, sock);
                     let fx = self.hosts[host].on_timer(sock, gen, t);
+                    let after = self.deadline(host, sock);
+                    if before != after || !fx.is_empty() {
+                        self.trace.push(format!(
+                            "{key:?} h{host} rto {sock:?} {before:?}->{after:?} -> {fx:?}"
+                        ));
+                    }
                     self.apply(host, fx);
                 }
             }
         }
         self.now = deadline;
+    }
+
+    /// The retransmission deadline of a socket, if it still exists.
+    fn deadline(&self, host: usize, sock: SockId) -> Option<Option<SimTime>> {
+        self.hosts[host]
+            .sock(sock)
+            .map(|s| s.tcp().timer_deadline())
     }
 
     /// Establish a connection host1 → host0:7777; returns (client, server
@@ -341,4 +418,146 @@ fn detach_install_mid_torture_preserves_stream() {
         deadline += SECOND;
     }
     assert_eq!(received, sent, "stream corrupted across detach/install");
+}
+
+/// Drive one random schedule of sends, reads, idle gaps and detach /
+/// `install_socket` blackouts over an established connection, then drain.
+/// Between steps, under one pending fire, every socket with an armed timer
+/// has exactly one live fire in the queue: the one its table slot names.
+/// Any other queued fire of that socket was superseded by an earlier
+/// deadline and dies when it pops.
+fn random_schedule(seed: u64, wire: Wire, timers: Timers) -> Torture {
+    let mut t = Torture::with_timers(seed, wire, timers);
+    let (mut cid, mut child) = t.establish();
+    let mut ops = DetRng::new(seed ^ 0xD1FF_5EED);
+    for step in 0..300 {
+        match ops.range_u64(0, 100) {
+            roll @ 0..=54 => {
+                // The client sends more often than the server child, which
+                // may still await the handshake's last ACK.
+                let (host, sid) = if roll < 35 { (1, cid) } else { (0, child) };
+                let len = ops.range_u64(1, 3_000) as usize;
+                if t.hosts[host].sock(sid).expect("live").tcp().state == TcpState::Established {
+                    let fx = t.hosts[host].send(sid, Bytes::from(vec![step as u8; len]), t.now);
+                    t.apply(host, fx);
+                }
+            }
+            55..=69 => {
+                t.hosts[0].read_tcp(child, t.now);
+                t.hosts[1].read_tcp(cid, t.now);
+            }
+            70..=94 => {
+                let gap = if ops.chance(0.7) { 5 } else { 400 };
+                let to = t.now + ops.range_u64(0, gap * MILLISECOND);
+                t.run_until(to);
+            }
+            _ => {
+                // Migration blackout: the socket leaves the table (its
+                // timer cleared), the wire keeps running, and it comes back
+                // under a fresh id with its timer restarted (§V-C1).
+                let host = ops.range_u64(0, 2) as usize;
+                let sid = if host == 0 { child } else { cid };
+                let sock = t.hosts[host].detach_socket(sid).expect("detach");
+                let to = t.now + ops.range_u64(0, 300 * MILLISECOND);
+                t.run_until(to);
+                let (nid, fx) = t.hosts[host].install_socket(sock, t.now);
+                t.apply(host, fx);
+                if host == 0 {
+                    child = nid;
+                } else {
+                    cid = nid;
+                }
+            }
+        }
+        t.assert_one_live_fire();
+    }
+    for _ in 0..120 {
+        let to = t.now + SECOND;
+        t.run_until(to);
+        t.hosts[0].read_tcp(child, t.now);
+        t.hosts[1].read_tcp(cid, t.now);
+        t.assert_one_live_fire();
+        if t.queued_fires.values().all(BTreeSet::is_empty) {
+            break;
+        }
+    }
+    t
+}
+
+impl Torture {
+    fn assert_one_live_fire(&self) {
+        let Timers::OnePending(timers) = &self.timers else {
+            return;
+        };
+        for (host, table) in timers.iter().enumerate() {
+            let live = self
+                .queued_fires
+                .iter()
+                .filter(|((h, sock), seqs)| {
+                    *h == host && table.pending(*sock).is_some_and(|k| seqs.contains(&k.seq))
+                })
+                .count();
+            assert_eq!(
+                live,
+                table.len(),
+                "host {host}: an armed socket lost its fire"
+            );
+        }
+    }
+}
+
+#[test]
+fn one_pending_fire_matches_a_push_per_arm() {
+    let wires = [
+        Wire {
+            loss: 0.0,
+            dup: 0.0,
+            jitter_us: 1,
+        },
+        Wire {
+            loss: 0.05,
+            dup: 0.05,
+            jitter_us: 5_000,
+        },
+        Wire {
+            loss: 0.2,
+            dup: 0.1,
+            jitter_us: 30_000,
+        },
+    ];
+    let mut rtos = 0;
+    for seed in 0..12u64 {
+        let wire = wires[seed as usize % wires.len()];
+        let one = random_schedule(
+            seed,
+            wire,
+            Timers::OnePending([SockTimers::new(), SockTimers::new()]),
+        );
+        let per_arm = random_schedule(seed, wire, Timers::PerArm);
+        for (a, b) in one.trace.iter().zip(&per_arm.trace) {
+            assert_eq!(a, b, "seed {seed}: the traces part here");
+        }
+        assert_eq!(one.trace.len(), per_arm.trace.len(), "seed {seed}");
+        for h in 0..2 {
+            assert_eq!(
+                one.hosts[h].stats(),
+                per_arm.hosts[h].stats(),
+                "seed {seed}"
+            );
+        }
+        assert_eq!(one.queue.now(), per_arm.queue.now(), "seed {seed}");
+        assert_eq!(
+            one.queue.stats().scheduled,
+            per_arm.queue.stats().scheduled,
+            "seed {seed}: every arm takes one sequence either way"
+        );
+        assert!(
+            one.peak_fires <= per_arm.peak_fires,
+            "seed {seed}: {} queued fires at peak, {} with a push per arm",
+            one.peak_fires,
+            per_arm.peak_fires
+        );
+        rtos += one.trace.iter().filter(|l| l.contains(" rto ")).count();
+    }
+    assert!(rtos > 100, "the schedules must exercise the RTO ({rtos})");
 }
