@@ -144,6 +144,7 @@ impl IncrementalTracker {
     /// One iteration: diff the live VMA list against the tracking list,
     /// update the tracking list, and collect the dirty pages.
     pub fn step(&mut self, space: &mut AddressSpace) -> IncrementalUpdate {
+        space.settle();
         let mut diff = VmaDiff::default();
         // Both lists are id-ordered: advance two cursors in lockstep.
         let mut old = self.tracked.iter().copied().peekable();

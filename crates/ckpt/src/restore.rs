@@ -72,6 +72,7 @@ mod tests {
         let mut src = Process::new(Pid(9), "zone_serv9", 64, 512);
         let mut rng = DetRng::new(2);
         src.do_work(&mut rng, 300);
+        src.addr_space.settle();
         let img = full_checkpoint(&src);
         let dst = restore_process(&img);
         assert_eq!(dst.addr_space.content_hash(), src.addr_space.content_hash());
@@ -156,6 +157,7 @@ mod tests {
         let mut src = Process::new(Pid(5), "p", 8, 32);
         let mut rng = DetRng::new(11);
         src.do_work(&mut rng, 50);
+        src.addr_space.settle();
         let img = full_checkpoint(&src);
         let img2 = CheckpointImage::decode(&img.encode()).unwrap();
         let dst = restore_process(&img2);

@@ -61,12 +61,14 @@ proptest! {
                     src.addr_space.mmap(VmaKind::Anon, *n, rng.next_u64());
                 }
                 Op::Munmap(i) => {
+                    src.addr_space.settle();
                     let live: Vec<_> = src.addr_space.vmas().map(|v| v.id).collect();
                     if !live.is_empty() {
                         src.addr_space.munmap(live[i % live.len()]);
                     }
                 }
                 Op::Resize(i, n) => {
+                    src.addr_space.settle();
                     let live: Vec<_> = src.addr_space.vmas().map(|v| v.id).collect();
                     if !live.is_empty() {
                         src.addr_space.resize(live[i % live.len()], *n, rng.next_u64());

@@ -43,8 +43,12 @@ impl AppCtx<'_> {
         self.effects.extend(fx);
     }
 
-    /// Dirty `pages` pages of the process address space (the memory side of
-    /// one slice of application work — what the precopy loop chases).
+    /// Dirty `pages` random pages of the process address space (the memory
+    /// side of one slice of application work — what the precopy loop
+    /// chases). The writes are logged and made when the address space
+    /// settles: when its log fills, at the next precopy step or checkpoint,
+    /// or before any other change to it. [`rng`](Self::rng) moves past
+    /// their draws now, so later draws are the same as if they ran at once.
     pub fn touch_memory(&mut self, pages: usize) {
         self.proc.do_work(self.rng, pages);
     }

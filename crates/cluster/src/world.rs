@@ -934,11 +934,12 @@ impl World {
     /// Take a full (non-live) checkpoint of a process. The image contains
     /// memory, files, threads and signal handlers — no sockets (BLCR
     /// semantics); contrast with live migration, which carries them.
-    pub fn checkpoint_process(&self, pid: Pid) -> Option<dvelm_ckpt::CheckpointImage> {
+    /// Settles the process's pending memory writes first.
+    pub fn checkpoint_process(&mut self, pid: Pid) -> Option<dvelm_ckpt::CheckpointImage> {
         let h = self.host_of(pid)?;
-        Some(dvelm_ckpt::full_checkpoint(
-            &self.hosts[h].procs[&pid].process,
-        ))
+        let process = &mut self.hosts[h].procs.get_mut(&pid)?.process;
+        process.addr_space.settle();
+        Some(dvelm_ckpt::full_checkpoint(process))
     }
 
     /// Crash a process: the process and all its sockets vanish from its

@@ -352,6 +352,8 @@ impl MigrationEngine {
     /// owner must call this exactly when the previous plan's
     /// `next_step_after_us` elapses.
     pub fn step(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
+        // Every phase may read the process image; make its logged writes.
+        io.proc.addr_space.settle();
         match self.phase {
             Phase::Start => self.step_start(io, sink),
             Phase::PrecopyIter => self.step_precopy(io, sink),

@@ -457,6 +457,7 @@ fn memory_contents_identical_after_restore() {
                 let mut rng = DetRng::new(34);
                 p.do_work(&mut rng, 50);
             }
+            p.addr_space.settle();
             src_hash_cell.set(p.addr_space.content_hash());
         },
     );

@@ -8,7 +8,9 @@
 //!   (here: in the data structure) without touching other code. Each region
 //!   stores its page table densely: a fingerprint array and a dirty bitset
 //!   with 64 pages per word, so dirtying a page is a bit set and a precopy
-//!   collection walks words, not pages;
+//!   collection walks words, not pages. Workload writes go to a bounded
+//!   per-space write log first and are made, cache-hot and in order, before
+//!   the page state is next read or changed;
 //! * **threads** with registers, signal masks and an in-syscall flag — the
 //!   signal-based checkpoint notification forces every thread back to
 //!   userspace, which is what guarantees sockets are unlocked at freeze time;

@@ -11,12 +11,29 @@
 //!   paper detects by diffing the live `vm_area_struct` list against a
 //!   tracking list (the diffing lives in `dvelm-ckpt`; this module exposes
 //!   the live list).
+//!
+//! Workload writes are deferred. [`AddressSpace::dirty_random`] appends the
+//! caller's RNG state and a page count to a bounded per-space write log and
+//! moves the RNG past the draws the writes will make, the way a real store
+//! costs the application nothing but a PTE dirty bit until BLCR's helper
+//! thread walks the page table. [`AddressSpace::settle`] replays the log in
+//! order with the saved RNG states, so fingerprints, dirty bits and the
+//! caller's stream come out exactly as if every write had run at once. The
+//! log settles when it fills ([`WRITE_LOG_CAP`] entries), before every
+//! `&mut` operation, and must be settled before page state is read: the
+//! `&self` readers [`vmas`](AddressSpace::vmas), [`vma`](AddressSpace::vma),
+//! [`dirty_count`](AddressSpace::dirty_count) and
+//! [`content_hash`](AddressSpace::content_hash) panic on a pending log.
 
 use dvelm_sim::DetRng;
 use std::collections::BTreeMap;
 
 /// Page size in bytes (x86-64 small pages, as on the paper's Opterons).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// Write-log entries an address space holds before it replays them (16
+/// bytes each, so 4 KiB per process).
+pub const WRITE_LOG_CAP: usize = 256;
 
 /// Identifier of a mapped region, stable across its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,8 +68,6 @@ pub struct Vma {
     /// PTE dirty bit analogue, bit `i % 64` of word `i / 64`; cleared by the
     /// incremental checkpointer. Bits at or past the page count are zero.
     dirty: Vec<u64>,
-    /// Set bits in `dirty`.
-    dirty_count: usize,
 }
 
 impl Vma {
@@ -63,7 +78,6 @@ impl Vma {
             start,
             fingerprints: Vec::new(),
             dirty: Vec::new(),
-            dirty_count: 0,
         }
     }
 
@@ -82,9 +96,14 @@ impl Vma {
         self.start + self.len_bytes()
     }
 
-    /// Dirty pages in the region.
+    /// Dirty pages in the region (one popcount per 64 pages).
     pub fn dirty_count(&self) -> usize {
-        self.dirty_count
+        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether [`AddressSpace::dirty_random`] may write to the region.
+    fn writable(&self) -> bool {
+        self.kind != VmaKind::Text && self.page_count() != 0
     }
 
     /// Write to page `index`: new fingerprint, dirty bit set.
@@ -92,12 +111,7 @@ impl Vma {
     fn write(&mut self, index: usize) {
         let fp = &mut self.fingerprints[index];
         *fp = mix(*fp, 0x9E37_79B9);
-        let word = &mut self.dirty[index / 64];
-        let bit = 1 << (index % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.dirty_count += 1;
-        }
+        self.dirty[index / 64] |= 1 << (index % 64);
     }
 
     /// Grow or shrink to `pages` pages. Grown pages take their fingerprint
@@ -112,25 +126,14 @@ impl Vma {
                 for i in old..pages {
                     self.dirty[i / 64] |= 1 << (i % 64);
                 }
-                self.dirty_count += pages - old;
             }
             return;
         }
         self.fingerprints.truncate(pages);
-        let mut dropped = 0;
+        self.dirty.truncate(pages.div_ceil(64));
         if !pages.is_multiple_of(64) {
-            let keep = (1u64 << (pages % 64)) - 1;
-            let last = &mut self.dirty[pages / 64];
-            dropped += (*last & !keep).count_ones() as usize;
-            *last &= keep;
+            self.dirty[pages / 64] &= (1u64 << (pages % 64)) - 1;
         }
-        let words = pages.div_ceil(64);
-        dropped += self.dirty[words..]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum::<usize>();
-        self.dirty.truncate(words);
-        self.dirty_count -= dropped;
     }
 }
 
@@ -148,8 +151,13 @@ pub struct AddressSpace {
     vmas: BTreeMap<VmaId, Vma>,
     next_vma: u64,
     next_addr: u64,
-    /// Total pages ever dirtied (statistics).
+    /// Total pages ever dirtied (statistics). Counted when a write is
+    /// logged, so it never lags the log.
     pub dirtied_total: u64,
+    /// Deferred [`dirty_random`](Self::dirty_random) calls: the caller's
+    /// RNG as it stood at the call, and the page count. At most
+    /// [`WRITE_LOG_CAP`] entries.
+    log: Vec<(DetRng, usize)>,
 }
 
 impl AddressSpace {
@@ -160,12 +168,14 @@ impl AddressSpace {
             next_vma: 1,
             next_addr: 0x0000_5555_0000_0000,
             dirtied_total: 0,
+            log: Vec::new(),
         }
     }
 
     /// Map a new region of `pages` pages; contents initialised from `seed`.
     /// All pages start dirty (they have never been checkpointed).
     pub fn mmap(&mut self, kind: VmaKind, pages: usize, seed: u64) -> VmaId {
+        self.settle();
         let id = VmaId(self.next_vma);
         self.next_vma += 1;
         let start = self.next_addr;
@@ -178,56 +188,91 @@ impl AddressSpace {
 
     /// Unmap a region.
     pub fn munmap(&mut self, id: VmaId) -> bool {
+        self.settle();
         self.vmas.remove(&id).is_some()
     }
 
     /// Grow or shrink a region to `pages` pages (heap growth, stack growth).
     /// New pages start dirty.
     pub fn resize(&mut self, id: VmaId, pages: usize, seed: u64) {
+        self.settle();
         let vma = self.vmas.get_mut(&id).expect("resize of unmapped VMA");
         vma.set_len(pages, |i| mix(seed, i as u64), true);
     }
 
     /// Write to a page: new fingerprint, dirty bit set.
     pub fn write_page(&mut self, id: VmaId, index: usize) {
+        self.settle();
         let vma = self.vmas.get_mut(&id).expect("write to unmapped VMA");
         vma.write(index);
         self.dirtied_total += 1;
     }
 
-    /// Dirty `count` randomly chosen pages of writable regions — the
-    /// workload's memory activity between precopy iterations. The writable
-    /// regions are resolved once per call; each page then costs two draws
-    /// (region, then page) and no map lookup.
+    /// Dirty `count` randomly chosen pages of writable (non-text, non-empty)
+    /// regions — the workload's memory activity between precopy iterations.
+    /// Each page costs two draws from `rng`, region then page.
+    ///
+    /// The writes are logged, not made: the call saves `rng` and `count`,
+    /// moves `rng` past the `2 × count` draws with [`DetRng::skip`] and
+    /// counts [`dirtied_total`](Self::dirtied_total). [`settle`](Self::settle)
+    /// makes them later, with the same draws in the same order. A full log
+    /// settles here. With `count == 0` or no writable region the call draws
+    /// nothing and logs nothing.
     pub fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
-        let mut writable: Vec<&mut Vma> = self
-            .vmas
-            .values_mut()
-            .filter(|v| v.kind != VmaKind::Text && v.page_count() != 0)
-            .collect();
-        if writable.is_empty() {
+        if count == 0 || !self.vmas.values().any(Vma::writable) {
             return;
         }
-        let regions = writable.len();
-        for _ in 0..count {
-            let vma = &mut writable[rng.index(regions)];
-            let index = rng.index(vma.page_count());
-            vma.write(index);
-        }
+        self.log.push((rng.clone(), count));
+        rng.skip(2 * count as u64);
         self.dirtied_total += count as u64;
+        if self.log.len() == WRITE_LOG_CAP {
+            self.settle();
+        }
+    }
+
+    /// Make every logged write, oldest first. Only structural operations,
+    /// which settle first, change the writable regions, so every entry
+    /// resolves them as its call would have. The replay runs back to back
+    /// over the same few regions, so their pages stay in cache.
+    pub fn settle(&mut self) {
+        if self.log.is_empty() {
+            return;
+        }
+        let mut writable: Vec<&mut Vma> = self.vmas.values_mut().filter(|v| v.writable()).collect();
+        let regions = writable.len();
+        for (mut rng, count) in self.log.drain(..) {
+            for _ in 0..count {
+                let vma = &mut writable[rng.index(regions)];
+                let index = rng.index(vma.page_count());
+                vma.write(index);
+            }
+        }
+    }
+
+    /// Logged writes not yet made (at most [`WRITE_LOG_CAP`]).
+    pub fn pending_writes(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Panics if writes are pending: page state read now would be stale.
+    /// Checked in release builds too.
+    #[inline]
+    fn assert_settled(&self) {
+        assert!(
+            self.log.is_empty(),
+            "page state read with {} logged writes pending; call settle() first",
+            self.log.len()
+        );
     }
 
     /// Collect and clear every dirty page (one precopy iteration's payload),
-    /// in (region id, page index) order. Clean regions are skipped via their
-    /// dirty counts and clean words of 64 pages cost one test each, so
-    /// steady-state iterations over a mostly-clean space touch almost nothing.
+    /// in (region id, page index) order. Clean words of 64 pages cost one
+    /// test each, so steady-state iterations over a mostly-clean space touch
+    /// almost nothing.
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
+        self.settle();
         let mut out = Vec::with_capacity(self.dirty_count());
         for vma in self.vmas.values_mut() {
-            if vma.dirty_count == 0 {
-                continue;
-            }
-            vma.dirty_count = 0;
             for (w, word) in vma.dirty.iter_mut().enumerate() {
                 let mut bits = std::mem::take(word);
                 while bits != 0 {
@@ -244,18 +289,21 @@ impl AddressSpace {
         out
     }
 
-    /// Count dirty pages without clearing.
+    /// Count dirty pages without clearing. Panics if writes are pending.
     pub fn dirty_count(&self) -> usize {
+        self.assert_settled();
         self.vmas.values().map(Vma::dirty_count).sum()
     }
 
-    /// Live regions, in id order.
+    /// Live regions, in id order. Panics if writes are pending.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
+        self.assert_settled();
         self.vmas.values()
     }
 
-    /// Look up one region.
+    /// Look up one region. Panics if writes are pending.
     pub fn vma(&self, id: VmaId) -> Option<&Vma> {
+        self.assert_settled();
         self.vmas.get(&id)
     }
 
@@ -275,8 +323,9 @@ impl AddressSpace {
     }
 
     /// Order- and content-sensitive hash of the full address space, used to
-    /// verify restore fidelity.
+    /// verify restore fidelity. Panics if writes are pending.
     pub fn content_hash(&self) -> u64 {
+        self.assert_settled();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for vma in self.vmas.values() {
             h = mix(h, vma.id.0);
@@ -290,22 +339,19 @@ impl AddressSpace {
 
     /// Apply a page write received from a checkpoint stream (restore path).
     pub fn apply_page(&mut self, r: PageRef) {
+        self.settle();
         let vma = self
             .vmas
             .get_mut(&r.vma)
             .expect("apply_page to unmapped VMA");
         vma.fingerprints[r.index] = r.fingerprint;
-        let word = &mut vma.dirty[r.index / 64];
-        let bit = 1 << (r.index % 64);
-        if *word & bit != 0 {
-            *word &= !bit;
-            vma.dirty_count -= 1;
-        }
+        vma.dirty[r.index / 64] &= !(1 << (r.index % 64));
     }
 
     /// Recreate a region from checkpoint metadata (restore path). Pages start
     /// zeroed and clean; contents arrive via [`apply_page`](Self::apply_page).
     pub fn install_vma(&mut self, id: VmaId, kind: VmaKind, start: u64, pages: usize) {
+        self.settle();
         self.next_vma = self.next_vma.max(id.0 + 1);
         let mut vma = Vma::new(id, kind, start);
         vma.set_len(pages, |_| 0, false);
@@ -315,6 +361,7 @@ impl AddressSpace {
 
     /// Resize during restore (VMA-diff modification record).
     pub fn restore_resize(&mut self, id: VmaId, pages: usize) {
+        self.settle();
         let vma = self
             .vmas
             .get_mut(&id)
@@ -387,6 +434,7 @@ mod tests {
         a.collect_dirty();
         let mut rng = DetRng::new(1);
         a.dirty_random(&mut rng, 500);
+        a.settle();
         assert_eq!(
             a.vma(text).unwrap().dirty_count(),
             0,
@@ -503,6 +551,7 @@ mod tests {
             );
         }
         src.dirty_random(&mut rng, 200);
+        src.settle();
 
         // Restore: recreate regions, apply all pages.
         let mut dst = AddressSpace::new();
@@ -525,6 +574,56 @@ mod tests {
             }
         }
         assert_eq!(dst.content_hash(), src.content_hash());
+    }
+
+    #[test]
+    fn write_log_never_exceeds_its_cap() {
+        let mut a = AddressSpace::new();
+        a.mmap(VmaKind::Heap, 100, 1);
+        let mut rng = DetRng::new(2);
+        for call in 1..=3 * WRITE_LOG_CAP {
+            a.dirty_random(&mut rng, 3);
+            assert!(a.pending_writes() < WRITE_LOG_CAP);
+            assert_eq!(a.pending_writes(), call % WRITE_LOG_CAP);
+        }
+    }
+
+    #[test]
+    fn dirty_random_without_writes_draws_and_logs_nothing() {
+        let mut a = AddressSpace::new();
+        a.mmap(VmaKind::Heap, 10, 1);
+        let mut rng = DetRng::new(3);
+        let before = rng.clone();
+        a.dirty_random(&mut rng, 0);
+        assert_eq!(a.pending_writes(), 0);
+        assert_eq!(rng.next_u64(), before.clone().next_u64());
+
+        let mut b = AddressSpace::new();
+        b.mmap(VmaKind::Text, 10, 1);
+        b.mmap(VmaKind::Heap, 0, 2);
+        let mut rng = before.clone();
+        b.dirty_random(&mut rng, 50);
+        assert_eq!(b.pending_writes(), 0);
+        assert_eq!(b.dirtied_total, 0);
+        assert_eq!(rng.next_u64(), before.clone().next_u64());
+    }
+
+    #[test]
+    #[should_panic(expected = "logged writes pending")]
+    fn reading_regions_of_an_unsettled_space_panics() {
+        let mut a = AddressSpace::new();
+        a.mmap(VmaKind::Heap, 10, 1);
+        a.dirty_random(&mut DetRng::new(5), 1);
+        let _ = a.vmas().count();
+    }
+
+    #[test]
+    #[should_panic(expected = "logged writes pending")]
+    fn hashing_an_unsettled_space_panics() {
+        let mut a = AddressSpace::new();
+        a.mmap(VmaKind::Heap, 10, 1);
+        a.dirty_random(&mut DetRng::new(5), 1);
+        a.content_hash();
     }
 
     #[test]
@@ -569,6 +668,7 @@ mod prop_tests {
             src.mmap(VmaKind::Heap, 64, seed);
             src.mmap(VmaKind::Stack, 16, seed + 1);
             src.dirty_random(&mut rng, dirties);
+            src.settle();
             let mut dst = AddressSpace::new();
             for vma in src.vmas() {
                 dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());

@@ -95,7 +95,10 @@ impl Process {
         self.threads.iter().all(|t| t.state == ThreadState::Frozen)
     }
 
-    /// Simulate one slice of application work: dirty some pages.
+    /// Simulate one slice of application work: dirty `pages_dirtied`
+    /// random pages. The writes go to the address space's write log and are
+    /// made when it settles (see [`AddressSpace::dirty_random`]); `rng`
+    /// moves past their draws now.
     pub fn do_work(&mut self, rng: &mut DetRng, pages_dirtied: usize) {
         self.addr_space.dirty_random(rng, pages_dirtied);
     }
@@ -153,6 +156,7 @@ mod tests {
         p.addr_space.collect_dirty();
         let mut rng = DetRng::new(5);
         p.do_work(&mut rng, 50);
+        p.addr_space.settle();
         assert!(p.addr_space.dirty_count() > 0);
     }
 }

@@ -3,13 +3,19 @@
 //! a per-region dirty-count map beside the region map — the straightforward
 //! layout the dense per-region bitsets replaced.
 //!
+//! The real space also defers its random writes into a write log, while the
+//! reference makes every write at once.
+//!
 //! Both sides run the same random sequence of address-space operations from
-//! the same RNG seed. After every operation they must agree on what a
-//! collection would return (including its order), on the dirty count, the
-//! content hash, the pages ever dirtied, the pages mapped, and the position
-//! of the RNG stream (the same number of draws in the same order).
+//! the same RNG seed, with long runs of `dirty_random` calls that fill the
+//! write log past its cap. After every operation, without settling, they
+//! must agree on the position of the RNG stream (the same number of draws),
+//! the pages ever dirtied and the regions and pages mapped, and the log must
+//! be within its cap. On every read they must agree on what a collection
+//! returns (including its order), on the dirty count, the content hash and
+//! every region's pages and dirty count.
 
-use dvelm_proc::mem::{AddressSpace, PageRef, VmaId, VmaKind, PAGE_SIZE};
+use dvelm_proc::mem::{AddressSpace, PageRef, VmaId, VmaKind, PAGE_SIZE, WRITE_LOG_CAP};
 use dvelm_sim::DetRng;
 use proptest::prelude::*;
 
@@ -145,6 +151,19 @@ mod reference {
             self.dirty_counts.values().sum()
         }
 
+        pub fn regions(&self) -> Vec<Region> {
+            self.vmas
+                .iter()
+                .map(|(&id, v)| Region {
+                    id,
+                    kind: v.kind,
+                    start: v.start,
+                    fingerprints: v.pages.iter().map(|p| p.fingerprint).collect(),
+                    dirty: self.dirty_counts[&id],
+                })
+                .collect()
+        }
+
         pub fn total_pages(&self) -> usize {
             self.vmas.values().map(|v| v.pages.len()).sum()
         }
@@ -212,6 +231,17 @@ mod reference {
     }
 }
 
+/// A region as a reader sees it: identity, placement, page contents and
+/// dirty count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Region {
+    id: VmaId,
+    kind: VmaKind,
+    start: u64,
+    fingerprints: Vec<u64>,
+    dirty: usize,
+}
+
 /// One operation. Region and page operands are selectors, reduced modulo
 /// the live region count / the region's page count when applied.
 #[derive(Debug, Clone)]
@@ -221,7 +251,11 @@ enum Op {
     Munmap(usize),
     WritePage(usize, usize),
     DirtyRandom(usize),
+    /// `calls` back-to-back `dirty_random(pages)` calls: one log entry each.
+    DirtyRun(usize, usize),
     Collect,
+    /// Settle, then read every region, the dirty count and the hash.
+    Read,
     ApplyPage(usize, usize, u64),
     InstallVma(u64, bool, usize),
     RestoreResize(usize, usize),
@@ -236,7 +270,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..8).prop_map(Op::Munmap),
         (0usize..8, 0usize..1000).prop_map(|(i, p)| Op::WritePage(i, p)),
         (0usize..300).prop_map(Op::DirtyRandom),
+        // Up to 400 calls: a run alone often crosses the log's cap.
+        (1usize..400, 0usize..8).prop_map(|(c, n)| Op::DirtyRun(c, n)),
+        (1usize..400, 0usize..8).prop_map(|(c, n)| Op::DirtyRun(c, n)),
         Just(Op::Collect),
+        Just(Op::Read),
         (0usize..8, 0usize..1000, 0u64..u64::MAX).prop_map(|(i, p, f)| Op::ApplyPage(i, p, f)),
         (1u64..24, any_bool(), 0usize..200).prop_map(|(id, t, n)| Op::InstallVma(id, t, n)),
         (0usize..8, 0usize..200).prop_map(|(i, n)| Op::RestoreResize(i, n)),
@@ -301,8 +339,19 @@ fn apply(
             dense.dirty_random(rd, n);
             refm.dirty_random(rr, n);
         }
+        Op::DirtyRun(calls, n) => {
+            for _ in 0..calls {
+                dense.dirty_random(rd, n);
+                refm.dirty_random(rr, n);
+                assert!(dense.pending_writes() <= WRITE_LOG_CAP);
+            }
+        }
         Op::Collect => {
             assert_eq!(dense.collect_dirty(), refm.collect_dirty());
+        }
+        Op::Read => {
+            dense.settle();
+            assert_eq!(dense.pending_writes(), 0);
         }
         Op::ApplyPage(i, p, fingerprint) => {
             if let Some((vma, Some(index))) = pick(refm, i, p) {
@@ -329,26 +378,55 @@ fn apply(
     }
 }
 
-/// Everything observable about the page table, without mutating it.
-fn observe_dense(a: &AddressSpace, rng: &DetRng) -> (Vec<PageRef>, usize, u64, u64, usize, u64) {
+/// What stays observable while writes are pending: the RNG position, the
+/// pages ever dirtied, the pages mapped and the region ids.
+fn observe_unsettled_dense(a: &AddressSpace, rng: &DetRng) -> (u64, u64, usize, usize) {
     (
-        a.clone().collect_dirty(),
-        a.dirty_count(),
-        a.content_hash(),
+        rng.clone().next_u64(),
         a.dirtied_total,
         a.total_pages(),
-        rng.clone().next_u64(),
+        a.vma_count(),
     )
 }
 
-fn observe_ref(a: &reference::Space, rng: &DetRng) -> (Vec<PageRef>, usize, u64, u64, usize, u64) {
+fn observe_unsettled_ref(a: &reference::Space, rng: &DetRng) -> (u64, u64, usize, usize) {
+    (
+        rng.clone().next_u64(),
+        a.dirtied_total,
+        a.total_pages(),
+        a.ids().len(),
+    )
+}
+
+/// Everything a reader of the settled page table sees, without mutating it.
+fn observe_dense(a: &AddressSpace) -> (Vec<PageRef>, usize, u64, Vec<Region>) {
+    let regions = a
+        .vmas()
+        .map(|v| {
+            assert_eq!(a.vma(v.id), Some(v));
+            Region {
+                id: v.id,
+                kind: v.kind,
+                start: v.start,
+                fingerprints: v.fingerprints.clone(),
+                dirty: v.dirty_count(),
+            }
+        })
+        .collect();
     (
         a.clone().collect_dirty(),
         a.dirty_count(),
         a.content_hash(),
-        a.dirtied_total,
-        a.total_pages(),
-        rng.clone().next_u64(),
+        regions,
+    )
+}
+
+fn observe_ref(a: &reference::Space) -> (Vec<PageRef>, usize, u64, Vec<Region>) {
+    (
+        a.clone().collect_dirty(),
+        a.dirty_count(),
+        a.content_hash(),
+        a.regions(),
     )
 }
 
@@ -359,12 +437,34 @@ fn run(seed: u64, ops: &[Op]) -> Result<(), String> {
     let mut rr = DetRng::new(seed);
     for (step, op) in ops.iter().enumerate() {
         apply(op, &mut dense, &mut refm, &mut rd, &mut rr);
-        let (d, r) = (observe_dense(&dense, &rd), observe_ref(&refm, &rr));
+        let (d, r) = (
+            observe_unsettled_dense(&dense, &rd),
+            observe_unsettled_ref(&refm, &rr),
+        );
         if d != r {
             return Err(format!(
                 "step {step} {op:?}: dense {d:?} != reference {r:?}"
             ));
         }
+        if dense.pending_writes() > WRITE_LOG_CAP {
+            return Err(format!(
+                "step {step} {op:?}: {} logged writes, cap {WRITE_LOG_CAP}",
+                dense.pending_writes()
+            ));
+        }
+        if matches!(op, Op::Read | Op::Collect) {
+            let (d, r) = (observe_dense(&dense), observe_ref(&refm));
+            if d != r {
+                return Err(format!(
+                    "step {step} {op:?}: dense {d:?} != reference {r:?}"
+                ));
+            }
+        }
+    }
+    dense.settle();
+    let (d, r) = (observe_dense(&dense), observe_ref(&refm));
+    if d != r {
+        return Err(format!("final settle: dense {d:?} != reference {r:?}"));
     }
     Ok(())
 }
@@ -398,6 +498,31 @@ fn shrink_then_clean_grow_revives_no_stale_bits() {
         Op::Resize(1, 64, 1),
         Op::RestoreResize(1, 130),
         Op::DirtyRandom(50),
+        Op::Read,
     ];
     assert_eq!(run(1, &ops), Ok(()));
+}
+
+/// Writes logged before a structural change must land on the regions as
+/// they were: the log fills past its cap, then every structural operation
+/// and every read follows a pending log.
+#[test]
+fn logged_writes_land_before_every_structural_change() {
+    let mut ops = vec![Op::Mmap(false, 130, 1), Op::Mmap(false, 70, 2)];
+    for op in [
+        Op::Resize(0, 3, 5),
+        Op::Resize(1, 0, 6),
+        Op::Munmap(1),
+        Op::Mmap(false, 64, 3),
+        Op::WritePage(0, 2),
+        Op::ApplyPage(1, 9, 7),
+        Op::InstallVma(20, false, 90),
+        Op::RestoreResize(2, 40),
+        Op::Collect,
+        Op::Read,
+    ] {
+        ops.push(Op::DirtyRun(300, 3));
+        ops.push(op);
+    }
+    assert_eq!(run(7, &ops), Ok(()));
 }

@@ -42,6 +42,15 @@ impl DetRng {
         z ^ (z >> 31)
     }
 
+    /// Advance the stream past `n` values without producing them: the
+    /// generator (and any [`fork`](Self::fork) taken from it) ends up where
+    /// `n` calls of [`next_u64`](Self::next_u64) would leave it. SplitMix64
+    /// is counter-based, so this is one multiply-add.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GOLDEN_GAMMA));
+    }
+
     /// Uniform `f64` in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
         // 53 high-quality mantissa bits.
@@ -255,5 +264,27 @@ mod tests {
         let mut rng = DetRng::new(10);
         assert!((0..100).all(|_| !rng.chance(0.0)));
         assert!((0..100).all(|_| rng.chance(1.0)));
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// `skip(n)` leaves the stream, and every fork of it, exactly where
+        /// `n` calls of `next_u64` would.
+        #[test]
+        fn skip_matches_n_draws(seed in 0u64..u64::MAX, n in 0u64..5000, stream in 0u64..u64::MAX) {
+            let mut drawn = DetRng::new(seed);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut skipped = DetRng::new(seed);
+            skipped.skip(n);
+            prop_assert_eq!(skipped.fork(stream).next_u64(), drawn.fork(stream).next_u64());
+            prop_assert_eq!(skipped.next_u64(), drawn.next_u64());
+        }
     }
 }
