@@ -400,11 +400,6 @@ pub fn fig5d(r: &FlowSimResult) -> String {
     out
 }
 
-/// The migration-time instant used to centre Fig. 4's window.
-pub fn fig4_center(report_frozen_at: SimTime) -> SimTime {
-    report_frozen_at
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -179,11 +179,6 @@ impl IncrementalTracker {
             pages: space.collect_dirty(),
         }
     }
-
-    /// Regions currently tracked.
-    pub fn tracked_count(&self) -> usize {
-        self.tracked.len()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +196,7 @@ mod tests {
         let up = tr.step(&mut space);
         assert_eq!(up.vma_diff.inserted.len(), 2);
         assert_eq!(up.pages.len(), 12, "all pages dirty initially");
-        assert_eq!(tr.tracked_count(), 2);
+        assert_eq!(tr.tracked.len(), 2);
     }
 
     #[test]
@@ -339,7 +334,7 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![e]
         );
-        assert_eq!(tr.tracked_count(), 2);
+        assert_eq!(tr.tracked.len(), 2);
     }
 
     #[test]

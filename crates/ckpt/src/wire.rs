@@ -1,8 +1,18 @@
 //! A small explicit wire encoder/decoder for checkpoint images.
 //!
-//! We do not use a serialization framework on purpose: the number of bytes a
-//! record occupies on the wire is an input to the migration timing model, so
-//! the format is spelled out, fixed-endian (little) and stable.
+//! The format is spelled out, fixed-endian (little) and stable, with no
+//! serialization framework. It is compact: pages travel as 64-bit
+//! fingerprints, so an encoded image is not the size the real system would
+//! ship. Only three record sizes here feed the migration timing model, through
+//! [`IncrementalUpdate::transfer_bytes`](crate::dirty::IncrementalUpdate::transfer_bytes):
+//! [`UPDATE_HEADER_LEN`], [`VMA_RESIZE_RECORD_LEN`] and
+//! [`VMA_REMOVE_RECORD_LEN`]. Image and page records are charged by the
+//! constants in [`image`](crate::image) instead.
+//!
+//! The codec's one caller outside tests is the benchmark's
+//! `ckpt.encode_4096p_ns` probe, which times
+//! [`CheckpointImage::encode`](crate::image::CheckpointImage::encode); the
+//! codec stays while that probe does.
 
 /// Transfer size of one VMA-resize diff record, bytes: record tag `u32` +
 /// region id `u64` + new page count `u64` + reserved `u32`. Shared between
@@ -57,10 +67,6 @@ impl WireWriter {
     }
 
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -146,12 +152,6 @@ impl<'a> WireReader<'a> {
         ))
     }
 
-    pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("length checked"),
-        ))
-    }
-
     pub fn get_f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_le_bytes(
             self.take(8)?.try_into().expect("length checked"),
@@ -178,14 +178,12 @@ mod tests {
         w.put_u8(7);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 3);
-        w.put_i64(-42);
         w.put_f64(3.5);
         let buf = w.into_bytes();
         let mut r = WireReader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_f64().unwrap(), 3.5);
         assert_eq!(r.remaining(), 0);
     }

@@ -71,18 +71,6 @@ impl AppCtx<'_> {
             FdEntry::File { .. } => None,
         }
     }
-
-    /// The local address of the socket behind `fd`.
-    pub fn local_addr(&self, fd: Fd) -> Option<SockAddr> {
-        let sid = self.sock_of(fd)?;
-        self.stack.sock(sid).map(|s| s.local())
-    }
-
-    /// The peer address of the socket behind `fd`.
-    pub fn peer_addr(&self, fd: Fd) -> Option<SockAddr> {
-        let sid = self.sock_of(fd)?;
-        self.stack.sock(sid).and_then(|s| s.remote())
-    }
 }
 
 /// An application running inside a simulated process.

@@ -927,20 +927,8 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // fault tolerance (checkpoint / crash / cold restart) — the other use
-    // case the paper's conclusion names for connection-preserving C/R
+    // fault injection and abort
     // ------------------------------------------------------------------
-
-    /// Take a full (non-live) checkpoint of a process. The image contains
-    /// memory, files, threads and signal handlers — no sockets (BLCR
-    /// semantics); contrast with live migration, which carries them.
-    /// Settles the process's pending memory writes first.
-    pub fn checkpoint_process(&mut self, pid: Pid) -> Option<dvelm_ckpt::CheckpointImage> {
-        let h = self.host_of(pid)?;
-        let process = &mut self.hosts[h].procs.get_mut(&pid)?.process;
-        process.addr_space.settle();
-        Some(dvelm_ckpt::full_checkpoint(process))
-    }
 
     /// Crash a process: the process and all its sockets vanish from its
     /// host (peers see silence, then retransmission timeouts). A migration
@@ -971,47 +959,6 @@ impl World {
         self.forget_zone_interest(pid);
         true
     }
-
-    /// Restart a process from a checkpoint image on `host`, with a fresh
-    /// application object. Memory, files and threads are restored; sockets
-    /// are *not* (clients must reconnect) — exactly the gap live migration
-    /// closes.
-    pub fn cold_restart(
-        &mut self,
-        img: &dvelm_ckpt::CheckpointImage,
-        host: usize,
-        app: Box<dyn App>,
-    ) -> Pid {
-        let mut process = dvelm_ckpt::restore_process(img);
-        process.resume_all();
-        let pid = process.pid;
-        self.next_pid = self.next_pid.max(pid.0 + 1);
-        let period = app.tick_period_us();
-        let gen = self.fresh_tick_gen();
-        self.hosts[host].procs.insert(
-            pid,
-            ProcEntry {
-                process,
-                app,
-                suspended: false,
-                tick_period_us: period,
-                tick_gen: gen,
-            },
-        );
-        self.sched
-            .schedule_after(0, Event::AppTick { host, pid, gen });
-        // A cold restart adopts the image's pid: legitimate only if no
-        // other live copy exists — exactly what the monitor's adopt hook
-        // checks.
-        if let Some(m) = &mut self.monitor {
-            m.on_adopt(self.sched.now(), pid, host);
-        }
-        pid
-    }
-
-    // ------------------------------------------------------------------
-    // fault injection and abort
-    // ------------------------------------------------------------------
 
     /// The in-flight migration of `pid`, if any.
     pub fn migration_of(&self, pid: Pid) -> Option<MigId> {

@@ -89,11 +89,6 @@ impl ByteClass {
         matches!(self, ByteClass::PrecopyMem | ByteClass::PrecopySocket)
     }
 
-    /// Whether these bytes are socket state (vs. memory/records).
-    pub fn is_socket(self) -> bool {
-        matches!(self, ByteClass::PrecopySocket | ByteClass::FreezeSocket)
-    }
-
     /// Whether these bytes resolve residual dependencies after switch-over
     /// (post-copy family); never shipped by the three paper strategies.
     pub fn is_residual(self) -> bool {
@@ -414,13 +409,10 @@ mod tests {
     #[test]
     fn byte_class_predicates() {
         assert!(ByteClass::PrecopyMem.is_precopy());
-        assert!(!ByteClass::PrecopyMem.is_socket());
-        assert!(ByteClass::FreezeSocket.is_socket());
         assert!(!ByteClass::FreezeSocket.is_precopy());
         assert!(ByteClass::DemandFetch.is_residual());
         assert!(ByteClass::WriteBack.is_residual());
         assert!(!ByteClass::DemandFetch.is_precopy());
-        assert!(!ByteClass::WriteBack.is_socket());
         assert!(!ByteClass::FreezeMem.is_residual());
     }
 

@@ -300,19 +300,9 @@ impl MigrationEngine {
         }
     }
 
-    /// Whether the migration has completed.
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
     /// Whether the migration was aborted.
     pub fn is_aborted(&self) -> bool {
         self.phase == Phase::Aborted
-    }
-
-    /// Whether the migration is over, one way or the other.
-    pub fn is_finished(&self) -> bool {
-        self.is_done() || self.is_aborted()
     }
 
     /// Whether the source sockets have already been detached — the point of

@@ -53,8 +53,7 @@ pub struct MigrationReport {
     /// Bytes moved by the background write-back stream.
     pub writeback_bytes: u64,
     /// `Some((phase, reason))` if the migration was aborted rather than
-    /// completed; `resumed_at` then records the rollback instant, and every
-    /// shipped byte counts as [`wasted_bytes`](Self::wasted_bytes).
+    /// completed; `resumed_at` then records the rollback instant.
     pub aborted: Option<(PhaseId, AbortReason)>,
 }
 
@@ -89,16 +88,6 @@ impl MigrationReport {
         self.aborted.is_some()
     }
 
-    /// Bytes shipped that bought nothing — the rollback cost of an aborted
-    /// migration (zero for a completed one).
-    pub fn wasted_bytes(&self) -> u64 {
-        if self.is_aborted() {
-            self.total_bytes()
-        } else {
-            0
-        }
-    }
-
     /// Process freeze time — the interval the application was unresponsive
     /// (the Fig. 5b metric), µs.
     pub fn freeze_us(&self) -> u64 {
@@ -108,12 +97,6 @@ impl MigrationReport {
     /// Total migration duration (precopy + freeze), µs.
     pub fn total_us(&self) -> u64 {
         self.resumed_at.saturating_since(self.started_at)
-    }
-
-    /// All bytes moved for this migration, including post-switch-over
-    /// residual traffic (zero outside the post-copy family).
-    pub fn total_bytes(&self) -> u64 {
-        self.precopy_bytes + self.freeze_bytes + self.residual_bytes()
     }
 
     /// Bytes moved after switch-over to resolve residual dependencies —
@@ -134,13 +117,5 @@ mod tests {
         r.resumed_at = SimTime::from_micros(727_500);
         assert_eq!(r.freeze_us(), 27_500);
         assert_eq!(r.total_us(), 627_500);
-    }
-
-    #[test]
-    fn byte_totals() {
-        let mut r = MigrationReport::new(Pid(1), Strategy::Iterative, SimTime::ZERO);
-        r.precopy_bytes = 1_000;
-        r.freeze_bytes = 234;
-        assert_eq!(r.total_bytes(), 1_234);
     }
 }

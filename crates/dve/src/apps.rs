@@ -69,16 +69,6 @@ impl ZoneServer {
             cmds_received: Rc::new(RefCell::new(0)),
         }
     }
-
-    /// Tell the app which fd is the database session.
-    pub fn set_db_fd(&mut self, fd: Fd) {
-        self.db_fd = Some(fd);
-    }
-
-    /// Established client connections.
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
-    }
 }
 
 impl Default for ZoneServer {
@@ -194,11 +184,6 @@ impl SwarmClient {
             updates_received: Rc::new(RefCell::new(0)),
             bytes_received: Rc::new(RefCell::new(0)),
         }
-    }
-
-    /// Established connections.
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
     }
 }
 

@@ -5,7 +5,7 @@
 //! move toward the up-left and down-right corners (Fig. 5a's arrows) — the
 //! entity clustering reported as typical for large-scale environments.
 
-use crate::space::{VirtualSpace, ZoneId, GRID, ZONES};
+use crate::space::{VirtualSpace, ZONES};
 use dvelm_sim::DetRng;
 
 /// Movement-model parameters.
@@ -124,21 +124,21 @@ impl ClientPopulation {
         }
         counts
     }
-
-    /// Clients per grid row (diagnostics).
-    pub fn row_counts(&self, space: &VirtualSpace) -> [u32; GRID] {
-        let zc = self.zone_counts(space);
-        let mut rows = [0u32; GRID];
-        for (z, n) in zc.iter().enumerate() {
-            rows[ZoneId(z as u32).row()] += n;
-        }
-        rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::space::{ZoneId, GRID};
+
+    /// Clients per grid row.
+    fn row_counts(pop: &ClientPopulation, space: &VirtualSpace) -> [u32; GRID] {
+        let mut rows = [0u32; GRID];
+        for (z, n) in pop.zone_counts(space).iter().enumerate() {
+            rows[ZoneId(z as u32).row()] += n;
+        }
+        rows
+    }
 
     #[test]
     fn initial_distribution_is_roughly_uniform() {
@@ -159,9 +159,9 @@ mod tests {
     fn drift_concentrates_corners_and_empties_middle() {
         let mut pop = ClientPopulation::new(10_000, MovementConfig::default(), 2);
         let space = VirtualSpace::new();
-        let rows_before = pop.row_counts(&space);
+        let rows_before = row_counts(&pop, &space);
         pop.advance_to(900.0);
-        let rows_after = pop.row_counts(&space);
+        let rows_after = row_counts(&pop, &space);
         // Top two rows (node1's region) and bottom two (node5's) gained.
         let top_before: u32 = rows_before[..2].iter().sum();
         let top_after: u32 = rows_after[..2].iter().sum();
@@ -183,9 +183,9 @@ mod tests {
         let mut pop = ClientPopulation::new(5_000, MovementConfig::default(), 3);
         let space = VirtualSpace::new();
         pop.advance_to(300.0);
-        let mid_300: u32 = pop.row_counts(&space)[4..6].iter().sum();
+        let mid_300: u32 = row_counts(&pop, &space)[4..6].iter().sum();
         pop.advance_to(700.0);
-        let mid_700: u32 = pop.row_counts(&space)[4..6].iter().sum();
+        let mid_700: u32 = row_counts(&pop, &space)[4..6].iter().sum();
         assert!(
             mid_700 < mid_300,
             "middle keeps draining: {mid_300} → {mid_700}"
@@ -196,9 +196,9 @@ mod tests {
     fn before_start_nothing_moves_far() {
         let mut pop = ClientPopulation::new(1_000, MovementConfig::default(), 4);
         let space = VirtualSpace::new();
-        let before = pop.row_counts(&space);
+        let before = row_counts(&pop, &space);
         pop.advance_to(30.0); // before start_s
-        let after = pop.row_counts(&space);
+        let after = row_counts(&pop, &space);
         for (b, a) in before.iter().zip(after.iter()) {
             assert!((*b as i64 - *a as i64).abs() < 30, "only jitter expected");
         }

@@ -117,14 +117,6 @@ impl AdmissionControl {
         }
     }
 
-    pub fn config(&self) -> AdmissionConfig {
-        self.cfg
-    }
-
-    pub fn set_config(&mut self, cfg: AdmissionConfig) {
-        self.cfg = cfg;
-    }
-
     /// Number of currently admitted migrations.
     pub fn active_count(&self) -> usize {
         self.active.len()

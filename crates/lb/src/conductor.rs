@@ -106,7 +106,8 @@ pub enum StrategyPreference {
     /// Restore-first switch-over: no precopy loop at all, residual pages
     /// resolved on demand. The most aggressive ask — and the one with
     /// residual source dependencies, so a failed attempt must never be
-    /// retried at this level (see [`degrade`](Self::degrade)).
+    /// retried at this level ([`for_attempt`](Self::for_attempt) never asks
+    /// for it).
     PostCopy,
     /// A bounded precopy prefix, then the post-copy switch-over. Still
     /// carries residual dependencies, but a shorter demand-resolve tail.
@@ -121,24 +122,6 @@ pub enum StrategyPreference {
 }
 
 impl StrategyPreference {
-    /// One level more conservative (saturates at [`Iterative`](Self::Iterative)).
-    /// The residual family degrades *out of* itself before anything else:
-    /// a post-copy attempt that failed left the destination suspect, and
-    /// re-picking a strategy that parks authoritative pages behind that
-    /// same suspect destination would turn one failure into data-loss
-    /// exposure. `PostCopy → Hybrid → Incremental` then the residual-free
-    /// ladder.
-    pub fn degrade(self) -> StrategyPreference {
-        match self {
-            StrategyPreference::PostCopy => StrategyPreference::Hybrid,
-            StrategyPreference::Hybrid => StrategyPreference::Incremental,
-            StrategyPreference::Incremental => StrategyPreference::Collective,
-            StrategyPreference::Collective | StrategyPreference::Iterative => {
-                StrategyPreference::Iterative
-            }
-        }
-    }
-
     /// The preference for attempt `n` (1-based): full speed first, one
     /// degradation per retry. The residual family is opt-in per migration
     /// (via the runtime's configured strategy ceiling), never the default
@@ -370,16 +353,6 @@ impl Conductor {
             .filter(|(_, until)| *until > now)
             .map(|(n, _)| *n)
             .collect()
-    }
-
-    /// The pid of a failed migration awaiting its backoff, if any.
-    pub fn retry_pending(&self) -> Option<Pid> {
-        self.retry.map(|r| r.pid)
-    }
-
-    /// Pids parked in the admission deferral queue.
-    pub fn deferred_pids(&self) -> Vec<Pid> {
-        self.deferred.iter().map(|d| d.pid).collect()
     }
 
     /// Park an intent; the bounded queue sheds the lowest-priority entry
@@ -961,6 +934,11 @@ mod tests {
     use super::*;
     use dvelm_sim::SECOND;
 
+    /// Pids parked in the admission deferral queue.
+    fn deferred_pids(c: &Conductor) -> Vec<Pid> {
+        c.deferred.iter().map(|d| d.pid).collect()
+    }
+
     /// An accept as the receiver would send it: default lease from `at`.
     fn accept(pid: Pid, epoch: u64, at: SimTime) -> LbMsg {
         LbMsg::MigAccept {
@@ -1224,26 +1202,8 @@ mod tests {
             StrategyPreference::for_attempt(9),
             StrategyPreference::Iterative
         );
-        assert_eq!(
-            StrategyPreference::Iterative.degrade(),
-            StrategyPreference::Iterative,
-            "saturates"
-        );
-        // The residual family degrades out of itself first: a retry after
-        // a post-copy failure must never re-pick a residual strategy.
-        assert_eq!(
-            StrategyPreference::PostCopy.degrade(),
-            StrategyPreference::Hybrid
-        );
-        assert_eq!(
-            StrategyPreference::Hybrid.degrade(),
-            StrategyPreference::Incremental
-        );
         assert!(StrategyPreference::PostCopy.has_residual_dependencies());
         assert!(StrategyPreference::Hybrid.has_residual_dependencies());
-        assert!(!StrategyPreference::Hybrid
-            .degrade()
-            .has_residual_dependencies());
         // And the attempt ladder never *asks* for a residual strategy.
         for n in 0..12 {
             assert!(!StrategyPreference::for_attempt(n).has_residual_dependencies());
@@ -1295,7 +1255,7 @@ mod tests {
             )]
         );
         assert_eq!(c.phase(), ConductorPhase::Idle, "failure skips calm-down");
-        assert_eq!(c.retry_pending(), Some(Pid(7)));
+        assert_eq!(c.retry.map(|r| r.pid), Some(Pid(7)));
         assert_eq!(c.blacklisted(t1), vec![NodeId(1)]);
         assert_eq!(c.stats().migrations_failed, 1);
 
@@ -1331,7 +1291,7 @@ mod tests {
             }]
         );
         c.on_migration_finished(t3, false);
-        assert_eq!(c.retry_pending(), Some(Pid(7)));
+        assert_eq!(c.retry.map(|r| r.pid), Some(Pid(7)));
 
         // Both peers are blacklisted now; a new one shows up for attempt 3,
         // which only fires after the *doubled* backoff.
@@ -1366,7 +1326,7 @@ mod tests {
 
         // Third failure reaches retry_max_attempts: abandoned, calm-down.
         c.on_migration_finished(t5, false);
-        assert_eq!(c.retry_pending(), None);
+        assert_eq!(c.retry.map(|r| r.pid), None);
         assert_eq!(c.stats().migrations_abandoned, 1);
         assert!(matches!(c.phase(), ConductorPhase::CalmDown { .. }));
     }
@@ -1391,7 +1351,7 @@ mod tests {
         assert!(!out
             .iter()
             .any(|e| matches!(e, LbEffect::Send(_, LbMsg::MigRequest { .. }))));
-        assert_eq!(c.retry_pending(), Some(Pid(7)), "retry survives");
+        assert_eq!(c.retry.map(|r| r.pid), Some(Pid(7)), "retry survives");
         assert_eq!(c.stats().retries, 0, "no attempt burned");
 
         // Once the embargo lapses the retry goes back to the same peer.
@@ -1414,7 +1374,7 @@ mod tests {
         c.on_tick(t1, local(t1), &[(Pid(7), 10.0)]);
         c.on_msg(t1, NodeId(1), accept(Pid(7), 1, t1), local(t1));
         c.on_migration_finished(t1, false);
-        assert_eq!(c.retry_pending(), Some(Pid(7)));
+        assert_eq!(c.retry.map(|r| r.pid), Some(Pid(7)));
 
         // The process list no longer contains Pid(7) when the retry is due.
         let t2 = t1 + cfg.retry_backoff_base_us;
@@ -1423,7 +1383,7 @@ mod tests {
         assert!(!out
             .iter()
             .any(|e| matches!(e, LbEffect::Send(_, LbMsg::MigRequest { .. }))));
-        assert_eq!(c.retry_pending(), None);
+        assert_eq!(c.retry.map(|r| r.pid), None);
     }
 
     #[test]
@@ -1453,7 +1413,11 @@ mod tests {
             local(t2),
         );
         assert_eq!(c.phase(), ConductorPhase::Idle);
-        assert_eq!(c.retry_pending(), Some(Pid(7)), "rejection keeps the retry");
+        assert_eq!(
+            c.retry.map(|r| r.pid),
+            Some(Pid(7)),
+            "rejection keeps the retry"
+        );
         assert_eq!(c.stats().migrations_failed, 1, "a rejection is no failure");
 
         // It re-arms with the flat base backoff, then fires again.
@@ -1484,7 +1448,7 @@ mod tests {
         assert!(!out
             .iter()
             .any(|e| matches!(e, LbEffect::Send(_, LbMsg::MigRequest { .. }))));
-        assert_eq!(c.deferred_pids(), vec![Pid(7)]);
+        assert_eq!(deferred_pids(&c), vec![Pid(7)]);
         assert_eq!(c.stats().deferrals, 1);
         assert_eq!(c.phase(), ConductorPhase::Idle);
 
@@ -1503,7 +1467,7 @@ mod tests {
             e,
             LbEffect::Send(NodeId(1), LbMsg::MigRequest { pid: Pid(7), .. })
         )));
-        assert!(c.deferred_pids().is_empty());
+        assert!(deferred_pids(&c).is_empty());
         assert_eq!(c.stats().deferred_promoted, 1);
         assert!(matches!(c.phase(), ConductorPhase::AwaitingAccept { .. }));
     }
@@ -1524,14 +1488,14 @@ mod tests {
         let t1 = SimTime::from_secs(1);
         c.peers.update(LoadInfo::new(NodeId(1), 65.0, 20, t1));
         c.on_tick(t1, local(t1), &procs);
-        assert_eq!(c.deferred_pids(), vec![Pid(1)]);
+        assert_eq!(deferred_pids(&c), vec![Pid(1)]);
 
         // Pid(1) is parked, so the next tick defers Pid(2); the bounded
         // queue sheds the smaller-share intent.
         let t2 = t1 + SECOND;
         c.peers.update(LoadInfo::new(NodeId(1), 65.0, 20, t2));
         c.on_tick(t2, local(t2), &procs);
-        assert_eq!(c.deferred_pids(), vec![Pid(2)], "lowest priority shed");
+        assert_eq!(deferred_pids(&c), vec![Pid(2)], "lowest priority shed");
         assert_eq!(c.stats().deferrals, 2);
         assert_eq!(c.stats().deferred_shed, 1);
 
@@ -1556,7 +1520,7 @@ mod tests {
         let t1 = SimTime::from_secs(1);
         c.peers.update(LoadInfo::new(NodeId(1), 65.0, 20, t1));
         c.on_tick(t1, local(t1), &[(Pid(7), 10.0)]);
-        assert_eq!(c.deferred_pids(), vec![Pid(7)]);
+        assert_eq!(deferred_pids(&c), vec![Pid(7)]);
 
         // The process vanished before the receiver drained.
         let t2 = t1 + SECOND;
@@ -1565,7 +1529,7 @@ mod tests {
         assert!(!out
             .iter()
             .any(|e| matches!(e, LbEffect::Send(_, LbMsg::MigRequest { .. }))));
-        assert!(c.deferred_pids().is_empty());
+        assert!(deferred_pids(&c).is_empty());
         assert_eq!(c.stats().deferred_promoted, 0);
     }
 
@@ -1583,7 +1547,7 @@ mod tests {
         assert!(!out
             .iter()
             .any(|e| matches!(e, LbEffect::Send(_, LbMsg::MigRequest { .. }))));
-        assert!(c.deferred_pids().is_empty());
+        assert!(deferred_pids(&c).is_empty());
         assert_eq!(c.phase(), ConductorPhase::Idle);
 
         // A fresh heartbeat restores eligibility.
@@ -1612,7 +1576,7 @@ mod tests {
         c.on_tick(t2, local(t2), &procs);
         c.on_msg(t2, NodeId(2), accept(Pid(7), 2, t2), local(t2));
         c.on_migration_finished(t2, true);
-        assert_eq!(c.retry_pending(), None);
+        assert_eq!(c.retry.map(|r| r.pid), None);
         assert_eq!(c.stats().migrations_completed, 1);
         assert!(matches!(c.phase(), ConductorPhase::CalmDown { .. }));
     }
@@ -1852,7 +1816,7 @@ mod tests {
         // The daemon aborts; the usual failure path runs.
         c.on_migration_finished(t3, false);
         assert_eq!(c.stats().migrations_failed, 1);
-        assert_eq!(c.retry_pending(), Some(Pid(7)));
+        assert_eq!(c.retry.map(|r| r.pid), Some(Pid(7)));
     }
 
     #[test]

@@ -55,4 +55,4 @@ pub use info::LoadInfo;
 pub use monitor::LoadMonitor;
 pub use peers::PeerDb;
 pub use policy::PolicyConfig;
-pub use spanning::{tree_children, tree_depth, Dissemination};
+pub use spanning::{tree_children, Dissemination};

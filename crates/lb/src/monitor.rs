@@ -13,7 +13,6 @@ pub struct LoadMonitor {
     /// Weight of the newest sample (0 < α ≤ 1).
     pub alpha: f64,
     smoothed: Option<f64>,
-    samples: u64,
 }
 
 impl Default for LoadMonitor {
@@ -29,13 +28,11 @@ impl LoadMonitor {
         LoadMonitor {
             alpha,
             smoothed: None,
-            samples: 0,
         }
     }
 
     /// Feed one raw sample; returns the smoothed value.
     pub fn sample(&mut self, cpu_pct: f64) -> f64 {
-        self.samples += 1;
         let s = match self.smoothed {
             None => cpu_pct,
             Some(prev) => prev + self.alpha * (cpu_pct - prev),
@@ -47,17 +44,6 @@ impl LoadMonitor {
     /// Latest smoothed value, if any sample arrived.
     pub fn current(&self) -> Option<f64> {
         self.smoothed
-    }
-
-    /// Samples consumed.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
-
-    /// Forget history (e.g. after a migration changed the workload shape —
-    /// the indicator restabilizes from the next sample).
-    pub fn reset(&mut self) {
-        self.smoothed = None;
     }
 }
 
@@ -100,15 +86,6 @@ mod tests {
             m.sample(60.0);
         }
         assert!((m.current().unwrap() - 60.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn reset_restarts_from_next_sample() {
-        let mut m = LoadMonitor::new(0.3);
-        m.sample(90.0);
-        m.reset();
-        assert_eq!(m.current(), None);
-        assert_eq!(m.sample(40.0), 40.0);
     }
 
     #[test]

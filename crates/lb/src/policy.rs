@@ -100,32 +100,6 @@ impl PolicyConfig {
         local_cpu < cluster_avg - self.receiver_margin
     }
 
-    /// **Location policy** (§IV-B): find the peer whose load index is on the
-    /// opposite side of the cluster average — ideally about as much lighter
-    /// as the sender is heavier, so both converge to the average after the
-    /// migration. Returns the peer minimizing the distance to that mirror
-    /// target, restricted to peers below the average. Peers in `exclude`
-    /// (blacklisted after a failed migration) are never chosen.
-    pub fn choose_destination(
-        &self,
-        local_cpu: f64,
-        cluster_avg: f64,
-        peers: &PeerDb,
-        exclude: &[NodeId],
-    ) -> Option<NodeId> {
-        let target = cluster_avg - (local_cpu - cluster_avg);
-        peers
-            .iter()
-            .filter(|li| !exclude.contains(&li.node))
-            .filter(|li| li.cpu_pct < cluster_avg - self.receiver_margin)
-            .min_by(|a, b| {
-                let da = (a.cpu_pct - target).abs();
-                let db = (b.cpu_pct - target).abs();
-                da.partial_cmp(&db).expect("CPU loads are finite")
-            })
-            .map(|li| li.node)
-    }
-
     /// Freshness window for peer load samples, µs.
     pub fn load_fresh_us(&self) -> u64 {
         if self.load_fresh_factor == 0 {
@@ -135,10 +109,15 @@ impl PolicyConfig {
         }
     }
 
-    /// Location policy with admission filters: like
-    /// [`choose_destination`](Self::choose_destination), but a peer is only
-    /// eligible if its load sample is fresh (see `load_fresh_factor`) and
-    /// its load is below the admission high-water mark.
+    /// **Location policy** (§IV-B): find the peer whose load index is on the
+    /// opposite side of the cluster average — ideally about as much lighter
+    /// as the sender is heavier, so both converge to the average after the
+    /// migration. Returns the peer minimizing the distance to that mirror
+    /// target, restricted to peers below the average. Peers in `exclude`
+    /// (blacklisted after a failed migration) are never chosen. Admission
+    /// filters: a peer is only eligible if its load sample is fresh at `now`
+    /// (see `load_fresh_factor`) and its load is below the admission
+    /// high-water mark.
     pub fn choose_destination_at(
         &self,
         now: SimTime,
@@ -243,7 +222,7 @@ mod tests {
         // to the mirror target.
         let db = peers(&[(1, 73.0), (2, 62.0), (3, 40.0)]);
         assert_eq!(
-            cfg.choose_destination(90.0, 75.0, &db, &[]),
+            cfg.choose_destination_at(SimTime::ZERO, 90.0, 75.0, &db, &[]),
             Some(NodeId(2))
         );
     }
@@ -253,7 +232,10 @@ mod tests {
         let cfg = PolicyConfig::default();
         // avg 85, margin 2 → only peers below 83 qualify; none do.
         let db = peers(&[(1, 84.0), (2, 90.0)]);
-        assert_eq!(cfg.choose_destination(95.0, 85.0, &db, &[]), None);
+        assert_eq!(
+            cfg.choose_destination_at(SimTime::ZERO, 95.0, 85.0, &db, &[]),
+            None
+        );
     }
 
     #[test]
@@ -263,12 +245,18 @@ mod tests {
         // The mirror-image peer (node 2) is blacklisted: the next-best
         // qualifying peer wins instead.
         assert_eq!(
-            cfg.choose_destination(90.0, 75.0, &db, &[NodeId(2)]),
+            cfg.choose_destination_at(SimTime::ZERO, 90.0, 75.0, &db, &[NodeId(2)]),
             Some(NodeId(3))
         );
         // Everyone blacklisted: nowhere to go.
         assert_eq!(
-            cfg.choose_destination(90.0, 75.0, &db, &[NodeId(1), NodeId(2), NodeId(3)]),
+            cfg.choose_destination_at(
+                SimTime::ZERO,
+                90.0,
+                75.0,
+                &db,
+                &[NodeId(1), NodeId(2), NodeId(3)]
+            ),
             None
         );
     }
@@ -285,11 +273,6 @@ mod tests {
             cfg.choose_destination_at(now, 90.0, 75.0, &db, &[]),
             Some(NodeId(1)),
             "stale node 2 skipped"
-        );
-        // The clock-agnostic variant still sees it (old behaviour).
-        assert_eq!(
-            cfg.choose_destination(90.0, 75.0, &db, &[]),
-            Some(NodeId(2))
         );
         // With the check disabled, staleness is ignored.
         let lax = PolicyConfig {

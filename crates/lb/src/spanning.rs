@@ -50,20 +50,20 @@ pub fn tree_children(members: &[NodeId], root: NodeId, node: NodeId) -> Vec<Node
     out
 }
 
-/// Depth of the tree over `n` members (relay hops from root to the deepest
-/// leaf).
-pub fn tree_depth(n: usize) -> u32 {
-    if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros() // ceil(log2(n)) for heap shape
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::{HashSet, VecDeque};
+
+    /// Depth of the tree over `n` members (relay hops from root to the
+    /// deepest leaf): ceil(log2(n)) for the heap shape.
+    fn tree_depth(n: usize) -> u32 {
+        if n <= 1 {
+            0
+        } else {
+            usize::BITS - (n - 1).leading_zeros()
+        }
+    }
 
     fn nodes(n: u32) -> Vec<NodeId> {
         (0..n).map(NodeId).collect()

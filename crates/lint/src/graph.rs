@@ -10,6 +10,8 @@
 //!   expression position anywhere (pattern positions never count);
 //! * **mention census** inside one fn's body, for dispatch-arm coverage;
 //! * **assertion census** over named test files, for abort-row coverage;
+//! * **`pub` fn census**: the `pub` fns no non-test code names. A bare-name
+//!   mention outside test code and `use` declarations keeps a fn alive;
 //! * **clock taint**: the fixpoint of "this parameter carries the sim
 //!   clock", seeded by SimTime-typed parameters named `now`/`at` and
 //!   propagated backwards through call sites that pass a caller's own
@@ -168,6 +170,27 @@ impl SymbolGraph {
             }
         }
         out
+    }
+
+    /// `pub` fn census: every `pub`/`pub(…)` fn defined in non-test code of
+    /// a file `defines` accepts whose bare name no non-test code in the graph
+    /// names, as `(path, line, qualified name)` in walk order. Resolution is
+    /// by bare name only, so any same-named call, method call or path keeps
+    /// a fn alive.
+    pub fn unreferenced_pub_fns(&self, defines: impl Fn(&str) -> bool) -> Vec<(&str, u32, &str)> {
+        let live: BTreeSet<&str> = self
+            .files
+            .iter()
+            .filter(|f| !Self::is_test_file(&f.path))
+            .flat_map(|f| f.mentions.iter().map(String::as_str))
+            .collect();
+        self.files
+            .iter()
+            .filter(|f| !Self::is_test_file(&f.path) && defines(&f.path))
+            .flat_map(|f| f.fns.iter().map(move |d| (f.path.as_str(), d)))
+            .filter(|(_, d)| d.is_pub && !d.in_test && !live.contains(d.bare_name.as_str()))
+            .map(|(path, d)| (path, d.line, d.qual_name.as_str()))
+            .collect()
     }
 
     /// Whether the sim clock flows through parameter `idx` of `id`.

@@ -17,6 +17,9 @@
 //!   (effect dispatch coverage, abort-row coverage, interprocedural clock
 //!   threading) live here.
 //!
+//! The same graph also backs [`census`]: a report, not a rule, of every
+//! `pub` fn that no non-test code names.
+//!
 //! | rule | severity | scope | invariant |
 //! |---|---|---|---|
 //! | R1 `determinism` | error | sim, core, stack, cluster, lb | no `HashMap`/`HashSet`/`Instant::now`/`SystemTime::now`/`thread_rng` |
@@ -636,25 +639,7 @@ pub struct CheckReport {
 /// stubs and this crate's own `tests/fixtures` are outside the walked set by
 /// construction.
 pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckReport> {
-    let mut files: Vec<std::path::PathBuf> = Vec::new();
-    let mut aux_files: Vec<std::path::PathBuf> = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut members: Vec<_> = std::fs::read_dir(&crates)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .collect();
-        members.sort();
-        for member in members {
-            collect_rs(&member.join("src"), &mut files)?;
-            collect_rs(&member.join("tests"), &mut aux_files)?;
-        }
-    }
-    collect_rs(&root.join("src"), &mut files)?;
-    collect_rs(&root.join("tests"), &mut aux_files)?;
-    files.sort();
-    aux_files.sort();
-
+    let (files, aux_files) = workspace_files(root)?;
     let mut findings = Vec::new();
     let mut allowed = 0usize;
     let mut used = BTreeSet::new();
@@ -665,12 +650,7 @@ pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckR
         .map(|f| (f, true))
         .chain(aux_files.iter().map(|f| (f, false)))
     {
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let src = std::fs::read_to_string(file)?;
+        let (rel, src) = read_rel(root, file)?;
         let ctx = FileCtx::new(&rel, &src);
         if lint_it {
             let mut file_findings = Vec::new();
@@ -706,6 +686,92 @@ pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckR
         stale_allows,
         files: scanned,
     })
+}
+
+/// The files `check` walks, each list sorted: workspace sources
+/// (`crates/*/src` and the umbrella `src/`), then integration tests (the
+/// umbrella `tests/` and each crate's `tests/`).
+fn workspace_files(
+    root: &Path,
+) -> std::io::Result<(Vec<std::path::PathBuf>, Vec<std::path::PathBuf>)> {
+    let mut files = Vec::new();
+    let mut aux_files = Vec::new();
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        let mut members: Vec<_> = std::fs::read_dir(&crates)?
+            .filter_map(|e| e.ok())
+            .map(|e| e.path())
+            .collect();
+        members.sort();
+        for member in members {
+            collect_rs(&member.join("src"), &mut files)?;
+            collect_rs(&member.join("tests"), &mut aux_files)?;
+        }
+    }
+    collect_rs(&root.join("src"), &mut files)?;
+    collect_rs(&root.join("tests"), &mut aux_files)?;
+    files.sort();
+    aux_files.sort();
+    Ok((files, aux_files))
+}
+
+/// A file's repo-relative path (with `/` separators) and contents.
+fn read_rel(root: &Path, file: &Path) -> std::io::Result<(String, String)> {
+    let rel = file
+        .strip_prefix(root)
+        .unwrap_or(file)
+        .to_string_lossy()
+        .replace('\\', "/");
+    Ok((rel, std::fs::read_to_string(file)?))
+}
+
+/// One `census` entry: a `pub` fn that no non-test code names.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct CensusEntry {
+    /// Repo-relative path of the defining file.
+    pub path: String,
+    /// 1-based line of the `fn` keyword.
+    pub line: u32,
+    /// `impl`-qualified name (`Type::name`, or the bare name).
+    pub name: String,
+}
+
+impl fmt::Display for CensusEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{} {}", self.path, self.line, self.name)
+    }
+}
+
+/// The `pub` fn census: every `pub`/`pub(crate)` fn in the workspace
+/// sources outside `crates/lint` whose bare name no non-test code mentions,
+/// sorted by (path, line).
+///
+/// Non-test code is `check`'s source set plus `examples/` and
+/// `benchmark/src`, which only this walk parses: they keep fns alive but
+/// define none of the entries. A report, not a rule: nothing here fails.
+pub fn census(root: &Path) -> std::io::Result<Vec<CensusEntry>> {
+    let (mut files, aux_files) = workspace_files(root)?;
+    collect_rs(&root.join("examples"), &mut files)?;
+    collect_rs(&root.join("benchmark/src"), &mut files)?;
+    let mut syms = Vec::new();
+    for file in files.iter().chain(&aux_files) {
+        let (rel, src) = read_rel(root, file)?;
+        syms.push(parse::FileSyms::from_ctx(&FileCtx::new(&rel, &src)));
+    }
+    let graph = graph::SymbolGraph::build(syms);
+    let mut out: Vec<CensusEntry> = graph
+        .unreferenced_pub_fns(|p| {
+            (p.starts_with("crates/") || p.starts_with("src/")) && !p.starts_with("crates/lint/")
+        })
+        .into_iter()
+        .map(|(path, line, name)| CensusEntry {
+            path: path.to_string(),
+            line,
+            name: name.to_string(),
+        })
+        .collect();
+    out.sort();
+    Ok(out)
 }
 
 /// Recursively collect `.rs` files under `dir` (no-op if it doesn't exist).

@@ -1,6 +1,6 @@
 //! Command-line front end: `cargo run -p dvelm-lint -- check`.
 
-use dvelm_lint::{check_workspace, explain, Allowlist, CheckReport, Severity, RULES};
+use dvelm_lint::{census, check_workspace, explain, Allowlist, CheckReport, Severity, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -10,6 +10,7 @@ dvelm-lint — repo-specific static analysis for the dvelm workspace
 USAGE:
     cargo run -p dvelm-lint -- check [--root <dir>] [--allow <file>]
                                      [--format <text|json>] [--stale-allow]
+    cargo run -p dvelm-lint -- census [--root <dir>]
     cargo run -p dvelm-lint -- rules
     cargo run -p dvelm-lint -- explain <RULE>
 
@@ -18,6 +19,10 @@ COMMANDS:
                semantic rules over the workspace symbol graph); exit 1 on
                any finding not covered by the allowlist (warnings are
                denied too).
+    census     Report every `pub`/`pub(crate)` fn outside crates/lint that
+               no non-test code names (workspace sources, `examples/`,
+               `benchmark/src`), one sorted `path:line Type::name` line
+               each. A report: always exits 0.
     rules      Print the rule table (generated from the registry).
     explain    Print one rule's rationale, minimal bad/good example and bug
                lineage, extracted from the rule's own doc comment.
@@ -42,7 +47,7 @@ fn main() -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "check" | "rules" | "explain" if cmd.is_none() => cmd = Some(a.clone()),
+            "check" | "census" | "rules" | "explain" if cmd.is_none() => cmd = Some(a.clone()),
             "--root" => root = it.next().map(PathBuf::from),
             "--allow" => allow_path = it.next().map(PathBuf::from),
             "--format" => match it.next().map(String::as_str) {
@@ -94,6 +99,7 @@ fn main() -> ExitCode {
             }
         },
         Some("check") => run_check(root, allow_path, format, stale_strict),
+        Some("census") => run_census(root),
         _ => {
             print!("{USAGE}");
             ExitCode::FAILURE
@@ -146,6 +152,23 @@ fn run_check(
     } else {
         ExitCode::SUCCESS
     }
+}
+
+fn run_census(root: Option<PathBuf>) -> ExitCode {
+    let root = root.unwrap_or_else(detect_root);
+    match census(&root) {
+        Ok(entries) => {
+            for e in &entries {
+                println!("{e}");
+            }
+            eprintln!(
+                "dvelm-lint census: {} pub fn(s) with no non-test mention",
+                entries.len()
+            );
+        }
+        Err(e) => eprintln!("dvelm-lint: cannot walk {}: {e}", root.display()),
+    }
+    ExitCode::SUCCESS
 }
 
 fn counts(report: &CheckReport) -> (usize, usize) {

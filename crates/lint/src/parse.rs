@@ -6,10 +6,12 @@
 //! parameter names, call sites with argument spans, and two-segment
 //! `Head::Seg` path uses classified by position (pattern vs. expression,
 //! inside an `assert!`-family macro or not) — because those four are all the
-//! workspace-level rules (R7–R9) consume. No type inference, no macro
-//! expansion, no name resolution beyond `Type::fn` paths: the symbol graph
-//! ([`crate::graph`]) compensates with conservative matching (a call site
-//! binds to a definition only when every candidate agrees).
+//! workspace-level rules (R7–R9) consume. It also keeps the set of
+//! identifiers non-test code names, which the `pub fn` census consumes. No
+//! type inference, no macro expansion, no name resolution beyond `Type::fn`
+//! paths: the symbol graph ([`crate::graph`]) compensates with conservative
+//! matching (a call site binds to a definition only when every candidate
+//! agrees).
 //!
 //! The low-level scanners ([`fn_sites`], [`match_body`], [`arms`]) are
 //! shared with the lexical rules in [`crate::rules`].
@@ -17,6 +19,7 @@
 use crate::lexer::{Tok, TokKind};
 use crate::matching_close;
 use crate::FileCtx;
+use std::collections::BTreeSet;
 
 /// A function found in the stream: its `fn` keyword, name, parameter-group
 /// token span (inclusive of the delimiters) and body span, if any.
@@ -189,6 +192,8 @@ pub struct FnSig {
     pub line: u32,
     /// Whether the definition lives in `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
+    /// Whether the fn is declared `pub` or `pub(…)`.
+    pub is_pub: bool,
     /// Token span of the body braces, if any.
     pub body: Option<(usize, usize)>,
 }
@@ -267,6 +272,10 @@ pub struct FileSyms {
     /// Spans of `Ident { … }` brace groups, for struct-literal containment
     /// queries (e.g. "inside a `MigrationAborted { … }` literal").
     pub braces_after_ident: Vec<(String, usize, usize)>,
+    /// Every identifier named in non-test code outside `use` declarations,
+    /// except the name token of a `fn` definition: calls, method calls and
+    /// paths such as `.map(Foo::bar)` alike.
+    pub mentions: BTreeSet<String>,
 }
 
 const ASSERT_MACROS: &[&str] = &[
@@ -336,6 +345,7 @@ impl FileSyms {
                 params: param_names(toks, site.params),
                 line: toks[site.fn_kw].line,
                 in_test: ctx.in_test[site.fn_kw],
+                is_pub: is_pub(toks, site.fn_kw),
                 body: site.body,
                 qual_name,
             });
@@ -417,6 +427,23 @@ impl FileSyms {
             }
         }
 
+        // `use` declarations name a fn without using it (a re-export keeps
+        // nothing alive by itself), so they are skipped to their `;`.
+        let mut mentions = BTreeSet::new();
+        let mut in_use = false;
+        for (i, t) in toks.iter().enumerate() {
+            if in_use {
+                in_use = !t.is_punct(';');
+            } else if t.is_ident("use") {
+                in_use = true;
+            } else if t.kind == TokKind::Ident
+                && !ctx.in_test[i]
+                && !(i > 0 && toks[i - 1].is_ident("fn"))
+            {
+                mentions.insert(t.text.clone());
+            }
+        }
+
         FileSyms {
             path: ctx.path.to_string(),
             enums,
@@ -424,6 +451,7 @@ impl FileSyms {
             calls,
             paths,
             braces_after_ident,
+            mentions,
         }
     }
 
@@ -444,6 +472,28 @@ impl FileSyms {
             .iter()
             .any(|(n, a, b)| n == name && *a <= i && i <= *b)
     }
+}
+
+/// Whether the `fn` keyword at `fn_kw` is declared `pub` or `pub(…)`,
+/// looking back past `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn is_pub(toks: &[Tok], fn_kw: usize) -> bool {
+    let qualifier = |t: &Tok| {
+        t.kind == TokKind::Lit
+            || ["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| t.is_ident(q))
+    };
+    let Some(k) = toks[..fn_kw].iter().rposition(|t| !qualifier(t)) else {
+        return false;
+    };
+    if toks[k].kind == TokKind::Close(')') {
+        // `pub(crate)`, `pub(super)`, `pub(in path)`.
+        return toks[..k]
+            .iter()
+            .rposition(|t| t.kind == TokKind::Open('('))
+            .is_some_and(|open| open > 0 && toks[open - 1].is_ident("pub"));
+    }
+    toks[k].is_ident("pub")
 }
 
 /// Variant names of an enum body span (top-level identifiers, attributes

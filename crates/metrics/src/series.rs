@@ -59,40 +59,6 @@ impl TimeSeries {
         }
     }
 
-    /// Mean of samples with `t` in `[from, to)`.
-    pub fn window_mean(&self, from: f64, to: f64) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
-    /// Resample onto a regular grid of `step` seconds using step
-    /// interpolation, from the first to the last sample.
-    pub fn resample(&self, step: f64) -> Vec<(f64, f64)> {
-        assert!(step > 0.0);
-        let Some(&(t0, _)) = self.points.first() else {
-            return Vec::new();
-        };
-        let (t1, _) = *self.points.last().expect("non-empty checked");
-        let mut out = Vec::new();
-        let mut t = t0;
-        while t <= t1 + 1e-9 {
-            if let Some(v) = self.at(t) {
-                out.push((t, v));
-            }
-            t += step;
-        }
-        out
-    }
-
     /// Minimum and maximum values over the whole series.
     pub fn value_range(&self) -> Option<(f64, f64)> {
         if self.points.is_empty() {
@@ -128,23 +94,6 @@ mod tests {
         assert_eq!(s.at(9.9), Some(50.0));
         assert_eq!(s.at(10.0), Some(60.0));
         assert_eq!(s.at(100.0), Some(70.0));
-    }
-
-    #[test]
-    fn window_mean_respects_bounds() {
-        let s = series();
-        assert_eq!(s.window_mean(0.0, 20.0), Some(55.0));
-        assert_eq!(s.window_mean(0.0, 21.0), Some(60.0));
-        assert_eq!(s.window_mean(30.0, 40.0), None);
-    }
-
-    #[test]
-    fn resample_grid() {
-        let s = series();
-        let g = s.resample(5.0);
-        assert_eq!(g.len(), 5);
-        assert_eq!(g[1], (5.0, 50.0));
-        assert_eq!(g[2], (10.0, 60.0));
     }
 
     #[test]

@@ -23,12 +23,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Table {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -86,8 +80,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["conns", "freeze (ms)"]);
-        t.row_display(&["16", "12.5"]);
-        t.row_display(&["1024", "38.2"]);
+        t.row(&["16".into(), "12.5".into()]);
+        t.row(&["1024".into(), "38.2".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);

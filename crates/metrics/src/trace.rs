@@ -39,15 +39,6 @@ pub struct PhaseSpan {
     pub packets_reinjected: u64,
 }
 
-impl PhaseSpan {
-    /// Phase duration, µs (zero while the phase is still open).
-    pub fn duration_us(&self) -> u64 {
-        self.exited_at
-            .map(|t| t.saturating_since(self.entered_at))
-            .unwrap_or(0)
-    }
-}
-
 /// Folds one migration's effect stream into a [`MigrationReport`] plus a
 /// per-phase timeline.
 #[derive(Debug, Clone)]
@@ -60,8 +51,6 @@ pub struct TraceRecorder {
     xlate_rules_revoked: u32,
     pressure_events: u32,
     shed_packets: u64,
-    peak_queued_packets: u64,
-    peak_queued_bytes: u64,
     /// Whether a `SuspendApp` was observed — i.e. the application actually
     /// stopped at some point.
     suspended: bool,
@@ -81,8 +70,6 @@ impl TraceRecorder {
             xlate_rules_revoked: 0,
             pressure_events: 0,
             shed_packets: 0,
-            peak_queued_packets: 0,
-            peak_queued_bytes: 0,
             suspended: false,
             finished: false,
         }
@@ -177,16 +164,9 @@ impl TraceRecorder {
             // the table itself lives in the router, so the trace only needs
             // the timestamps already carried by the effect log.
             Effect::Subscribe { .. } | Effect::Unsubscribe { .. } => {}
-            Effect::QueuePressure {
-                queued_packets,
-                queued_bytes,
-                shed_packets,
-                ..
-            } => {
+            Effect::QueuePressure { shed_packets, .. } => {
                 self.pressure_events += 1;
                 self.shed_packets += shed_packets;
-                self.peak_queued_packets = self.peak_queued_packets.max(*queued_packets);
-                self.peak_queued_bytes = self.peak_queued_bytes.max(*queued_bytes);
             }
             Effect::Complete(_) => {
                 // For the stop-and-copy strategies the app resumes at
@@ -268,12 +248,6 @@ impl TraceRecorder {
     /// Packets shed or refused by capture-queue budgets.
     pub fn shed_packets(&self) -> u64 {
         self.shed_packets
-    }
-
-    /// High-water mark of (packets, bytes) queued in a pressured capture
-    /// entry — zero unless pressure was observed.
-    pub fn peak_queue_occupancy(&self) -> (u64, u64) {
-        (self.peak_queued_packets, self.peak_queued_bytes)
     }
 
     /// The derived report so far (complete once [`finished`](Self::finished)).
@@ -411,10 +385,8 @@ mod tests {
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].phase, PhaseId::PrecopyFull);
         assert_eq!(spans[0].exited_at, Some(t(100)));
-        assert_eq!(spans[0].duration_us(), 100);
         assert_eq!(spans[0].bytes, 10);
         assert_eq!(spans[1].exited_at, None);
-        assert_eq!(spans[1].duration_us(), 0);
         assert_eq!(spans[1].sockets_touched, 1);
         assert_eq!(r.captures_enabled(), 1);
     }
@@ -491,7 +463,6 @@ mod tests {
         );
         assert_eq!(r.pressure_events(), 2);
         assert_eq!(r.shed_packets(), 4);
-        assert_eq!(r.peak_queue_occupancy(), (32, 8_192));
     }
 
     #[test]

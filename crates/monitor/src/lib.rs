@@ -58,14 +58,6 @@ pub enum InvariantViolation {
     CapturePacketsOverBudget { peak: u64, budget: u64, at: SimTime },
     /// A capture stream exceeded its configured byte budget.
     CaptureBytesOverBudget { peak: u64, budget: u64, at: SimTime },
-    /// An address-translation (xlate) entry points a pid at a host that
-    /// does not own it.
-    XlateInconsistent {
-        pid: Pid,
-        mapped_to: usize,
-        owner: Option<usize>,
-        at: SimTime,
-    },
     /// An ownership event referenced a host the monitor never saw own the
     /// pid (bookkeeping desync between world and monitor — itself a bug).
     UnknownOwner { pid: Pid, host: usize, at: SimTime },
@@ -101,7 +93,6 @@ impl InvariantViolation {
             InvariantViolation::NonMonotonicEpoch { .. } => "non-monotonic epoch",
             InvariantViolation::CapturePacketsOverBudget { .. } => "capture packets over budget",
             InvariantViolation::CaptureBytesOverBudget { .. } => "capture bytes over budget",
-            InvariantViolation::XlateInconsistent { .. } => "xlate inconsistent",
             InvariantViolation::UnknownOwner { .. } => "unknown owner",
             InvariantViolation::ResidualDependencyLeak { .. } => "residual dependency leak",
             InvariantViolation::StaleSourceWrite { .. } => "stale source write",
@@ -138,11 +129,6 @@ impl InvariantMonitor {
     /// All violations observed so far, in discovery order.
     pub fn violations(&self) -> &[InvariantViolation] {
         &self.violations
-    }
-
-    /// Whether no invariant has been broken.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
     }
 
     /// The host currently believed to own `pid`.
@@ -310,20 +296,6 @@ impl InvariantMonitor {
         }
     }
 
-    /// Check one address-translation entry against the ownership model:
-    /// a forwarding entry must point at the pid's owner.
-    pub fn check_xlate(&mut self, now: SimTime, pid: Pid, mapped_to: usize) {
-        let owner = self.owner_of(pid);
-        if owner != Some(mapped_to) {
-            self.record(InvariantViolation::XlateInconsistent {
-                pid,
-                mapped_to,
-                owner,
-                at: now,
-            });
-        }
-    }
-
     /// Check one interest-table subscription against the ownership model.
     /// `subscriber` is the host a router subscription for `pid`'s `zone`
     /// points at; it must be the pid's owner. Callers skip pids that are
@@ -403,7 +375,7 @@ mod tests {
         m.on_epoch(T, Pid(1), 2);
         m.on_transfer(T, Pid(1), 2, 1);
         m.on_exit(T, Pid(1), 1);
-        assert!(m.is_clean(), "{:?}", m.violations());
+        assert!(m.violations().is_empty(), "{:?}", m.violations());
         assert_eq!(m.owner_of(Pid(1)), None);
     }
 
@@ -428,7 +400,7 @@ mod tests {
         let mut m2 = InvariantMonitor::new();
         m2.on_spawn(T, Pid(7), 0);
         m2.on_adopt(T, Pid(7), 0);
-        assert!(m2.is_clean());
+        assert!(m2.violations().is_empty());
     }
 
     #[test]
@@ -451,7 +423,7 @@ mod tests {
         m.on_epoch(T, Pid(1), 3);
         m.on_epoch(T, Pid(1), 0); // manual path: exempt
         m.on_epoch(T, Pid(1), 4);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
         m.on_epoch(T, Pid(1), 4);
         assert_eq!(
             m.violations(),
@@ -468,20 +440,9 @@ mod tests {
     fn capture_budget_checks() {
         let mut m = InvariantMonitor::new();
         m.check_capture(T, 64, 64, 1000, 2000);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
         m.check_capture(T, 65, 64, 3000, 2000);
         assert_eq!(m.violations().len(), 2);
-    }
-
-    #[test]
-    fn xlate_must_point_at_owner() {
-        let mut m = InvariantMonitor::new();
-        m.on_spawn(T, Pid(5), 2);
-        m.check_xlate(T, Pid(5), 2);
-        assert!(m.is_clean());
-        m.check_xlate(T, Pid(5), 1);
-        assert_eq!(m.violations().len(), 1);
-        assert_eq!(m.violations()[0].label(), "xlate inconsistent");
     }
 
     #[test]
@@ -489,7 +450,7 @@ mod tests {
         let mut m = InvariantMonitor::new();
         // Zero pages owed is not a leak.
         m.on_residual_leak(T, Pid(3), 0);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
         m.on_residual_leak(T, Pid(3), 17);
         m.on_residual_leak(T, Pid(3), 17); // persisting condition: once
         m.on_stale_source_write(T, Pid(3));
@@ -505,7 +466,7 @@ mod tests {
         let mut m = InvariantMonitor::new();
         m.on_spawn(T, Pid(4), 2);
         m.check_subscription(T, Pid(4), 9, 2);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
         m.check_subscription(T, Pid(4), 9, 5);
         m.check_subscription(T, Pid(4), 9, 5); // persisting condition: once
         assert_eq!(m.violations().len(), 1);
@@ -519,7 +480,7 @@ mod tests {
         m.on_spawn(T, Pid(2), 1);
         // Matching reality: clean.
         m.reconcile(T, &[(Pid(1), 0), (Pid(2), 1)], |_| true);
-        assert!(m.is_clean());
+        assert!(m.violations().is_empty());
         // Pid 1 also alive on host 3 → split brain; pid 2 gone while its
         // host lives → lost.
         m.reconcile(T, &[(Pid(1), 0), (Pid(1), 3)], |_| true);
@@ -529,6 +490,6 @@ mod tests {
         let mut m2 = InvariantMonitor::new();
         m2.on_spawn(T, Pid(9), 4);
         m2.reconcile(T, &[], |h| h != 4);
-        assert!(m2.is_clean());
+        assert!(m2.violations().is_empty());
     }
 }

@@ -80,12 +80,6 @@ impl Link {
         Link::new(10_000_000, 20_000)
     }
 
-    /// Install a loss model.
-    pub fn with_loss(mut self, loss: LossModel) -> Link {
-        self.loss = loss;
-        self
-    }
-
     /// Replace the loss model on an existing link. Any in-progress drop
     /// burst is forgotten.
     pub fn set_loss(&mut self, loss: LossModel) {
@@ -286,7 +280,8 @@ mod tests {
 
     #[test]
     fn bernoulli_loss_drops_roughly_p() {
-        let mut l = Link::new(GIGE_BANDWIDTH, 0).with_loss(LossModel::Bernoulli(0.3));
+        let mut l = Link::new(GIGE_BANDWIDTH, 0);
+        l.set_loss(LossModel::Bernoulli(0.3));
         let mut r = rng();
         let mut dropped = 0;
         for i in 0..10_000 {
@@ -306,7 +301,8 @@ mod tests {
             from: SimTime::from_millis(10),
             to: SimTime::from_millis(20),
         };
-        let mut l = Link::gige().with_loss(w);
+        let mut l = Link::gige();
+        l.set_loss(w);
         let mut r = rng();
         assert!(l.transmit(SimTime::from_millis(9), 10, &mut r).is_some());
         assert!(l.transmit(SimTime::from_millis(10), 10, &mut r).is_none());
@@ -318,7 +314,8 @@ mod tests {
     fn fault_burst_loss_drops_whole_runs() {
         // With p small but burst large, drops come in contiguous runs of
         // exactly `burst` frames (no run can start inside a run).
-        let mut l = Link::new(GIGE_BANDWIDTH, 0).with_loss(LossModel::Burst { p: 0.02, burst: 8 });
+        let mut l = Link::new(GIGE_BANDWIDTH, 0);
+        l.set_loss(LossModel::Burst { p: 0.02, burst: 8 });
         let mut r = rng();
         let outcomes: Vec<bool> = (0..5_000)
             .map(|i| {
@@ -352,7 +349,8 @@ mod tests {
 
     #[test]
     fn fault_set_loss_forgets_burst_in_progress() {
-        let mut l = Link::new(GIGE_BANDWIDTH, 0).with_loss(LossModel::Burst { p: 1.0, burst: 100 });
+        let mut l = Link::new(GIGE_BANDWIDTH, 0);
+        l.set_loss(LossModel::Burst { p: 1.0, burst: 100 });
         let mut r = rng();
         assert!(l.transmit(SimTime::ZERO, 10, &mut r).is_none());
         l.set_loss(LossModel::None);

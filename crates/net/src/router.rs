@@ -130,22 +130,9 @@ impl BroadcastRouter {
     }
 
     /// A client host sends an inbound frame: it traverses the client's
-    /// uplink once, then is broadcast over every node downlink. Returns the
-    /// per-node arrival instants (empty if the uplink dropped it).
-    pub fn inbound(
-        &mut self,
-        now: SimTime,
-        from_client: NodeId,
-        bytes: u64,
-        rng: &mut DetRng,
-    ) -> Result<Vec<(NodeId, SimTime)>, RouteError> {
-        let mut out = Vec::new();
-        self.inbound_into(now, from_client, bytes, rng, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`inbound`](Self::inbound) writing the arrivals into a caller-owned
-    /// buffer (cleared first) — the hot-path variant: the broadcast fan-out
+    /// uplink once, then is broadcast over every node downlink. Writes the
+    /// per-node arrival instants into a caller-owned buffer, cleared first
+    /// (left empty if the uplink dropped the frame): the broadcast fan-out
     /// runs once per frame per node, and reusing the buffer keeps the
     /// per-packet cost allocation-free.
     pub fn inbound_into(
@@ -274,6 +261,19 @@ mod tests {
         DetRng::new(7)
     }
 
+    /// [`BroadcastRouter::inbound_into`] into a fresh buffer.
+    fn inbound(
+        r: &mut BroadcastRouter,
+        now: SimTime,
+        from_client: NodeId,
+        bytes: u64,
+        rng: &mut DetRng,
+    ) -> Result<Vec<(NodeId, SimTime)>, RouteError> {
+        let mut out = Vec::new();
+        r.inbound_into(now, from_client, bytes, rng, &mut out)?;
+        Ok(out)
+    }
+
     fn router_with(n: u32) -> BroadcastRouter {
         let mut r = BroadcastRouter::default_testbed();
         for i in 0..n {
@@ -286,9 +286,7 @@ mod tests {
     #[test]
     fn inbound_reaches_every_node() {
         let mut r = router_with(5);
-        let arrivals = r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
-            .unwrap();
+        let arrivals = inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng()).unwrap();
         assert_eq!(arrivals.len(), 5);
         let nodes: Vec<u32> = arrivals.iter().map(|(n, _)| n.0).collect();
         assert_eq!(nodes, vec![0, 1, 2, 3, 4]);
@@ -297,9 +295,7 @@ mod tests {
     #[test]
     fn broadcast_arrivals_are_simultaneous_on_idle_links() {
         let mut r = router_with(3);
-        let arrivals = r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
-            .unwrap();
+        let arrivals = inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng()).unwrap();
         assert!(arrivals.windows(2).all(|w| w[0].1 == w[1].1));
     }
 
@@ -310,9 +306,7 @@ mod tests {
         r.inbound_into(SimTime::ZERO, NodeId(100), 256, &mut rng(), &mut buf)
             .unwrap();
         assert_eq!(buf.len(), 4, "buffer cleared before filling");
-        let direct = r
-            .inbound(SimTime::from_secs(1), NodeId(100), 256, &mut rng())
-            .unwrap();
+        let direct = inbound(&mut r, SimTime::from_secs(1), NodeId(100), 256, &mut rng()).unwrap();
         assert_eq!(direct.len(), 4);
     }
 
@@ -320,9 +314,7 @@ mod tests {
     fn detached_node_stops_receiving() {
         let mut r = router_with(3);
         r.detach_node(NodeId(1));
-        let arrivals = r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
-            .unwrap();
+        let arrivals = inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng()).unwrap();
         assert_eq!(arrivals.len(), 2);
         assert!(arrivals.iter().all(|(n, _)| n.0 != 1));
     }
@@ -344,9 +336,7 @@ mod tests {
         r.node_downlink_mut(NodeId(1))
             .unwrap()
             .set_loss(LossModel::Bernoulli(1.0));
-        let arrivals = r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
-            .unwrap();
+        let arrivals = inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng()).unwrap();
         let nodes: Vec<u32> = arrivals.iter().map(|(n, _)| n.0).collect();
         assert_eq!(nodes, vec![0, 2]);
     }
@@ -358,8 +348,7 @@ mod tests {
             .get_mut(NodeId(100))
             .unwrap()
             .set_loss(LossModel::Bernoulli(1.0));
-        assert!(r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
+        assert!(inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng())
             .unwrap()
             .is_empty());
     }
@@ -368,7 +357,7 @@ mod tests {
     fn unknown_client_is_a_typed_error_not_a_panic() {
         let mut r = router_with(1);
         assert_eq!(
-            r.inbound(SimTime::ZERO, NodeId(999), 1, &mut rng()),
+            inbound(&mut r, SimTime::ZERO, NodeId(999), 1, &mut rng()),
             Err(RouteError::UnknownClientSource(NodeId(999)))
         );
         assert_eq!(
@@ -498,9 +487,7 @@ mod tests {
         r.attach_client(NodeId(100));
         let mut rng = rng();
         let fan = |out: &[(NodeId, SimTime)]| out.iter().map(|(n, _)| n.0).collect::<Vec<_>>();
-        let arrivals = r
-            .inbound(SimTime::ZERO, NodeId(100), 256, &mut rng)
-            .unwrap();
+        let arrivals = inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng).unwrap();
         assert_eq!(fan(&arrivals), vec![2, 5, 9]);
         r.interest_mut().map_port(Port(27960), ZoneId(1));
         r.interest_mut().subscribe(ZoneId(1), NodeId(9));
@@ -549,7 +536,7 @@ mod tests {
         );
         for client in [NodeId(100), NodeId(4_000)] {
             assert_eq!(
-                r.inbound(t, client, 1, &mut rng()),
+                inbound(&mut r, t, client, 1, &mut rng()),
                 Err(RouteError::UnknownClientSource(client))
             );
         }
@@ -563,7 +550,7 @@ mod tests {
         let mut r = router_with(2);
         r.detach_client(NodeId(100));
         assert_eq!(
-            r.inbound(SimTime::ZERO, NodeId(100), 1, &mut rng()),
+            inbound(&mut r, SimTime::ZERO, NodeId(100), 1, &mut rng()),
             Err(RouteError::UnknownClientSource(NodeId(100)))
         );
         assert_eq!(
@@ -573,7 +560,7 @@ mod tests {
         // Re-attach works (a returning client gets fresh links).
         r.attach_client(NodeId(100));
         assert_eq!(
-            r.inbound(SimTime::ZERO, NodeId(100), 256, &mut rng())
+            inbound(&mut r, SimTime::ZERO, NodeId(100), 256, &mut rng())
                 .unwrap()
                 .len(),
             2

@@ -53,11 +53,6 @@ impl OaServer {
             usercmds,
         }
     }
-
-    /// Connected client count.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
 }
 
 impl App for OaServer {
@@ -139,7 +134,7 @@ mod tests {
         let s = OaServer::new(Rc::new(RefCell::new(0)));
         // 10 ms frames; time-based snapshots at 20/s.
         assert_eq!(s.tick_period_us(), 10_000);
-        assert_eq!(s.client_count(), 0);
+        assert_eq!(s.clients.len(), 0);
         assert_eq!(SNAPSHOT_BYTES, 256);
     }
 }

@@ -81,15 +81,6 @@ impl FdTable {
         self.entries.get(fd.0 as usize)?.as_ref()
     }
 
-    /// Replace the socket id behind a descriptor (migration reattaches the
-    /// restored socket "to the right file descriptor of the process").
-    pub fn rewrite_socket(&mut self, fd: Fd, sock: SockId) {
-        match self.entries.get_mut(fd.0 as usize) {
-            Some(slot @ Some(FdEntry::Socket(_))) => *slot = Some(FdEntry::Socket(sock)),
-            other => panic!("rewrite_socket on non-socket fd {fd:?}: {other:?}"),
-        }
-    }
-
     /// All open descriptors, in fd order.
     pub fn iter(&self) -> impl Iterator<Item = (Fd, &FdEntry)> {
         self.entries
@@ -105,16 +96,6 @@ impl FdTable {
             FdEntry::Socket(s) => Some((fd, *s)),
             FdEntry::File { .. } => None,
         })
-    }
-
-    /// The descriptor currently mapping to `sock`, if any.
-    pub fn fd_of_socket(&self, sock: SockId) -> Option<Fd> {
-        self.sockets().find(|(_, s)| *s == sock).map(|(fd, _)| fd)
-    }
-
-    /// Number of open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
     }
 
     /// Number of open socket descriptors.
@@ -145,7 +126,7 @@ mod tests {
         t.close(a);
         let c = t.insert(FdEntry::Socket(SockId(2)));
         assert_eq!(c, Fd(0), "lowest free fd reused");
-        assert_eq!(t.open_count(), 2);
+        assert_eq!(t.iter().count(), 2);
     }
 
     #[test]
@@ -160,27 +141,6 @@ mod tests {
         let socks: Vec<u64> = t.sockets().map(|(_, s)| s.0).collect();
         assert_eq!(socks, vec![10, 20]);
         assert_eq!(t.socket_count(), 2);
-    }
-
-    #[test]
-    fn rewrite_socket_changes_mapping() {
-        let mut t = FdTable::new();
-        let fd = t.insert(FdEntry::Socket(SockId(10)));
-        t.rewrite_socket(fd, SockId(99));
-        assert_eq!(t.get(fd), Some(&FdEntry::Socket(SockId(99))));
-        assert_eq!(t.fd_of_socket(SockId(99)), Some(fd));
-        assert_eq!(t.fd_of_socket(SockId(10)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-socket fd")]
-    fn rewrite_file_fd_panics() {
-        let mut t = FdTable::new();
-        let fd = t.insert(FdEntry::File {
-            path: "f".into(),
-            offset: 0,
-        });
-        t.rewrite_socket(fd, SockId(1));
     }
 
     #[test]

@@ -312,11 +312,6 @@ impl AddressSpace {
         self.vmas.len()
     }
 
-    /// Resident size in bytes.
-    pub fn rss_bytes(&self) -> u64 {
-        self.vmas.values().map(Vma::len_bytes).sum()
-    }
-
     /// Total pages mapped.
     pub fn total_pages(&self) -> usize {
         self.vmas.values().map(Vma::page_count).sum()
@@ -398,7 +393,7 @@ mod tests {
         let id = a.mmap(VmaKind::Heap, 10, 1);
         assert_eq!(a.dirty_count(), 10);
         assert_eq!(a.total_pages(), 10);
-        assert_eq!(a.rss_bytes(), 10 * PAGE_SIZE);
+        assert_eq!(a.vma(id).unwrap().len_bytes(), 10 * PAGE_SIZE);
         assert_eq!(a.vma(id).unwrap().page_count(), 10);
     }
 

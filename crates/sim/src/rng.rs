@@ -82,42 +82,6 @@ impl DetRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
-
-    /// Standard normal deviate (Box–Muller; one value per call, the pair's
-    /// second value is discarded to keep the stream position predictable).
-    pub fn normal(&mut self) -> f64 {
-        loop {
-            let u1 = self.f64();
-            if u1 > f64::EPSILON {
-                let u2 = self.f64();
-                return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            }
-        }
-    }
-
-    /// Normal deviate with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
-    /// Exponential deviate with the given mean (for inter-arrival jitter).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = loop {
-            let u = self.f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        -mean * u.ln()
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -223,40 +187,6 @@ mod tests {
         let sum: u64 = (0..n).map(|_| rng.range_u64(0, 100)).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 49.5).abs() < 1.0, "mean {mean}");
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = DetRng::new(6);
-        let n = 100_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal()).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut rng = DetRng::new(8);
-        let n = 100_000;
-        let mean = (0..n).map(|_| rng.exponential(5.0)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.2, "mean {mean}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = DetRng::new(9);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "shuffle left input unchanged"
-        );
     }
 
     #[test]

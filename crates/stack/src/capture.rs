@@ -447,13 +447,6 @@ impl CaptureTable {
         stats.peak_queued_bytes = stats.peak_queued_bytes.max(bytes);
     }
 
-    /// Occupancy of one entry: (queued packets, queued payload bytes).
-    pub fn occupancy(&self, key: &CaptureKey) -> Option<(usize, usize)> {
-        self.entries
-            .get(key)
-            .map(|e| (e.queued_packets(), e.queued_bytes))
-    }
-
     /// Total payload bytes queued across all entries.
     pub fn total_queued_bytes(&self) -> usize {
         self.entries.values().map(|e| e.queued_bytes).sum()
@@ -495,6 +488,13 @@ mod tests {
     use bytes::Bytes;
     use dvelm_net::Ip;
     use dvelm_sim::Jiffies;
+
+    /// Occupancy of one entry: (queued packets, queued payload bytes).
+    fn occupancy(t: &CaptureTable, key: &CaptureKey) -> Option<(usize, usize)> {
+        t.entries
+            .get(key)
+            .map(|e| (e.queued_packets(), e.queued_bytes))
+    }
 
     fn sa(last: u8, port: u16) -> SockAddr {
         SockAddr::new(Ip::new(10, 0, 0, last), port)
@@ -770,7 +770,7 @@ mod tests {
         assert!(t.try_capture(&tcp_seg(100, 10)));
         assert!(t.try_capture(&tcp_seg(110, 10)));
         assert!(!t.try_capture(&tcp_seg(120, 10)), "26 bytes > 25 budget");
-        assert_eq!(t.occupancy(&key), Some((2, 20)));
+        assert_eq!(occupancy(&t, &key), Some((2, 20)));
         assert_eq!(t.stats().peak_queued_bytes, 20);
     }
 
@@ -830,7 +830,7 @@ mod tests {
         let refused = t.capture(&big);
         assert!(matches!(refused, CaptureOutcome::RefusedRecoverable(_)));
         assert_eq!(
-            t.occupancy(&key),
+            occupancy(&t, &key),
             Some((3, 20)),
             "previously queued packets must not be shed for a hopeless newcomer"
         );

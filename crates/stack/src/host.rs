@@ -953,6 +953,14 @@ mod tests {
 
     const T0: SimTime = SimTime::ZERO;
 
+    /// Rebind a detached TCP socket to another node's local interface.
+    fn rebind_local_ip(sock: &mut Socket, ip: Ip) {
+        let Socket::Tcp(t) = sock else {
+            panic!("expected TCP socket")
+        };
+        t.local.ip = ip;
+    }
+
     /// Two-host harness that shuttles Tx effects between stacks by route IP.
     struct Net {
         hosts: Vec<HostStack>,
@@ -1200,7 +1208,7 @@ mod tests {
 
         // Move the client socket from node1 to node2.
         let mut sock = net.hosts[1].detach_socket(cid).unwrap();
-        sock.rebind_local_ip(net.hosts[2].local_ip);
+        rebind_local_ip(&mut sock, net.hosts[2].local_ip);
         let (cid2, fx) = net.hosts[2].install_socket(sock, T0);
         net.pump(2, fx, T0);
 
@@ -1245,7 +1253,7 @@ mod tests {
         let old_local = net.hosts[1].sock(cid).unwrap().local();
         let db_local = net.hosts[0].sock(child).unwrap().local();
         let mut sock = net.hosts[1].detach_socket(cid).unwrap();
-        sock.rebind_local_ip(net.hosts[2].local_ip);
+        rebind_local_ip(&mut sock, net.hosts[2].local_ip);
         let (cid2, fx) = net.hosts[2].install_socket(sock, T0);
         net.pump(2, fx, T0);
         let node2_ip = net.hosts[2].local_ip;

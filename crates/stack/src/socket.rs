@@ -3,7 +3,7 @@
 
 use crate::tcp::{TcpSocket, TcpState};
 use crate::udp::UdpSocket;
-use dvelm_net::{Ip, SockAddr};
+use dvelm_net::SockAddr;
 
 /// A socket: TCP or UDP.
 // The TCP variant is much larger than UDP (sequence state, five queues,
@@ -77,16 +77,6 @@ impl Socket {
         }
     }
 
-    /// Rewrite the local IP (used when a migrated in-cluster socket is
-    /// rebound to the destination node's local interface; the peer-side
-    /// translation filter preserves the peer's view).
-    pub fn rebind_local_ip(&mut self, ip: Ip) {
-        match self {
-            Socket::Tcp(t) => t.local.ip = ip,
-            Socket::Udp(u) => u.local.ip = ip,
-        }
-    }
-
     /// Apply the source→destination jiffies delta (§V-C1).
     pub fn apply_jiffies_delta(&mut self, delta: i64) {
         match self {
@@ -97,14 +87,6 @@ impl Socket {
 
     /// Access the TCP socket, panicking for UDP (test/internal helper).
     pub fn tcp(&self) -> &TcpSocket {
-        match self {
-            Socket::Tcp(t) => t,
-            Socket::Udp(_) => panic!("expected TCP socket"),
-        }
-    }
-
-    /// Mutable access to the TCP socket, panicking for UDP.
-    pub fn tcp_mut(&mut self) -> &mut TcpSocket {
         match self {
             Socket::Tcp(t) => t,
             Socket::Udp(_) => panic!("expected TCP socket"),
@@ -150,13 +132,6 @@ mod tests {
         let s = Socket::Tcp(TcpSocket::listen(sa(1, 80)));
         assert!(s.is_migratable());
         assert!(s.is_listener());
-    }
-
-    #[test]
-    fn rebind_local_ip_rewrites_only_ip() {
-        let mut s = Socket::Udp(UdpSocket::bind(sa(1, 99)));
-        s.rebind_local_ip(Ip::new(10, 0, 0, 7));
-        assert_eq!(s.local(), sa(7, 99));
     }
 
     #[test]

@@ -306,11 +306,6 @@ impl TcpSocket {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
 
-    /// Whether the retransmission timer is armed.
-    pub fn timer_armed(&self) -> bool {
-        self.rto_deadline.is_some()
-    }
-
     /// Deadline of the armed retransmission timer.
     pub fn timer_deadline(&self) -> Option<SimTime> {
         self.rto_deadline
@@ -1057,7 +1052,10 @@ mod tests {
         assert_eq!(c.snd_nxt(), 101);
         assert_eq!(c.rcv_nxt(), 901);
         assert_eq!(s.rcv_nxt(), 101);
-        assert!(!c.timer_armed(), "no data in flight after handshake");
+        assert!(
+            c.timer_deadline().is_none(),
+            "no data in flight after handshake"
+        );
     }
 
     #[test]
@@ -1265,10 +1263,10 @@ mod tests {
         let mut h = Harness::new();
         let (mut c, _s) = established_pair(&mut h);
         c.send(Bytes::from_static(b"inflight"), &mut h.ctx());
-        assert!(c.timer_armed());
+        assert!(c.timer_deadline().is_some());
         let gen = c.timer_gen;
         c.quiesce_for_migration();
-        assert!(!c.timer_armed());
+        assert!(c.timer_deadline().is_none());
         assert!(c.timer_gen > gen, "stale timer fires must be ignorable");
     }
 

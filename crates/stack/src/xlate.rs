@@ -86,8 +86,6 @@ pub struct XlateStats {
     pub rewritten_in: u64,
     /// Peer rules evicted by TTL garbage collection ([`XlateTable::gc`]).
     pub gc_evicted: u64,
-    /// Peer rules shed (least recently hit first) to respect `max_rules`.
-    pub shed_rules: u64,
 }
 
 /// A peer rule plus the liveness bookkeeping TTL GC needs. The timestamps
@@ -101,7 +99,7 @@ struct TimedRule {
 }
 
 /// The per-host translation table, consulted on `LOCAL_OUT` and `LOCAL_IN`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct XlateTable {
     rules: Vec<TimedRule>,
     self_rules: Vec<SelfXlateRule>,
@@ -110,20 +108,6 @@ pub struct XlateTable {
     /// The receive path's summary of which frames this table rewrites.
     ports: PortClaims,
     stats: XlateStats,
-    /// Budget: max peer rules before least-recently-hit shedding.
-    max_rules: usize,
-}
-
-impl Default for XlateTable {
-    fn default() -> XlateTable {
-        XlateTable {
-            rules: Vec::new(),
-            self_rules: Vec::new(),
-            ports: PortClaims::default(),
-            stats: XlateStats::default(),
-            max_rules: usize::MAX,
-        }
-    }
 }
 
 impl XlateTable {
@@ -145,30 +129,6 @@ impl XlateTable {
             last_hit: now,
         });
         self.ports.add(rule.peer_local.port);
-        // Budget: shed the least recently hit rule (never the newcomer).
-        while self.rules.len() > self.max_rules {
-            let oldest = self
-                .rules
-                .iter()
-                .enumerate()
-                .take(self.rules.len() - 1)
-                .min_by_key(|(_, t)| t.last_hit)
-                .map(|(i, _)| i);
-            match oldest {
-                Some(i) => {
-                    let shed = self.rules.remove(i);
-                    self.ports.remove(shed.rule.peer_local.port);
-                    self.stats.shed_rules += 1;
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Cap the number of peer rules (default: unlimited). When an install
-    /// exceeds the cap, the least recently hit rule is shed.
-    pub fn set_max_rules(&mut self, max_rules: usize) {
-        self.max_rules = max_rules;
     }
 
     /// TTL garbage collection, driven by the world clock: evict peer rules
@@ -624,31 +584,6 @@ mod tests {
         ));
         t.incoming_at(&mut seg, SimTime::from_secs(50));
         assert!(t.gc(SimTime::from_secs(60), 30_000_000).is_empty());
-    }
-
-    #[test]
-    fn rule_budget_sheds_least_recently_hit() {
-        let mut t = XlateTable::new();
-        t.set_max_rules(2);
-        let a = rule();
-        let b = XlateRule::new(SockAddr::new(IP3, 4000), IP1, IP2, Port(5001));
-        let c = XlateRule::new(SockAddr::new(IP3, 4001), IP1, IP2, Port(5002));
-        t.install_at(a, SimTime::ZERO);
-        t.install_at(b, SimTime::ZERO);
-        // `a` is hit at t=5s, so `b` is the least recently hit when `c`
-        // arrives.
-        let mut seg = Segment::udp(peer_local(), SockAddr::new(IP1, 5000), Bytes::new());
-        t.outgoing_at(&mut seg, SimTime::from_secs(5));
-        t.install_at(c, SimTime::from_secs(6));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.stats().shed_rules, 1);
-        // `a` and `c` survive; `b` no longer translates.
-        let mut seg = Segment::udp(
-            SockAddr::new(IP3, 4000),
-            SockAddr::new(IP1, 5001),
-            Bytes::new(),
-        );
-        assert_eq!(t.outgoing_at(&mut seg, SimTime::from_secs(7)), IP1);
     }
 }
 

@@ -1,6 +1,9 @@
-//! Tests of the extensions the paper names as future work (§VI-C, §VIII):
-//! zone-to-zone connection migration with both endpoints moving, node
-//! join during operation, and the fault-tolerance use of checkpoint/restart.
+//! Tests of the extensions the paper names as future work (§IV, §VI-C,
+//! §VIII): zone-to-zone connection migration with both endpoints moving,
+//! nodes joining and draining during operation, the process crash that
+//! §VIII's fault-tolerance case starts from, and `netstat` introspection
+//! after a migration. The checkpoint/cold-restart half of §VIII is not
+//! modelled: no run used it.
 
 use bytes::Bytes;
 use dvelm::prelude::*;
@@ -208,11 +211,10 @@ fn late_joining_node_receives_load() {
     );
 }
 
-/// §VIII: the same machinery addresses fault tolerance — checkpoint, crash,
-/// cold restart elsewhere. Memory survives; sockets do not (that gap is
-/// what live migration closes).
+/// §VIII's fault-tolerance case starts from a crash: the process and its
+/// socket vanish from the host, and the port is free again.
 #[test]
-fn checkpoint_crash_cold_restart() {
+fn crash_releases_the_process_and_its_socket() {
     struct Worker;
     impl App for Worker {
         fn on_tick(&mut self, ctx: &mut AppCtx<'_>) {
@@ -223,38 +225,21 @@ fn checkpoint_crash_cold_restart() {
 
     let mut w = World::new(WorldConfig::default());
     let n0 = w.add_server_node();
-    let n1 = w.add_server_node();
     let pid = w.spawn_process(n0, "worker", 64, 512, Box::new(Worker));
     let addr = SockAddr::new(Ip::CLUSTER_PUBLIC, 9000);
     w.app_udp_bind(n0, pid, addr);
 
     w.run_for(SECOND);
-    let img = w.checkpoint_process(pid).expect("checkpointable");
-    let hash_at_ckpt = {
-        let h = w.host_of(pid).unwrap();
-        w.hosts[h].procs[&pid].process.addr_space.content_hash()
-    };
-
-    // Crash: the process and its socket disappear.
     assert!(w.kill_process(pid));
     assert_eq!(w.host_of(pid), None);
     assert!(
         !w.hosts[n0].stack.is_bound(addr.ip, addr.port),
         "socket released"
     );
-
-    // Cold restart on another node from the image.
-    let pid2 = w.cold_restart(&img, n1, Box::new(Worker));
-    assert_eq!(pid2, pid, "identity preserved");
-    assert_eq!(w.host_of(pid), Some(n1));
-    let restored_hash = w.hosts[n1].procs[&pid].process.addr_space.content_hash();
-    assert_eq!(restored_hash, hash_at_ckpt, "memory restored exactly");
-
-    // But the socket is gone — BLCR semantics; the service must rebind.
-    assert_eq!(w.hosts[n1].procs[&pid].process.fds.socket_count(), 0);
-    w.app_udp_bind(n1, pid, addr);
-    w.run_for(SECOND);
-    assert!(w.hosts[n1].stack.is_bound(addr.ip, addr.port));
+    assert!(
+        !w.kill_process(pid),
+        "a dead process cannot be killed twice"
+    );
 }
 
 /// §IV "machines may join and leave": drain a node gracefully and detach it;
