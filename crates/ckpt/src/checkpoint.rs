@@ -22,14 +22,11 @@ pub fn full_checkpoint(p: &Process) -> CheckpointImage {
         .addr_space
         .vmas()
         .flat_map(|v| {
-            v.fingerprints
-                .iter()
-                .enumerate()
-                .map(move |(index, &fingerprint)| PageRef {
-                    vma: v.id,
-                    index,
-                    fingerprint,
-                })
+            (0..v.page_count()).map(move |index| PageRef {
+                vma: v.id,
+                index,
+                fingerprint: v.fingerprint(index),
+            })
         })
         .collect();
     CheckpointImage {

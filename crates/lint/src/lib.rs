@@ -636,8 +636,8 @@ pub struct CheckReport {
 /// Integration-test files (the umbrella `tests/` and each crate's `tests/`)
 /// are never linted but *are* parsed into the symbol graph: the construction
 /// census (R7) and the assertion census (R8) need to see them. `compat/`
-/// stubs and this crate's own `tests/fixtures` are outside the walked set by
-/// construction.
+/// stubs are outside the walked set by construction, and this crate's own
+/// `tests/fixtures` is skipped.
 pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckReport> {
     let (files, aux_files) = workspace_files(root)?;
     let mut findings = Vec::new();
@@ -688,9 +688,12 @@ pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckR
     })
 }
 
+/// This crate's fixture mini-roots: lint inputs, not part of the tree.
+const FIXTURES: &str = "crates/lint/tests/fixtures";
+
 /// The files `check` walks, each list sorted: workspace sources
 /// (`crates/*/src` and the umbrella `src/`), then integration tests (the
-/// umbrella `tests/` and each crate's `tests/`).
+/// umbrella `tests/` and each crate's `tests/`, less [`FIXTURES`]).
 fn workspace_files(
     root: &Path,
 ) -> std::io::Result<(Vec<std::path::PathBuf>, Vec<std::path::PathBuf>)> {
@@ -710,6 +713,8 @@ fn workspace_files(
     }
     collect_rs(&root.join("src"), &mut files)?;
     collect_rs(&root.join("tests"), &mut aux_files)?;
+    let fixtures = root.join(FIXTURES);
+    aux_files.retain(|f| !f.starts_with(&fixtures));
     files.sort();
     aux_files.sort();
     Ok((files, aux_files))
@@ -750,9 +755,7 @@ impl fmt::Display for CensusEntry {
 /// `benchmark/src`, which only this walk parses: they keep fns alive but
 /// define none of the entries. A report, not a rule: nothing here fails.
 pub fn census(root: &Path) -> std::io::Result<Vec<CensusEntry>> {
-    let (mut files, aux_files) = workspace_files(root)?;
-    collect_rs(&root.join("examples"), &mut files)?;
-    collect_rs(&root.join("benchmark/src"), &mut files)?;
+    let (files, aux_files) = census_files(root)?;
     let mut syms = Vec::new();
     for file in files.iter().chain(&aux_files) {
         let (rel, src) = read_rel(root, file)?;
@@ -772,6 +775,17 @@ pub fn census(root: &Path) -> std::io::Result<Vec<CensusEntry>> {
         .collect();
     out.sort();
     Ok(out)
+}
+
+/// The files `census` parses: `check`'s, plus `examples/` and
+/// `benchmark/src` among the non-test files.
+fn census_files(
+    root: &Path,
+) -> std::io::Result<(Vec<std::path::PathBuf>, Vec<std::path::PathBuf>)> {
+    let (mut files, aux_files) = workspace_files(root)?;
+    collect_rs(&root.join("examples"), &mut files)?;
+    collect_rs(&root.join("benchmark/src"), &mut files)?;
+    Ok((files, aux_files))
 }
 
 /// Recursively collect `.rs` files under `dir` (no-op if it doesn't exist).
@@ -797,6 +811,23 @@ fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fixture_roots_are_outside_both_walks() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let fixtures = root.join(FIXTURES);
+        assert!(fixtures.is_dir());
+        for walk in [workspace_files(&root), census_files(&root)] {
+            let (files, aux_files) = walk.unwrap();
+            assert!(aux_files.contains(&root.join("crates/lint/tests/census.rs")));
+            let walked: Vec<_> = files.iter().chain(&aux_files).collect();
+            assert!(walked.len() > 90);
+            assert!(
+                walked.iter().all(|f| !f.starts_with(&fixtures)),
+                "a fixture file was walked"
+            );
+        }
+    }
 
     #[test]
     fn test_regions_cover_cfg_test_mod() {

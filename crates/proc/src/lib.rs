@@ -6,11 +6,13 @@
 //!   dirty bits — the paper tracks dirty pages via the PTE dirty bit, with
 //!   the swap facility relaxed, so the tracker lives entirely "in a module"
 //!   (here: in the data structure) without touching other code. Each region
-//!   stores its page table densely: a fingerprint array and a dirty bitset
-//!   with 64 pages per word, so dirtying a page is a bit set and a precopy
-//!   collection walks words, not pages. Workload writes go to a bounded
-//!   per-space write log first and are made, cache-hot and in order, before
-//!   the page state is next read or changed;
+//!   keeps a dirty bitset with 64 pages per word, so dirtying a page is a
+//!   bit set and a precopy collection walks words, not pages. A region
+//!   stores its page fingerprints only from the first change on; until
+//!   then each page's contents are computed from the region's seed.
+//!   Workload writes go to a bounded per-space write log first and are
+//!   made, cache-hot and in order, before the page state is next read or
+//!   changed;
 //! * **threads** with registers, signal masks and an in-syscall flag — the
 //!   signal-based checkpoint notification forces every thread back to
 //!   userspace, which is what guarantees sockets are unlocked at freeze time;

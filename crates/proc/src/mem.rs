@@ -3,14 +3,26 @@
 //! Mirrors what the paper's precopy implementation tracks (§V-A):
 //!
 //! * **dirty pages** inside existing regions, via the PTE dirty bit — here a
-//!   dense per-region bitset (64 pages per word) next to the region's page
-//!   fingerprints, cleared when the incremental checkpointer collects the
-//!   page;
+//!   dense per-region bitset (64 pages per word), cleared when the
+//!   incremental checkpointer collects the page;
 //! * **changes to the address space itself** — insertions (mmap),
 //!   modifications (grow/shrink) and removals (munmap) of regions, which the
 //!   paper detects by diffing the live `vm_area_struct` list against a
 //!   tracking list (the diffing lives in `dvelm-ckpt`; this module exposes
-//!   the live list).
+//!   the live list, a flat list sorted by region id).
+//!
+//! Page contents are stored only once a process changes them. A region
+//! records how its pages were initialised — `mix(seed, i)` for page `i` of
+//! an [`mmap`](AddressSpace::mmap)ed or [`resize`](AddressSpace::resize)d
+//! region, 0 for one [`install_vma`](AddressSpace::install_vma)ed from a
+//! checkpoint — and [`Vma::fingerprint`] computes an untouched page from
+//! that. The first write (a [`write_page`](AddressSpace::write_page), or a
+//! replay of the write log, which stores every writable region), the first
+//! [`apply_page`](AddressSpace::apply_page), or a grow whose fill differs
+//! stores one fingerprint per page; from then on the stored array is the
+//! page table's contents. As in BLCR, whose helper
+//! thread reads a process's pages only when it checkpoints that process,
+//! regions that nothing writes, reads or migrates cost a bit per page.
 //!
 //! Workload writes are deferred. [`AddressSpace::dirty_random`] appends the
 //! caller's RNG state and a page count to a bounded per-space write log and
@@ -26,7 +38,6 @@
 //! [`content_hash`](AddressSpace::content_hash) panic on a pending log.
 
 use dvelm_sim::DetRng;
-use std::collections::BTreeMap;
 
 /// Page size in bytes (x86-64 small pages, as on the paper's Opterons).
 pub const PAGE_SIZE: u64 = 4096;
@@ -54,28 +65,63 @@ pub enum VmaKind {
     Anon,
 }
 
+/// How a region's pages were initialised, which decides what an untouched
+/// page holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fill {
+    /// Page `i` holds `mix(seed, i)` ([`AddressSpace::mmap`] and
+    /// [`AddressSpace::resize`]).
+    Seeded(u64),
+    /// Page `i` holds 0 ([`AddressSpace::install_vma`] and
+    /// [`AddressSpace::restore_resize`]: contents arrive as page records).
+    Zero,
+}
+
+impl Fill {
+    #[inline]
+    fn page(self, index: usize) -> u64 {
+        match self {
+            Fill::Seeded(seed) => mix(seed, index as u64),
+            Fill::Zero => 0,
+        }
+    }
+}
+
 /// A mapped region (`vm_area_struct` analogue) and its slice of the page
-/// table, stored densely: one fingerprint per page plus a dirty bitset with
-/// 64 pages per word.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// table: a dirty bitset with 64 pages per word, and page contents that are
+/// stored only once something changes them.
+///
+/// Until the first write or [`AddressSpace::apply_page`], every page holds
+/// what the region's fill gives it and the region stores no per-page
+/// contents at all; [`fingerprint`](Self::fingerprint) computes them. The
+/// first change stores one fingerprint per page, and so does a grow whose
+/// fill differs from the region's.
+#[derive(Debug, Clone)]
 pub struct Vma {
     pub id: VmaId,
     pub kind: VmaKind,
     /// Virtual start address (page aligned).
     pub start: u64,
-    /// 64-bit stand-in for each page's contents, indexed by page.
-    pub fingerprints: Vec<u64>,
+    pages: usize,
+    /// What page `i` holds while `fingerprints` is empty.
+    fill: Fill,
+    /// 64-bit stand-in for each page's contents, indexed by page: empty
+    /// while the region is untouched, else one entry per page.
+    fingerprints: Vec<u64>,
     /// PTE dirty bit analogue, bit `i % 64` of word `i / 64`; cleared by the
     /// incremental checkpointer. Bits at or past the page count are zero.
     dirty: Vec<u64>,
 }
 
 impl Vma {
+    /// An empty region; its first grow sets its fill.
     fn new(id: VmaId, kind: VmaKind, start: u64) -> Vma {
         Vma {
             id,
             kind,
             start,
+            pages: 0,
+            fill: Fill::Zero,
             fingerprints: Vec::new(),
             dirty: Vec::new(),
         }
@@ -83,7 +129,7 @@ impl Vma {
 
     /// Pages in the region.
     pub fn page_count(&self) -> usize {
-        self.fingerprints.len()
+        self.pages
     }
 
     /// Region length in bytes.
@@ -96,6 +142,21 @@ impl Vma {
         self.start + self.len_bytes()
     }
 
+    /// The 64-bit stand-in for page `index`'s contents. Panics if `index`
+    /// is past the page count.
+    #[inline]
+    pub fn fingerprint(&self, index: usize) -> u64 {
+        assert!(
+            index < self.pages,
+            "page {index} of a {}-page region",
+            self.pages
+        );
+        match self.fingerprints.get(index) {
+            Some(&fp) => fp,
+            None => self.fill.page(index),
+        }
+    }
+
     /// Dirty pages in the region (one popcount per 64 pages).
     pub fn dirty_count(&self) -> usize {
         self.dirty.iter().map(|w| w.count_ones() as usize).sum()
@@ -106,7 +167,17 @@ impl Vma {
         self.kind != VmaKind::Text && self.page_count() != 0
     }
 
-    /// Write to page `index`: new fingerprint, dirty bit set.
+    /// Store every page's fingerprint, if the region is untouched.
+    #[inline]
+    fn store(&mut self) {
+        if self.fingerprints.is_empty() {
+            let fill = self.fill;
+            self.fingerprints = (0..self.pages).map(|i| fill.page(i)).collect();
+        }
+    }
+
+    /// Write to page `index` of a stored region: new fingerprint, dirty bit
+    /// set.
     #[inline]
     fn write(&mut self, index: usize) {
         let fp = &mut self.fingerprints[index];
@@ -114,13 +185,20 @@ impl Vma {
         self.dirty[index / 64] |= 1 << (index % 64);
     }
 
-    /// Grow or shrink to `pages` pages. Grown pages take their fingerprint
-    /// from `fill(index)` and start dirty iff `dirty`; a shrink discards the
-    /// dropped pages' dirty bits, so a later grow cannot revive them.
-    fn set_len(&mut self, pages: usize, fill: impl Fn(usize) -> u64, dirty: bool) {
-        let old = self.page_count();
+    /// Grow or shrink to `pages` pages. Grown pages hold what `fill` gives
+    /// them and start dirty iff `dirty`; a shrink discards the dropped
+    /// pages' dirty bits, so a later grow cannot revive them. An untouched
+    /// region stays untouched unless it grows with a different fill.
+    fn set_len(&mut self, pages: usize, fill: Fill, dirty: bool) {
+        let old = self.pages;
         if pages >= old {
-            self.fingerprints.extend((old..pages).map(fill));
+            if self.fingerprints.is_empty() && (old == 0 || fill == self.fill) {
+                self.fill = fill;
+            } else {
+                self.store();
+                self.fingerprints.extend((old..pages).map(|i| fill.page(i)));
+            }
+            self.pages = pages;
             self.dirty.resize(pages.div_ceil(64), 0);
             if dirty {
                 for i in old..pages {
@@ -129,6 +207,7 @@ impl Vma {
             }
             return;
         }
+        self.pages = pages;
         self.fingerprints.truncate(pages);
         self.dirty.truncate(pages.div_ceil(64));
         if !pages.is_multiple_of(64) {
@@ -148,7 +227,9 @@ pub struct PageRef {
 /// A process address space.
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    vmas: BTreeMap<VmaId, Vma>,
+    /// Live regions, sorted by id: a process maps a handful, so a flat list
+    /// searched by bisection beats a tree's node overhead.
+    vmas: Vec<Vma>,
     next_vma: u64,
     next_addr: u64,
     /// Total pages ever dirtied (statistics). Counted when a write is
@@ -164,7 +245,7 @@ impl AddressSpace {
     /// An empty address space.
     pub fn new() -> AddressSpace {
         AddressSpace {
-            vmas: BTreeMap::new(),
+            vmas: Vec::new(),
             next_vma: 1,
             next_addr: 0x0000_5555_0000_0000,
             dirtied_total: 0,
@@ -181,29 +262,36 @@ impl AddressSpace {
         let start = self.next_addr;
         self.next_addr += (pages as u64 + GUARD_PAGES) * PAGE_SIZE;
         let mut vma = Vma::new(id, kind, start);
-        vma.set_len(pages, |i| mix(seed, i as u64), true);
-        self.vmas.insert(id, vma);
+        vma.set_len(pages, Fill::Seeded(seed), true);
+        self.insert(vma);
         id
     }
 
     /// Unmap a region.
     pub fn munmap(&mut self, id: VmaId) -> bool {
         self.settle();
-        self.vmas.remove(&id).is_some()
+        match self.position(id) {
+            Ok(at) => {
+                self.vmas.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Grow or shrink a region to `pages` pages (heap growth, stack growth).
     /// New pages start dirty.
     pub fn resize(&mut self, id: VmaId, pages: usize, seed: u64) {
         self.settle();
-        let vma = self.vmas.get_mut(&id).expect("resize of unmapped VMA");
-        vma.set_len(pages, |i| mix(seed, i as u64), true);
+        let vma = self.get_mut(id).expect("resize of unmapped VMA");
+        vma.set_len(pages, Fill::Seeded(seed), true);
     }
 
     /// Write to a page: new fingerprint, dirty bit set.
     pub fn write_page(&mut self, id: VmaId, index: usize) {
         self.settle();
-        let vma = self.vmas.get_mut(&id).expect("write to unmapped VMA");
+        let vma = self.get_mut(id).expect("write to unmapped VMA");
+        vma.store();
         vma.write(index);
         self.dirtied_total += 1;
     }
@@ -219,7 +307,7 @@ impl AddressSpace {
     /// settles here. With `count == 0` or no writable region the call draws
     /// nothing and logs nothing.
     pub fn dirty_random(&mut self, rng: &mut DetRng, count: usize) {
-        if count == 0 || !self.vmas.values().any(Vma::writable) {
+        if count == 0 || !self.vmas.iter().any(Vma::writable) {
             return;
         }
         self.log.push((rng.clone(), count));
@@ -232,13 +320,17 @@ impl AddressSpace {
 
     /// Make every logged write, oldest first. Only structural operations,
     /// which settle first, change the writable regions, so every entry
-    /// resolves them as its call would have. The replay runs back to back
-    /// over the same few regions, so their pages stay in cache.
+    /// resolves them as its call would have. The replay first stores the
+    /// contents of every writable region, then runs back to back over the
+    /// same few regions, so their pages stay in cache.
     pub fn settle(&mut self) {
         if self.log.is_empty() {
             return;
         }
-        let mut writable: Vec<&mut Vma> = self.vmas.values_mut().filter(|v| v.writable()).collect();
+        let mut writable: Vec<&mut Vma> = self.vmas.iter_mut().filter(|v| v.writable()).collect();
+        for vma in &mut writable {
+            vma.store();
+        }
         let regions = writable.len();
         for (mut rng, count) in self.log.drain(..) {
             for _ in 0..count {
@@ -272,15 +364,15 @@ impl AddressSpace {
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
         self.settle();
         let mut out = Vec::with_capacity(self.dirty_count());
-        for vma in self.vmas.values_mut() {
-            for (w, word) in vma.dirty.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
+        for vma in &mut self.vmas {
+            for w in 0..vma.dirty.len() {
+                let mut bits = std::mem::take(&mut vma.dirty[w]);
                 while bits != 0 {
                     let index = w * 64 + bits.trailing_zeros() as usize;
                     out.push(PageRef {
                         vma: vma.id,
                         index,
-                        fingerprint: vma.fingerprints[index],
+                        fingerprint: vma.fingerprint(index),
                     });
                     bits &= bits - 1;
                 }
@@ -292,19 +384,19 @@ impl AddressSpace {
     /// Count dirty pages without clearing. Panics if writes are pending.
     pub fn dirty_count(&self) -> usize {
         self.assert_settled();
-        self.vmas.values().map(Vma::dirty_count).sum()
+        self.vmas.iter().map(Vma::dirty_count).sum()
     }
 
     /// Live regions, in id order. Panics if writes are pending.
     pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
         self.assert_settled();
-        self.vmas.values()
+        self.vmas.iter()
     }
 
     /// Look up one region. Panics if writes are pending.
     pub fn vma(&self, id: VmaId) -> Option<&Vma> {
         self.assert_settled();
-        self.vmas.get(&id)
+        self.position(id).ok().map(|at| &self.vmas[at])
     }
 
     /// Number of regions.
@@ -314,7 +406,7 @@ impl AddressSpace {
 
     /// Total pages mapped.
     pub fn total_pages(&self) -> usize {
-        self.vmas.values().map(Vma::page_count).sum()
+        self.vmas.iter().map(Vma::page_count).sum()
     }
 
     /// Order- and content-sensitive hash of the full address space, used to
@@ -322,11 +414,11 @@ impl AddressSpace {
     pub fn content_hash(&self) -> u64 {
         self.assert_settled();
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for vma in self.vmas.values() {
+        for vma in &self.vmas {
             h = mix(h, vma.id.0);
             h = mix(h, vma.start);
-            for &fp in &vma.fingerprints {
-                h = mix(h, fp);
+            for index in 0..vma.page_count() {
+                h = mix(h, vma.fingerprint(index));
             }
         }
         h
@@ -335,33 +427,29 @@ impl AddressSpace {
     /// Apply a page write received from a checkpoint stream (restore path).
     pub fn apply_page(&mut self, r: PageRef) {
         self.settle();
-        let vma = self
-            .vmas
-            .get_mut(&r.vma)
-            .expect("apply_page to unmapped VMA");
+        let vma = self.get_mut(r.vma).expect("apply_page to unmapped VMA");
+        vma.store();
         vma.fingerprints[r.index] = r.fingerprint;
         vma.dirty[r.index / 64] &= !(1 << (r.index % 64));
     }
 
     /// Recreate a region from checkpoint metadata (restore path). Pages start
     /// zeroed and clean; contents arrive via [`apply_page`](Self::apply_page).
+    /// A region already mapped under `id` is replaced.
     pub fn install_vma(&mut self, id: VmaId, kind: VmaKind, start: u64, pages: usize) {
         self.settle();
         self.next_vma = self.next_vma.max(id.0 + 1);
         let mut vma = Vma::new(id, kind, start);
-        vma.set_len(pages, |_| 0, false);
+        vma.set_len(pages, Fill::Zero, false);
         self.reserve(vma.end());
-        self.vmas.insert(id, vma);
+        self.insert(vma);
     }
 
     /// Resize during restore (VMA-diff modification record).
     pub fn restore_resize(&mut self, id: VmaId, pages: usize) {
         self.settle();
-        let vma = self
-            .vmas
-            .get_mut(&id)
-            .expect("restore_resize of unmapped VMA");
-        vma.set_len(pages, |_| 0, false);
+        let vma = self.get_mut(id).expect("restore_resize of unmapped VMA");
+        vma.set_len(pages, Fill::Zero, false);
         let end = vma.end();
         self.reserve(end);
     }
@@ -370,6 +458,24 @@ impl AddressSpace {
     /// but was placed by a checkpoint stream rather than by this space.
     fn reserve(&mut self, end: u64) {
         self.next_addr = self.next_addr.max(end + GUARD_PAGES * PAGE_SIZE);
+    }
+
+    /// Where region `id` sits in the id-sorted list, or where it would go.
+    fn position(&self, id: VmaId) -> Result<usize, usize> {
+        self.vmas.binary_search_by_key(&id, |v| v.id)
+    }
+
+    fn get_mut(&mut self, id: VmaId) -> Option<&mut Vma> {
+        let at = self.position(id).ok()?;
+        Some(&mut self.vmas[at])
+    }
+
+    /// Add `vma` in id order, replacing a region with the same id.
+    fn insert(&mut self, vma: Vma) {
+        match self.position(vma.id) {
+            Ok(at) => self.vmas[at] = vma,
+            Err(at) => self.vmas.insert(at, vma),
+        }
     }
 }
 
@@ -412,10 +518,10 @@ mod tests {
         let mut a = AddressSpace::new();
         let id = a.mmap(VmaKind::Data, 3, 1);
         a.collect_dirty();
-        let before = a.vma(id).unwrap().fingerprints[1];
+        let before = a.vma(id).unwrap().fingerprint(1);
         a.write_page(id, 1);
         assert_eq!(a.dirty_count(), 1);
-        assert_ne!(a.vma(id).unwrap().fingerprints[1], before);
+        assert_ne!(a.vma(id).unwrap().fingerprint(1), before);
         let d = a.collect_dirty();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].index, 1);
@@ -560,11 +666,11 @@ mod tests {
         // Pages that were clean in src still need their content; a full
         // checkpoint ships everything:
         for vma in src.vmas() {
-            for (i, &fingerprint) in vma.fingerprints.iter().enumerate() {
+            for index in 0..vma.page_count() {
                 dst.apply_page(PageRef {
                     vma: vma.id,
-                    index: i,
-                    fingerprint,
+                    index,
+                    fingerprint: vma.fingerprint(index),
                 });
             }
         }
@@ -622,6 +728,61 @@ mod tests {
     }
 
     #[test]
+    fn untouched_regions_store_no_page_contents() {
+        let mut a = AddressSpace::new();
+        let text = a.mmap(VmaKind::Text, 300, 1);
+        let heap = a.mmap(VmaKind::Heap, 100, 2);
+        a.install_vma(VmaId(9), VmaKind::Anon, 0x7000_0000_0000, 50);
+        a.resize(heap, 40, 0);
+        a.resize(heap, 130, 2);
+        a.restore_resize(VmaId(9), 70);
+        let stored =
+            |a: &AddressSpace| -> Vec<usize> { a.vmas().map(|v| v.fingerprints.len()).collect() };
+        assert_eq!(stored(&a), [0, 0, 0], "same-fill grows store nothing");
+        assert_eq!(a.vma(heap).unwrap().fingerprint(129), mix(2, 129));
+        assert_eq!(a.vma(VmaId(9)).unwrap().fingerprint(69), 0);
+        assert_eq!(a.collect_dirty().len(), 300 + 130);
+        a.content_hash();
+        assert_eq!(stored(&a), [0, 0, 0], "reading stores nothing");
+
+        a.write_page(heap, 7);
+        assert_eq!(stored(&a), [0, 130, 0], "the first write stores the region");
+        a.dirty_random(&mut DetRng::new(4), 30);
+        a.settle();
+        assert_eq!(stored(&a), [0, 130, 70], "a replay stores writable regions");
+        a.resize(text, 310, 3);
+        assert_eq!(
+            stored(&a),
+            [310, 130, 70],
+            "a grow with another seed stores"
+        );
+        assert_eq!(a.vma(text).unwrap().fingerprint(299), mix(1, 299));
+        assert_eq!(a.vma(text).unwrap().fingerprint(300), mix(3, 300));
+    }
+
+    #[test]
+    fn out_of_order_install_keeps_id_order() {
+        let mut a = AddressSpace::new();
+        for id in [7, 2, 5, 1] {
+            a.install_vma(
+                VmaId(id),
+                VmaKind::Heap,
+                0x7000_0000_0000 + id * 0x100_0000,
+                2,
+            );
+            a.write_page(VmaId(id), 1);
+        }
+        let order: Vec<u64> = a.vmas().map(|v| v.id.0).collect();
+        assert_eq!(order, [1, 2, 5, 7]);
+        let dirty: Vec<u64> = a.collect_dirty().iter().map(|r| r.vma.0).collect();
+        assert_eq!(dirty, [1, 2, 5, 7]);
+        a.install_vma(VmaId(5), VmaKind::Anon, 0x7500_0000_0000, 3);
+        assert_eq!(a.vma_count(), 4, "reinstalling an id replaces the region");
+        assert_eq!(a.vma(VmaId(5)).unwrap().kind, VmaKind::Anon);
+        assert_eq!(a.mmap(VmaKind::Anon, 1, 1), VmaId(8));
+    }
+
+    #[test]
     fn content_hash_detects_single_page_difference() {
         let mut a = AddressSpace::new();
         let id = a.mmap(VmaKind::Heap, 50, 3);
@@ -667,8 +828,8 @@ mod prop_tests {
             let mut dst = AddressSpace::new();
             for vma in src.vmas() {
                 dst.install_vma(vma.id, vma.kind, vma.start, vma.page_count());
-                for (i, &fingerprint) in vma.fingerprints.iter().enumerate() {
-                    dst.apply_page(PageRef { vma: vma.id, index: i, fingerprint });
+                for index in 0..vma.page_count() {
+                    dst.apply_page(PageRef { vma: vma.id, index, fingerprint: vma.fingerprint(index) });
                 }
             }
             prop_assert_eq!(dst.content_hash(), src.content_hash());

@@ -4,7 +4,9 @@
 //! layout the dense per-region bitsets replaced.
 //!
 //! The real space also defers its random writes into a write log, while the
-//! reference makes every write at once.
+//! reference makes every write at once, and it stores a region's page
+//! contents only once they change, while the reference stores every page
+//! from the start.
 //!
 //! Both sides run the same random sequence of address-space operations from
 //! the same RNG seed, with long runs of `dirty_random` calls that fill the
@@ -13,7 +15,9 @@
 //! the pages ever dirtied and the regions and pages mapped, and the log must
 //! be within its cap. On every read they must agree on what a collection
 //! returns (including its order), on the dirty count, the content hash and
-//! every region's pages and dirty count.
+//! every region's pages and dirty count. A checkpoint compares the full page
+//! list, every page of every region in order, the way a full checkpoint
+//! reads it.
 
 use dvelm_proc::mem::{AddressSpace, PageRef, VmaId, VmaKind, PAGE_SIZE, WRITE_LOG_CAP};
 use dvelm_sim::DetRng;
@@ -168,6 +172,19 @@ mod reference {
             self.vmas.values().map(|v| v.pages.len()).sum()
         }
 
+        pub fn all_pages(&self) -> Vec<PageRef> {
+            self.vmas
+                .iter()
+                .flat_map(|(&vma, v)| {
+                    v.pages.iter().enumerate().map(move |(index, p)| PageRef {
+                        vma,
+                        index,
+                        fingerprint: p.fingerprint,
+                    })
+                })
+                .collect()
+        }
+
         pub fn content_hash(&self) -> u64 {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for (id, vma) in &self.vmas {
@@ -256,6 +273,8 @@ enum Op {
     Collect,
     /// Settle, then read every region, the dirty count and the hash.
     Read,
+    /// Settle, then list every page of every region.
+    Checkpoint,
     ApplyPage(usize, usize, u64),
     InstallVma(u64, bool, usize),
     RestoreResize(usize, usize),
@@ -275,6 +294,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (1usize..400, 0usize..8).prop_map(|(c, n)| Op::DirtyRun(c, n)),
         Just(Op::Collect),
         Just(Op::Read),
+        Just(Op::Checkpoint),
         (0usize..8, 0usize..1000, 0u64..u64::MAX).prop_map(|(i, p, f)| Op::ApplyPage(i, p, f)),
         (1u64..24, any_bool(), 0usize..200).prop_map(|(id, t, n)| Op::InstallVma(id, t, n)),
         (0usize..8, 0usize..200).prop_map(|(i, n)| Op::RestoreResize(i, n)),
@@ -349,7 +369,7 @@ fn apply(
         Op::Collect => {
             assert_eq!(dense.collect_dirty(), refm.collect_dirty());
         }
-        Op::Read => {
+        Op::Read | Op::Checkpoint => {
             dense.settle();
             assert_eq!(dense.pending_writes(), 0);
         }
@@ -403,12 +423,12 @@ fn observe_dense(a: &AddressSpace) -> (Vec<PageRef>, usize, u64, Vec<Region>) {
     let regions = a
         .vmas()
         .map(|v| {
-            assert_eq!(a.vma(v.id), Some(v));
+            assert!(a.vma(v.id).is_some_and(|found| std::ptr::eq(found, v)));
             Region {
                 id: v.id,
                 kind: v.kind,
                 start: v.start,
-                fingerprints: v.fingerprints.clone(),
+                fingerprints: (0..v.page_count()).map(|i| v.fingerprint(i)).collect(),
                 dirty: v.dirty_count(),
             }
         })
@@ -419,6 +439,19 @@ fn observe_dense(a: &AddressSpace) -> (Vec<PageRef>, usize, u64, Vec<Region>) {
         a.content_hash(),
         regions,
     )
+}
+
+/// Every page of every region, in (region id, page index) order.
+fn checkpoint_dense(a: &AddressSpace) -> Vec<PageRef> {
+    a.vmas()
+        .flat_map(|v| {
+            (0..v.page_count()).map(move |index| PageRef {
+                vma: v.id,
+                index,
+                fingerprint: v.fingerprint(index),
+            })
+        })
+        .collect()
 }
 
 fn observe_ref(a: &reference::Space) -> (Vec<PageRef>, usize, u64, Vec<Region>) {
@@ -454,6 +487,14 @@ fn run(seed: u64, ops: &[Op]) -> Result<(), String> {
         }
         if matches!(op, Op::Read | Op::Collect) {
             let (d, r) = (observe_dense(&dense), observe_ref(&refm));
+            if d != r {
+                return Err(format!(
+                    "step {step} {op:?}: dense {d:?} != reference {r:?}"
+                ));
+            }
+        }
+        if matches!(op, Op::Checkpoint) {
+            let (d, r) = (checkpoint_dense(&dense), refm.all_pages());
             if d != r {
                 return Err(format!(
                     "step {step} {op:?}: dense {d:?} != reference {r:?}"
@@ -525,4 +566,66 @@ fn logged_writes_land_before_every_structural_change() {
         ops.push(op);
     }
     assert_eq!(run(7, &ops), Ok(()));
+}
+
+/// A region no write has touched holds what its fill gives each page: a
+/// grow with another seed must keep the old pages' contents and give the
+/// new pages the new seed's.
+#[test]
+fn untouched_region_grows_with_another_seed() {
+    let ops = [
+        Op::Mmap(false, 70, 3),
+        Op::Mmap(true, 10, 4),
+        Op::Collect,
+        Op::Resize(0, 150, 8),
+        Op::Checkpoint,
+        Op::Resize(1, 12, 4),
+        Op::Resize(1, 200, 5),
+        Op::Checkpoint,
+        Op::Collect,
+        Op::Read,
+    ];
+    assert_eq!(run(2, &ops), Ok(()));
+}
+
+/// A shrink and a grow of an untouched region, with the same seed and with
+/// another, the grow crossing a bitset word.
+#[test]
+fn untouched_region_shrinks_then_grows() {
+    let ops = [
+        Op::Mmap(false, 130, 6),
+        Op::Resize(0, 20, 6),
+        Op::Checkpoint,
+        Op::Resize(0, 140, 6),
+        Op::Checkpoint,
+        Op::Resize(0, 0, 1),
+        Op::Resize(0, 90, 2),
+        Op::Checkpoint,
+        Op::Resize(0, 10, 2),
+        Op::Resize(0, 100, 3),
+        Op::Checkpoint,
+        Op::Collect,
+    ];
+    assert_eq!(run(3, &ops), Ok(()));
+}
+
+/// Restore-path regions no page record has reached: installed, grown and
+/// shrunk, they read as zeroed pages, and a restore-side grow of a seeded
+/// region fills the new pages with zeros.
+#[test]
+fn installed_regions_without_page_records() {
+    let ops = [
+        Op::InstallVma(5, false, 100),
+        Op::InstallVma(2, true, 30),
+        Op::RestoreResize(1, 170),
+        Op::RestoreResize(0, 10),
+        Op::Checkpoint,
+        Op::Mmap(false, 40, 9),
+        Op::RestoreResize(2, 90),
+        Op::Checkpoint,
+        Op::DirtyRandom(20),
+        Op::Read,
+        Op::Checkpoint,
+    ];
+    assert_eq!(run(4, &ops), Ok(()));
 }

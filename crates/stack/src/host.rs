@@ -953,14 +953,6 @@ mod tests {
 
     const T0: SimTime = SimTime::ZERO;
 
-    /// Rebind a detached TCP socket to another node's local interface.
-    fn rebind_local_ip(sock: &mut Socket, ip: Ip) {
-        let Socket::Tcp(t) = sock else {
-            panic!("expected TCP socket")
-        };
-        t.local.ip = ip;
-    }
-
     /// Two-host harness that shuttles Tx effects between stacks by route IP.
     struct Net {
         hosts: Vec<HostStack>,
@@ -1191,12 +1183,12 @@ mod tests {
         assert!(fx.iter().all(|e| !matches!(e, StackEffect::Tx { .. })));
     }
 
-    #[test]
-    fn xlate_end_to_end_after_rebind() {
-        // node0 hosts a DB server; node1 holds a client socket that
-        // "migrates" to node... here we emulate: client socket created on
-        // node1, detached, local-ip-rebound to node2's IP and installed there;
-        // node0 gets a translation rule.
+    /// Live in-cluster migration of a DB client socket (§III-C): node0 runs
+    /// the DB server, the client socket moves from node1 to node2 keeping
+    /// its original endpoint, node2 installs a self rule and node0 a peer
+    /// rule. Returns the hosts, the DB child socket and the migrated socket
+    /// on node2.
+    fn migrate_db_client(fix_dst_cache: bool) -> (Net, SockId, SockId) {
         let mut net = Net::new(vec![
             HostStack::server_node(NodeId(0), 0, 1),
             HostStack::server_node(NodeId(1), 0, 2),
@@ -1205,22 +1197,33 @@ mod tests {
         let (cid, child) = establish(&mut net, 0, 1, 3306);
         let old_local = net.hosts[1].sock(cid).unwrap().local();
         let db_local = net.hosts[0].sock(child).unwrap().local();
-
-        // Move the client socket from node1 to node2.
-        let mut sock = net.hosts[1].detach_socket(cid).unwrap();
-        rebind_local_ip(&mut sock, net.hosts[2].local_ip);
+        let sock = net.hosts[1].detach_socket(cid).unwrap();
         let (cid2, fx) = net.hosts[2].install_socket(sock, T0);
         net.pump(2, fx, T0);
-
-        // Install the translation rule on the DB host (node0).
         let node2_ip = net.hosts[2].local_ip;
+        net.hosts[2]
+            .xlate
+            .install_self(crate::xlate::SelfXlateRule {
+                sock_local: old_local,
+                peer: db_local,
+                host_ip: node2_ip,
+            });
         net.hosts[0].xlate.install_at(
-            crate::xlate::XlateRule::new(db_local, old_local.ip, node2_ip, old_local.port),
+            crate::xlate::XlateRule {
+                fix_dst_cache,
+                ..crate::xlate::XlateRule::new(db_local, old_local.ip, node2_ip, old_local.port)
+            },
             T0,
         );
+        (net, child, cid2)
+    }
 
-        // Migrated client sends; DB replies; reply is translated and routed
-        // to node2.
+    #[test]
+    fn xlate_end_to_end_after_live_migration() {
+        let (mut net, child, cid2) = migrate_db_client(true);
+
+        // Migrated client sends; DB replies; both directions are rewritten
+        // and the reply is routed to node2.
         let fx = net.hosts[2].send(cid2, Bytes::from_static(b"UPDATE"), T0);
         net.pump(2, fx, T0);
         let q: Vec<u8> = net.hosts[0]
@@ -1238,32 +1241,16 @@ mod tests {
             .flat_map(|s| s.payload.to_vec())
             .collect();
         assert_eq!(r, b"OK");
-        assert!(net.hosts[0].xlate.stats().rewritten_out >= 1);
-        assert!(net.hosts[0].xlate.stats().rewritten_in >= 1);
+        for host in [0, 2] {
+            let stats = net.hosts[host].xlate.stats();
+            assert!(stats.rewritten_out >= 1, "node{host}: {stats:?}");
+            assert!(stats.rewritten_in >= 1, "node{host}: {stats:?}");
+        }
     }
 
     #[test]
     fn stale_dst_cache_ablation_loses_replies() {
-        let mut net = Net::new(vec![
-            HostStack::server_node(NodeId(0), 0, 1),
-            HostStack::server_node(NodeId(1), 0, 2),
-            HostStack::server_node(NodeId(2), 0, 3),
-        ]);
-        let (cid, child) = establish(&mut net, 0, 1, 3306);
-        let old_local = net.hosts[1].sock(cid).unwrap().local();
-        let db_local = net.hosts[0].sock(child).unwrap().local();
-        let mut sock = net.hosts[1].detach_socket(cid).unwrap();
-        rebind_local_ip(&mut sock, net.hosts[2].local_ip);
-        let (cid2, fx) = net.hosts[2].install_socket(sock, T0);
-        net.pump(2, fx, T0);
-        let node2_ip = net.hosts[2].local_ip;
-        net.hosts[0].xlate.install_at(
-            crate::xlate::XlateRule {
-                fix_dst_cache: false,
-                ..crate::xlate::XlateRule::new(db_local, old_local.ip, node2_ip, old_local.port)
-            },
-            T0,
-        );
+        let (mut net, child, cid2) = migrate_db_client(false);
 
         let fx = net.hosts[0].send(child, Bytes::from_static(b"hello?"), T0);
         net.pump(0, fx, T0);
