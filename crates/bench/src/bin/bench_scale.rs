@@ -10,7 +10,6 @@
 
 use dvelm_bench::json::Json;
 use dvelm_bench::scale::{compare_bench, run_scale, scale_json, ScaleConfig, SCALE_SEED};
-use dvelm_migrate::Strategy;
 
 const USAGE: &str = "usage: bench_scale <out.json>\n       \
                      bench_scale --compare <baseline.json> <fresh.json> [tolerance]";
@@ -23,7 +22,6 @@ fn cell(nodes: usize, clients: usize, migrations: usize, run_secs: u64, aoi: boo
         run_secs,
         seed: SCALE_SEED,
         monitored: false,
-        strategy: Strategy::IncrementalCollective,
         aoi,
     }
 }

@@ -44,12 +44,6 @@ pub struct ScaleConfig {
     /// cell must fingerprint identically to a plain one (asserted by
     /// `tests/determinism_replay.rs`).
     pub monitored: bool,
-    /// Socket-migration strategy for the cell's migrations (and the
-    /// world's conductor ceiling). The `bench_scale` cells run
-    /// [`Strategy::IncrementalCollective`]; the residual-strategy replay
-    /// tests run post-copy and hybrid, whose `demand_fetch_*`/`writeback_*`
-    /// counters enter the fingerprint.
-    pub strategy: Strategy,
     /// Interest-managed (AOI) routing: each server's port is mapped to its
     /// own zone, so inbound usercmds reach only the serving node instead of
     /// the full broadcast. AOI rows get an `@aoi`-suffixed cell key; the
@@ -67,7 +61,6 @@ impl ScaleConfig {
             run_secs: 2,
             seed: SCALE_SEED,
             monitored: false,
-            strategy: Strategy::IncrementalCollective,
             aoi: false,
         }
     }
@@ -75,6 +68,10 @@ impl ScaleConfig {
 
 /// Seed shared by every default-trajectory cell.
 pub const SCALE_SEED: u64 = 0x05CA_1EBC;
+
+/// Socket-migration strategy of every cell's migrations (and the world's
+/// conductor ceiling).
+const STRATEGY: Strategy = Strategy::IncrementalCollective;
 
 /// Interval between staggered migration starts.
 const MIGRATION_STAGGER_US: u64 = 100 * MILLISECOND;
@@ -120,15 +117,6 @@ pub struct ScaleCell {
     /// Summed time spent in each migration phase across completed
     /// migrations (µs), keyed by phase name.
     pub phase_us: BTreeMap<&'static str, u64>,
-    /// Pages fetched on demand from source ledgers across completed
-    /// migrations (zero for the precopy-only strategies).
-    pub demand_fetch_pages: u64,
-    /// Bytes moved by demand fetches across completed migrations.
-    pub demand_fetch_bytes: u64,
-    /// Pages pushed by background write-back across completed migrations.
-    pub writeback_pages: u64,
-    /// Bytes pushed by background write-back across completed migrations.
-    pub writeback_bytes: u64,
     /// High-water mark of capture-queued packets on any single host.
     pub peak_queued_packets: u64,
     /// High-water mark of capture-queued payload bytes on any single host.
@@ -158,14 +146,13 @@ impl ScaleCell {
         format!(
             "n{} c{} m{} s{} seed{:#x} strat[{}] aoi={}: sim_us={} events={} deliveries={} usercmds={} route_errors={} \
              started={} rejected={} completed={} aborted={} freeze_max={} total_max={} \
-             df={}p/{}b wb={}p/{}b \
              peak_pkts={} peak_bytes={} shed_udp={} clamped={} phases=[{}]",
             self.cfg.nodes,
             self.cfg.clients,
             self.cfg.migrations,
             self.cfg.run_secs,
             self.cfg.seed,
-            self.cfg.strategy,
+            STRATEGY,
             self.cfg.aoi,
             self.sim_us,
             self.events,
@@ -178,10 +165,6 @@ impl ScaleCell {
             self.migrations_aborted,
             self.freeze_us_max,
             self.total_us_max,
-            self.demand_fetch_pages,
-            self.demand_fetch_bytes,
-            self.writeback_pages,
-            self.writeback_bytes,
             self.peak_queued_packets,
             self.peak_queued_bytes,
             self.shed_udp,
@@ -196,7 +179,7 @@ impl ScaleCell {
 fn build_world(cfg: &ScaleConfig) -> (World, Vec<dvelm_proc::Pid>, Vec<usize>, Rc<RefCell<u64>>) {
     let mut w = World::new(WorldConfig {
         seed: cfg.seed,
-        strategy: cfg.strategy,
+        strategy: STRATEGY,
         ..WorldConfig::default()
     });
     if cfg.monitored {
@@ -271,7 +254,7 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
         w.run_until(warmup_end + k as u64 * stagger);
         let src = k % cfg.nodes;
         let dst = node_hosts[(src + cfg.nodes / 2) % cfg.nodes];
-        match w.begin_migration(server_pids[src], dst, cfg.strategy) {
+        match w.begin_migration(server_pids[src], dst, STRATEGY) {
             Some(_) => migrations_started += 1,
             None => migrations_rejected += 1,
         }
@@ -305,10 +288,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
     let mut total_us_max = 0u64;
     let mut migrations_completed = 0usize;
     let mut migrations_aborted = 0usize;
-    let mut demand_fetch_pages = 0u64;
-    let mut demand_fetch_bytes = 0u64;
-    let mut writeback_pages = 0u64;
-    let mut writeback_bytes = 0u64;
     let mut phase_us: BTreeMap<&'static str, u64> = BTreeMap::new();
     for r in &w.reports {
         if r.is_aborted() {
@@ -318,10 +297,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
         migrations_completed += 1;
         freeze_us_max = freeze_us_max.max(r.freeze_us());
         total_us_max = total_us_max.max(r.total_us());
-        demand_fetch_pages += r.demand_fetch_pages;
-        demand_fetch_bytes += r.demand_fetch_bytes;
-        writeback_pages += r.writeback_pages;
-        writeback_bytes += r.writeback_bytes;
         // `phase_log` records entry instants; a phase lasts until the next
         // entry, the last one until the process resumed.
         for pair in r.phase_log.windows(2) {
@@ -366,10 +341,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
         migrations_aborted,
         freeze_us_max,
         total_us_max,
-        demand_fetch_pages,
-        demand_fetch_bytes,
-        writeback_pages,
-        writeback_bytes,
         phase_us,
         peak_queued_packets,
         peak_queued_bytes,
@@ -382,19 +353,9 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
 }
 
 fn cell_key(cfg: &ScaleConfig) -> String {
-    // Default-strategy cells keep their historical key so the committed
-    // baseline compares like-for-like; other strategies and AOI rows get a
-    // distinct key.
-    let mut key = if cfg.strategy == Strategy::IncrementalCollective {
-        format!("{}x{}", cfg.nodes, cfg.clients)
-    } else {
-        format!(
-            "{}x{}@{}",
-            cfg.nodes,
-            cfg.clients,
-            cfg.strategy.to_string().replace(' ', "-")
-        )
-    };
+    // AOI rows get a distinct key; broadcast rows keep the committed
+    // baseline's.
+    let mut key = format!("{}x{}", cfg.nodes, cfg.clients);
     if cfg.aoi {
         key.push_str("@aoi");
     }
@@ -410,7 +371,7 @@ fn round2(x: f64) -> f64 {
 pub fn scale_json(cells: &[ScaleCell]) -> Json {
     let mut doc = Json::obj();
     doc.set("bench", Json::Str("scale".into()));
-    doc.set("schema_version", Json::Num(4.0));
+    doc.set("schema_version", Json::Num(5.0));
     let mut arr = Vec::with_capacity(cells.len());
     for c in cells {
         let mut o = Json::obj();
@@ -420,7 +381,6 @@ pub fn scale_json(cells: &[ScaleCell]) -> Json {
         o.set("migrations", Json::Num(c.cfg.migrations as f64));
         o.set("run_secs", Json::Num(c.cfg.run_secs as f64));
         o.set("seed", Json::Num(c.cfg.seed as f64));
-        o.set("strategy", Json::Str(c.cfg.strategy.to_string()));
         o.set("aoi", Json::Bool(c.cfg.aoi));
         o.set("sched_clamped", Json::Num(c.sched_clamped as f64));
         o.set("sim_us", Json::Num(c.sim_us as f64));
@@ -445,10 +405,6 @@ pub fn scale_json(cells: &[ScaleCell]) -> Json {
             Json::Num(c.migrations_completed as f64),
         );
         o.set("migrations_aborted", Json::Num(c.migrations_aborted as f64));
-        o.set("demand_fetch_pages", Json::Num(c.demand_fetch_pages as f64));
-        o.set("demand_fetch_bytes", Json::Num(c.demand_fetch_bytes as f64));
-        o.set("writeback_pages", Json::Num(c.writeback_pages as f64));
-        o.set("writeback_bytes", Json::Num(c.writeback_bytes as f64));
         arr.push(o);
     }
     doc.set("cells", Json::Arr(arr));
@@ -536,7 +492,6 @@ mod tests {
                 run_secs: 1,
                 seed: 1,
                 monitored: false,
-                strategy: Strategy::IncrementalCollective,
                 aoi: false,
             },
             sched_clamped: 0,
@@ -552,10 +507,6 @@ mod tests {
             freeze_us_max: 100,
             total_us_max: 500,
             phase_us: BTreeMap::new(),
-            demand_fetch_pages: 0,
-            demand_fetch_bytes: 0,
-            writeback_pages: 0,
-            writeback_bytes: 0,
             peak_queued_packets: 4,
             peak_queued_bytes: 1024,
             shed_udp: 0,

@@ -11,7 +11,7 @@ const SMOKE_FINGERPRINT: &str =
     "n4 c100 m2 s2 seed0x5ca1ebc strat[incremental collective] aoi=false: \
     sim_us=2100000 events=21710 deliveries=21000 usercmds=6168 route_errors=0 \
     started=2 rejected=0 completed=2 aborted=0 freeze_max=24589 total_max=669311 \
-    df=0p/0b wb=0p/0b peak_pkts=12 peak_bytes=576 shed_udp=0 clamped=0 \
+    peak_pkts=12 peak_bytes=576 shed_udp=0 clamped=0 \
     phases=[freeze: detach + transfer=47776,freeze: signal + capture setup=684,\
     precopy: full checkpoint=640000,precopy: incremental iteration=647763,\
     restore: rehash + reinject + resume=0]";

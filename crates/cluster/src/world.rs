@@ -83,9 +83,6 @@ struct MigTask {
     /// Folds the engine's effect stream into the migration's report and
     /// phase timeline (the trace spine).
     recorder: TraceRecorder,
-    /// [`Fault::FetchStall`]: engine steps are deferred (not dropped) until
-    /// this instant. `None` in fault-free runs.
-    stall_until: Option<SimTime>,
 }
 
 /// How the process of an aborted migration fared — the payload-free mirror
@@ -215,13 +212,6 @@ pub struct World {
     /// step that finds the path cut, and the heal event re-schedules it —
     /// a fault-free run never touches this set.
     stalled_migs: BTreeSet<MigId>,
-    /// Stale source copies left by an unfenced post-copy rollback that
-    /// raced a surviving destination (pid → source host). The first app
-    /// tick of such a copy is the [`StaleSourceWrite`] hazard; the monitor
-    /// records it once and the entry is dropped.
-    ///
-    /// [`StaleSourceWrite`]: dvelm_monitor::InvariantViolation::StaleSourceWrite
-    stale_source_pids: BTreeMap<Pid, usize>,
     /// Unreliable control delivery windows ([`Fault::CtrlLoss`] /
     /// [`Fault::CtrlDup`] / [`Fault::CtrlReorder`]): `(pct, until)` and,
     /// for reorder, the max extra delay. The RNG is only consulted while a
@@ -323,7 +313,6 @@ impl World {
             partitions: BTreeMap::new(),
             next_partition_gen: 0,
             stalled_migs: BTreeSet::new(),
-            stale_source_pids: BTreeMap::new(),
             ctrl_loss: None,
             ctrl_dup: None,
             ctrl_reorder: None,
@@ -797,7 +786,6 @@ impl World {
                 dst: dst_host,
                 pid,
                 recorder: TraceRecorder::new(pid, strategy, self.now()),
-                stall_until: None,
             },
         );
         self.sched.schedule_after(0, Event::MigrationStep { mig });
@@ -973,21 +961,6 @@ impl World {
         self.migrations.get(&mig).map(|t| t.engine.past_detach())
     }
 
-    /// Whether the migration is resolving residual pages on demand
-    /// (post-copy family, destination copy already running). `None` for
-    /// unknown/finished ids.
-    pub fn migration_in_demand_resolve(&self, mig: MigId) -> Option<bool> {
-        self.migrations
-            .get(&mig)
-            .map(|t| t.engine.in_demand_resolve())
-    }
-
-    /// Residual-dependency ledger depth of an in-flight migration: pages
-    /// the source still holds authoritatively. `None` for unknown ids.
-    pub fn migration_residual_pages(&self, mig: MigId) -> Option<u64> {
-        self.migrations.get(&mig).map(|t| t.engine.residual_pages())
-    }
-
     /// Terminal state of a finished migration (`None` while still in
     /// flight or for unknown ids).
     pub fn migration_outcome(&self, mig: MigId) -> Option<MigrationOutcome> {
@@ -1037,19 +1010,6 @@ impl World {
             Fault::TransferStall { pid } => {
                 if let Some(mig) = self.migration_of(pid) {
                     self.abort_migration(mig, AbortReason::TransferStalled);
-                }
-            }
-            Fault::FetchStall { pid, for_us } => {
-                // Freeze the residual-page stream of an in-flight post-copy
-                // migration: steps defer until the stall lifts. Only
-                // meaningful once the engine is resolving demand fetches —
-                // a ledger that does not exist yet cannot stall.
-                if let Some(mig) = self.migration_of(pid) {
-                    if let Some(task) = self.migrations.get_mut(&mig) {
-                        if task.engine.in_demand_resolve() {
-                            task.stall_until = Some(now + for_us);
-                        }
-                    }
                 }
             }
             Fault::CaptureInstallFail { host } => {
@@ -1248,13 +1208,10 @@ impl World {
                 // its own. Model the second copy so the invariant monitor
                 // can catch what the epoch fence would have prevented.
                 // `PhaseId::FreezeDetach` is the abort-report id of an
-                // internal post-detach (restore-phase) abort — the point
-                // where the destination holds the complete image.
-                // `PhaseId::DemandResolve` is its post-copy sibling: the
-                // destination copy is *running* (on a partially-fetched
-                // image) and cannot hear the cancel either.
+                // internal post-detach (restore-phase) abort — the only
+                // point where the destination holds the complete image.
                 if !self.cfg.fence_enabled
-                    && (phase == PhaseId::FreezeDetach || phase == PhaseId::DemandResolve)
+                    && phase == PhaseId::FreezeDetach
                     && self.hosts[dst].alive
                     && self.partitioned(src, dst)
                 {
@@ -1271,47 +1228,18 @@ impl World {
                     );
                     if let Some(m) = &mut self.monitor {
                         m.on_adopt(now, pid, dst);
-                        // The orphan survived with residual pages still
-                        // owed: nobody will ever serve its demand fetches.
-                        if phase == PhaseId::DemandResolve {
-                            m.on_residual_leak(now, pid, task.engine.residual_pages());
-                        }
-                    }
-                    // The source copy about to be restored below is stale
-                    // the moment the orphan keeps running: its first app
-                    // write is the StaleSourceWrite hazard.
-                    if phase == PhaseId::DemandResolve {
-                        self.stale_source_pids.insert(pid, src);
                     }
                 }
-                // A demand-resolve abort loses the connections: socket
-                // state lived on the destination since switch-over and is
-                // not reinstalled (DESIGN.md §12). Collect the descriptors
-                // the app still believes open so it can be told below —
-                // exactly as a peer RST would — before it writes to them.
-                let mut stale_fds: Vec<_> = if phase == PhaseId::DemandResolve {
-                    self.hosts[src]
-                        .procs
-                        .get(&pid)
-                        .map(|e| e.process.fds.sockets().map(|(fd, _)| fd).collect())
-                        .unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
                 // The rebuilt process: its fd table names the sockets the
                 // engine reinstalled on the source stack.
                 if let Some(entry) = self.hosts[src].procs.get_mut(&pid) {
                     entry.process = process;
                     entry.suspended = false;
-                    stale_fds.retain(|fd| entry.process.fds.sockets().all(|(f, _)| f != *fd));
                 }
                 self.hosts[src].unindex_proc_sockets(pid);
                 self.hosts[src].reindex_proc_sockets(pid);
                 self.restart_ticks(src, pid);
                 self.drain_proc_sockets(src, pid);
-                for fd in stale_fds {
-                    self.with_app(src, pid, |app, ctx| app.on_conn_closed(ctx, fd));
-                }
             }
             AbortRecovery::ImageOnly(process) => {
                 if let Some(m) = &mut self.monitor {
@@ -1555,18 +1483,6 @@ impl World {
         // same app logic runs more often, multiplying send and dirty rates.
         let factor = self.surge.get(&host).copied().unwrap_or(1).max(1) as u64;
         let period = (entry.tick_period_us / factor).max(1);
-        // The stale-source hazard: this copy was restored by an unfenced
-        // post-copy rollback while the destination orphan kept running.
-        // Its first application write lands outside the (dead) ledger —
-        // recorded once, then the pid ticks on as an ordinary split brain
-        // for the monitor sweep to track.
-        if self.stale_source_pids.get(&pid) == Some(&host) {
-            self.stale_source_pids.remove(&pid);
-            let now = self.now();
-            if let Some(m) = &mut self.monitor {
-                m.on_stale_source_write(now, pid);
-            }
-        }
         self.with_app(host, pid, |app, ctx| app.on_tick(ctx));
         self.sched
             .schedule_after(period, Event::AppTick { host, pid, gen });
@@ -1724,21 +1640,11 @@ impl World {
                     };
                     // Map the conductor's preference onto the configured
                     // strategy, never exceeding it: retries degrade toward
-                    // per-socket iteration. The residual (post-copy) family
-                    // is reachable only while the preference itself asks
-                    // for it — `Incremental` and below clamp a residual
-                    // ceiling down to `IncrementalCollective`, so a retry
-                    // after a post-copy failure can never re-enter
-                    // demand-resolve against a suspect destination.
-                    let ceiling = self.cfg.strategy;
+                    // per-socket iteration.
                     let strategy = match prefer {
-                        StrategyPreference::PostCopy | StrategyPreference::Hybrid => ceiling,
-                        StrategyPreference::Incremental if ceiling.has_demand_resolve() => {
-                            Strategy::IncrementalCollective
-                        }
-                        StrategyPreference::Incremental => ceiling,
+                        StrategyPreference::Incremental => self.cfg.strategy,
                         StrategyPreference::Collective => {
-                            if ceiling == Strategy::Iterative {
+                            if self.cfg.strategy == Strategy::Iterative {
                                 Strategy::Iterative
                             } else {
                                 Strategy::Collective
@@ -1859,19 +1765,6 @@ impl World {
         };
         let (src, dst, pid) = (task.src, task.dst, task.pid);
         let (epoch, past_detach) = (task.engine.epoch, task.engine.past_detach());
-
-        // [`Fault::FetchStall`]: the residual-page stream is frozen until
-        // the stall lifts — defer the step, don't drop it. The clock keeps
-        // running, so a deadline-guarded transfer can still time out.
-        if let Some(until) = task.stall_until {
-            if now < until {
-                let delay = until.saturating_since(now).max(1);
-                self.sched
-                    .schedule_after(delay, Event::MigrationStep { mig });
-                return;
-            }
-            task.stall_until = None;
-        }
 
         // A partition between the endpoints stalls the transfer: park the
         // migration (no polling — the heal event resumes it). The sender's

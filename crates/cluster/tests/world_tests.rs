@@ -297,6 +297,42 @@ fn conductor_balances_synthetic_hogs() {
     );
 }
 
+/// The conductor's first attempt asks for full speed, and the world maps
+/// that preference onto the configured strategy: every strategy a
+/// `WorldConfig` names is the one its load-balanced migrations run.
+#[test]
+fn conductor_runs_the_configured_strategy() {
+    for strategy in Strategy::ALL {
+        let mut w = World::new(WorldConfig {
+            strategy,
+            ..WorldConfig::default()
+        });
+        let hot = w.add_server_node();
+        let cold = w.add_server_node();
+        for i in 0..6 {
+            w.spawn_process(
+                hot,
+                &format!("hog{i}"),
+                8,
+                32,
+                Box::new(Hog { share: 15.0 }),
+            );
+        }
+        w.spawn_process(cold, "small", 8, 32, Box::new(Hog { share: 10.0 }));
+        w.run_for(300 * MILLISECOND);
+        w.enable_load_balancing();
+        let give_up = w.now() + 30 * SECOND;
+        while w.reports.is_empty() && w.now() < give_up {
+            w.run_for(100 * MILLISECOND);
+        }
+        let first = w
+            .reports
+            .first()
+            .unwrap_or_else(|| panic!("{strategy}: the conductor never migrated off the hotspot"));
+        assert_eq!(first.strategy, strategy);
+    }
+}
+
 #[test]
 fn packet_log_records_traffic() {
     let mut w = World::new(WorldConfig::default());

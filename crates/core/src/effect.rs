@@ -74,25 +74,12 @@ pub enum ByteClass {
     FreezeMem,
     /// Socket state shipped during the freeze phase (the Fig. 5c metric).
     FreezeSocket,
-    /// Residual pages pulled on demand from the source ledger after the
-    /// destination resumed (post-copy family). The app is running on the
-    /// destination — these bytes do not count toward the freeze window.
-    DemandFetch,
-    /// Residual pages pushed by the source's background write-back stream
-    /// after switch-over (post-copy family).
-    WriteBack,
 }
 
 impl ByteClass {
     /// Whether the application was still running when these bytes moved.
     pub fn is_precopy(self) -> bool {
         matches!(self, ByteClass::PrecopyMem | ByteClass::PrecopySocket)
-    }
-
-    /// Whether these bytes resolve residual dependencies after switch-over
-    /// (post-copy family); never shipped by the three paper strategies.
-    pub fn is_residual(self) -> bool {
-        matches!(self, ByteClass::DemandFetch | ByteClass::WriteBack)
     }
 }
 
@@ -111,10 +98,6 @@ pub enum PhaseId {
     FreezeDetach,
     /// Sockets rehashed, captured packets re-injected, threads resumed.
     Restore,
-    /// Post-copy residual resolution: the process runs on the destination
-    /// while the source ledger services demand fetches (priority) and a
-    /// background write-back stream drains the rest.
-    DemandResolve,
 }
 
 impl PhaseId {
@@ -127,7 +110,6 @@ impl PhaseId {
             PhaseId::FreezeCapture => "freeze: signal + capture setup",
             PhaseId::FreezeDetach => "freeze: detach + transfer",
             PhaseId::Restore => "restore: rehash + reinject + resume",
-            PhaseId::DemandResolve => "demand-resolve: fetch + write-back",
         }
     }
 
@@ -397,23 +379,14 @@ mod tests {
             PhaseId::Restore.label(),
             "restore: rehash + reinject + resume"
         );
-        assert_eq!(
-            PhaseId::DemandResolve.label(),
-            "demand-resolve: fetch + write-back"
-        );
         assert!(PhaseId::PrecopyIter.is_precopy());
         assert!(!PhaseId::Restore.is_precopy());
-        assert!(!PhaseId::DemandResolve.is_precopy());
     }
 
     #[test]
     fn byte_class_predicates() {
         assert!(ByteClass::PrecopyMem.is_precopy());
         assert!(!ByteClass::FreezeSocket.is_precopy());
-        assert!(ByteClass::DemandFetch.is_residual());
-        assert!(ByteClass::WriteBack.is_residual());
-        assert!(!ByteClass::DemandFetch.is_precopy());
-        assert!(!ByteClass::FreezeMem.is_residual());
     }
 
     #[test]

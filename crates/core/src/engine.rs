@@ -33,13 +33,6 @@
 //!                  — sockets rehashed (timestamps shifted, timers
 //!                  restarted), fd table rewritten, captured packets
 //!                  re-injected, threads resumed — freeze ends
-//! DemandResolve ×k PhaseEntered(DemandResolve) once (at restore end,
-//!                  when the destination resumes), then per round
-//!                  [Shipped(DemandFetch)…], [Shipped(WriteBack)…],
-//!                  finally Complete — post-copy family only: the source's
-//!                  residual-dependency ledger services demand faults
-//!                  (priority) and a background write-back stream until
-//!                  every page has landed
 //! ```
 //!
 //! An abort ([`MigrationEngine::abort`], or a capture/restore failure the
@@ -78,29 +71,17 @@ use crate::effect::{
 use crate::strategy::Strategy;
 use dvelm_ckpt::{
     apply_update, full_checkpoint, incremental_update, restore_process, IncrementalTracker,
-    IncrementalUpdate, PageRecord, VmaDiff, PAGE_RECORD_OVERHEAD,
 };
 use dvelm_net::{NodeId, ZoneId};
-use dvelm_proc::{Fd, Pid, Process, PAGE_SIZE};
+use dvelm_proc::{Fd, Pid, Process};
 use dvelm_sim::{Jiffies, SimTime};
 use dvelm_stack::capture::CaptureKey;
 use dvelm_stack::xlate::{SelfXlateRule, XlateRule};
 use dvelm_stack::{HostStack, SockId, Socket};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// Per-socket attach record shipped in the freeze phase (fd binding), bytes.
 const ATTACH_RECORD: u64 = 16;
-
-/// Transfer size of one residual page (record header + payload), bytes.
-const RESIDUAL_PAGE_BYTES: u64 = PAGE_RECORD_OVERHEAD + PAGE_SIZE;
-
-/// Demand faults serviced per demand-resolve round. The faulted-page queue
-/// preempts the background write-back stream: every fault is a synchronous
-/// round trip the destination is blocked on.
-const DEMAND_FAULTS_PER_STEP: usize = 4;
-
-/// Pages pushed per background write-back batch each demand-resolve round.
-const WRITEBACK_BATCH_PAGES: usize = 32;
 
 /// Mutable world access for one engine step.
 pub struct StepIo<'a> {
@@ -149,12 +130,6 @@ pub struct OverloadGuard {
     /// shrink — the dirty rate has caught up with the drain rate, so
     /// freezing would ship an ever-growing payload.
     pub max_stagnant_rounds: Option<u32>,
-    /// Escalation policy: when the convergence guard fires, degrade the
-    /// non-converging precopy into a hybrid switch-over (freeze now, ship
-    /// metadata + sockets only, resolve the residual pages on demand —
-    /// [`PhaseId::DemandResolve`]) instead of aborting. Off by default so
-    /// fault-free figures stay byte-identical to the unguarded runs.
-    pub escalate_nonconverging: bool,
 }
 
 impl OverloadGuard {
@@ -162,7 +137,6 @@ impl OverloadGuard {
     pub const DISABLED: OverloadGuard = OverloadGuard {
         deadline_us: None,
         max_stagnant_rounds: None,
-        escalate_nonconverging: false,
     };
 }
 
@@ -181,7 +155,6 @@ enum Phase {
     CaptureRequest,
     Detach,
     Restore,
-    DemandResolve,
     Done,
     Aborted,
 }
@@ -248,15 +221,6 @@ pub struct MigrationEngine {
     stagnant_rounds: u32,
     /// Dirty-diff bytes of the previous precopy round.
     last_round_bytes: Option<u64>,
-    /// Precopy rounds completed (bounds the hybrid prefix).
-    rounds_done: u32,
-    /// Residual-dependency ledger (post-copy family): pages that stayed
-    /// authoritative on the source at switch-over and have not yet landed
-    /// on the destination. The queue front is the next demand fault; the
-    /// background write-back stream drains from the same queue behind it.
-    /// Not cleared on abort — the owner reads the outstanding count to
-    /// attribute residual leaks.
-    residual: VecDeque<PageRecord>,
 }
 
 impl MigrationEngine {
@@ -295,8 +259,6 @@ impl MigrationEngine {
             started_at: None,
             stagnant_rounds: 0,
             last_round_bytes: None,
-            rounds_done: 0,
-            residual: VecDeque::new(),
         }
     }
 
@@ -309,25 +271,7 @@ impl MigrationEngine {
     /// no free return: an abort after this restores from the captured image
     /// instead of simply resuming the source copy.
     pub fn past_detach(&self) -> bool {
-        matches!(
-            self.phase,
-            Phase::Restore | Phase::DemandResolve | Phase::Done
-        )
-    }
-
-    /// Whether the engine is resolving residual dependencies (post-copy
-    /// family): the process already runs on the destination while the
-    /// source ledger services demand fetches and the write-back stream.
-    pub fn in_demand_resolve(&self) -> bool {
-        self.phase == Phase::DemandResolve
-    }
-
-    /// Outstanding residual-dependency ledger entries: pages still
-    /// authoritative on the source after switch-over. Zero for the
-    /// stop-and-copy strategies and once the resolve drains. Preserved
-    /// across an abort so the owner can attribute residual leaks.
-    pub fn residual_pages(&self) -> u64 {
-        self.residual.len() as u64
+        matches!(self.phase, Phase::Restore | Phase::Done)
     }
 
     /// Capture keys this migration enabled on the destination stack (empty
@@ -350,7 +294,6 @@ impl MigrationEngine {
             Phase::CaptureRequest => self.step_capture_request(io, sink),
             Phase::Detach => self.step_detach(io, sink),
             Phase::Restore => self.step_restore(io, sink),
-            Phase::DemandResolve => self.step_demand_resolve(io, sink),
             Phase::Done | Phase::Aborted => StepPlan::default(),
         }
     }
@@ -402,14 +345,6 @@ impl MigrationEngine {
             Phase::Restore => {
                 let recovery = self.abort_restore(now, src_stack, dst_stack, sink);
                 (PhaseId::FreezeDetach, recovery)
-            }
-            // Switch-over done: the destination copy runs, the source
-            // ledger is still authoritative for the unfetched pages. Fall
-            // back per the abort-row table (DESIGN.md §12) — while the
-            // ledger is intact, `Lost` is impossible.
-            Phase::DemandResolve => {
-                let recovery = self.abort_demand_resolve(now, src_stack, dst_stack, sink);
-                (PhaseId::DemandResolve, recovery)
             }
         };
         self.phase = Phase::Aborted;
@@ -568,100 +503,6 @@ impl MigrationEngine {
         AbortRecovery::RestoredOnSource(staged)
     }
 
-    /// Demand-resolve abort: the destination already runs the process; the
-    /// source still holds the residual-dependency ledger (every unfetched
-    /// page) *and* the write-back log (pages already pushed), which together
-    /// reassemble the full image. Socket state, however, has lived on the
-    /// destination since switch-over: a post-switch-over failure loses the
-    /// connections (BLCR semantics), unlike the pre-detach rows.
-    ///
-    /// Outcome rows (`Lost` requires a destroyed ledger):
-    /// * source alive → `RestoredOnSource`: the image is reassembled on the
-    ///   source from ledger + write-back log; sockets are closed.
-    /// * source dead, ledger already drained → `ImageOnly`: the destination
-    ///   image is complete (cold-restart fodder).
-    /// * source dead, residual outstanding → `Lost` — the stale-source
-    ///   hazard realized: the destination copy is missing pages only the
-    ///   (dead) ledger held.
-    fn abort_demand_resolve(
-        &mut self,
-        now: SimTime,
-        src_stack: Option<&mut HostStack>,
-        dst_stack: Option<&mut HostStack>,
-        sink: &mut dyn EffectSink,
-    ) -> AbortRecovery {
-        for (peer, rule) in self.sent_rules.drain(..) {
-            sink.emit(now, Effect::RevokeXlate { peer, rule });
-        }
-        self.self_rules.clear();
-        self.carried_rules.clear();
-        self.src_self_rules.clear();
-        let Some(mut staged) = self.staged.take() else {
-            // Unreachable by construction: DemandResolve always stages.
-            return AbortRecovery::Lost;
-        };
-        // Tear the destination copy down if that node still lives: its
-        // sockets are released (the connections break) and the translation
-        // rules installed at restore are withdrawn with them.
-        let sids: Vec<(Fd, SockId)> = staged.fds.sockets().collect();
-        if let Some(dst) = dst_stack {
-            for (_, sid) in &sids {
-                if let Some(sock) = dst.sock(*sid) {
-                    let local = sock.local();
-                    let _ = dst.xlate.take_self_rules_for(local);
-                    let _ = dst.xlate.take_rules_for(local);
-                }
-                dst.release(*sid);
-            }
-        }
-        for (fd, _) in sids {
-            staged.fds.close(fd);
-        }
-
-        // The source already gave its interest seats up at switch-over, so
-        // unlike the pre-switch-over rows the compensation must *restore*
-        // them when the process falls back home — and in every row the
-        // destination's seats end with its torn-down copy.
-        for &zone in &self.zones {
-            sink.emit(
-                now,
-                Effect::Unsubscribe {
-                    zone,
-                    side: Side::Dst,
-                },
-            );
-        }
-        match src_stack {
-            Some(_) => {
-                // Ledger intact: reassemble the image on the source. Pages
-                // still in the ledger never left it; pages already pushed
-                // are replayed from the write-back log (in-model, `staged`
-                // already holds them). The ledger itself is kept so the
-                // owner can observe the outstanding count.
-                let pages: Vec<PageRecord> = self.residual.iter().copied().collect();
-                apply_update(
-                    &mut staged,
-                    &IncrementalUpdate {
-                        vma_diff: VmaDiff::default(),
-                        pages,
-                    },
-                );
-                for &zone in &self.zones {
-                    sink.emit(
-                        now,
-                        Effect::Subscribe {
-                            zone,
-                            side: Side::Src,
-                        },
-                    );
-                }
-                AbortRecovery::RestoredOnSource(staged)
-            }
-            None if self.residual.is_empty() => AbortRecovery::ImageOnly(staged),
-            None => AbortRecovery::Lost,
-        }
-    }
-
     // ------------------------------------------------------------------
 
     fn migratable_sockets<'a>(
@@ -685,19 +526,6 @@ impl MigrationEngine {
 
     fn step_start(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
         self.started_at = Some(io.now);
-        if self.strategy == Strategy::PostCopy {
-            // Restore-first: no precopy transfer at all. Signal, then go
-            // straight to the switch-over; the entire image stays
-            // authoritative on the source as the residual-dependency
-            // ledger, built at detach.
-            if self.signal_based {
-                io.proc.signal_checkpoint();
-            }
-            self.phase = Phase::CaptureRequest;
-            return StepPlan {
-                next_step_after_us: Some(self.cost.signal_us),
-            };
-        }
         sink.emit(io.now, Effect::PhaseEntered(PhaseId::PrecopyFull));
         // Live checkpoint request: signal; all threads return to userspace
         // (guaranteeing empty backlogs/prequeues, §V-C1), then the helper
@@ -745,16 +573,6 @@ impl MigrationEngine {
     }
 
     fn step_precopy(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
-        // Hybrid prefix bound: after `precopy_rounds` iterations the
-        // strategy switches over regardless of convergence — the remaining
-        // dirty set resolves on demand, so a bounded prefix is safe even
-        // against a workload that never converges.
-        if let Some(limit) = self.strategy.precopy_round_limit() {
-            if self.rounds_done >= limit {
-                self.phase = Phase::CaptureRequest;
-                return self.step_capture_request(io, sink);
-            }
-        }
         // Deadline guard: abort *before* spending another round. The source
         // copy is authoritative throughout precopy, so this is the free
         // rollback (§III) — drop the staged image, nothing was installed.
@@ -813,23 +631,6 @@ impl MigrationEngine {
             }
             self.last_round_bytes = Some(bytes);
             if self.stagnant_rounds >= max_stagnant {
-                if self.guard.escalate_nonconverging {
-                    // Escalation ladder: instead of abandoning the
-                    // migration the guard degrades it into a hybrid
-                    // switch-over — freeze now, ship metadata + sockets
-                    // only, and resolve the residual dirty set on demand.
-                    // The strategy mutates so the detach/restore arms take
-                    // the residual path; the report keeps the strategy the
-                    // migration was started with.
-                    self.rounds_done += 1;
-                    self.strategy = Strategy::Hybrid {
-                        precopy_rounds: self.rounds_done,
-                    };
-                    self.phase = Phase::CaptureRequest;
-                    return StepPlan {
-                        next_step_after_us: Some(delay.max(self.cost.signal_us)),
-                    };
-                }
                 return self.abort_in_precopy(io.now, AbortReason::NonConverging, sink);
             }
         }
@@ -837,7 +638,6 @@ impl MigrationEngine {
         // "In each subsequent iteration the loop timeout is decreased. When
         // it reaches a threshold (currently 20 ms) it signals the
         // application threads for final checkpointing."
-        self.rounds_done += 1;
         self.loop_timeout_us = (self.loop_timeout_us / 2).max(self.cost.freeze_threshold_us);
         if self.loop_timeout_us <= self.cost.freeze_threshold_us {
             self.phase = Phase::CaptureRequest;
@@ -873,10 +673,8 @@ impl MigrationEngine {
     fn step_capture_request(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
         // Deadline audit (ISSUE 8): the wall-clock budget is enforced at
         // every phase boundary, not just precopy rounds. Here the freeze
-        // has not begun, so the rollback is still free. The residual
-        // family is exempt past precopy: its switch-over *is* the bounded
-        // completion path (finishing beats rolling back).
-        if !self.strategy.has_demand_resolve() && self.deadline_exceeded(io.now) {
+        // has not begun, so the rollback is still free.
+        if self.deadline_exceeded(io.now) {
             return self.abort_in_precopy(io.now, AbortReason::Overloaded, sink);
         }
         sink.emit(io.now, Effect::PhaseEntered(PhaseId::FreezeCapture));
@@ -1000,12 +798,8 @@ impl MigrationEngine {
 
         let n = self.capture_keys.len() as u64;
         let setup = match self.strategy {
-            // One aggregated capture message for all connections (the
-            // residual family switches over collectively too).
-            Strategy::Collective
-            | Strategy::IncrementalCollective
-            | Strategy::PostCopy
-            | Strategy::Hybrid { .. } => self.cost.capture_setup_us(n),
+            // One aggregated capture message for all connections.
+            Strategy::Collective | Strategy::IncrementalCollective => self.cost.capture_setup_us(n),
             // The first socket's handshake; the rest are inside the
             // per-socket detach loop.
             Strategy::Iterative => self.cost.rtt_us(),
@@ -1019,9 +813,8 @@ impl MigrationEngine {
     fn step_detach(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
         // Deadline audit: the app froze at capture but its sockets are
         // still hashed on the source — aborting here resumes it in place
-        // (ResumedOnSource), which is still cheap. Exempt for the residual
-        // family (see `step_capture_request`).
-        if !self.strategy.has_demand_resolve() && self.deadline_exceeded(io.now) {
+        // (ResumedOnSource), which is still cheap.
+        if self.deadline_exceeded(io.now) {
             let StepIo {
                 now,
                 src_stack,
@@ -1092,20 +885,11 @@ impl MigrationEngine {
                 },
             );
             let b = match self.strategy {
-                // Post-copy never shipped socket state before the freeze.
-                Strategy::Iterative | Strategy::Collective | Strategy::PostCopy => {
-                    sock.record_len()
-                }
+                Strategy::Iterative | Strategy::Collective => sock.record_len(),
                 Strategy::IncrementalCollective => {
                     let since = self.sock_stamps.get(&sid).copied().unwrap_or(0);
                     sock.delta_len(since)
                 }
-                // A hybrid that *escalated* out of a non-tracking strategy
-                // has no precopy baseline (stamp 0): ship the full record.
-                Strategy::Hybrid { .. } => match self.sock_stamps.get(&sid).copied().unwrap_or(0) {
-                    0 => sock.record_len(),
-                    since => sock.delta_len(since),
-                },
             } + ATTACH_RECORD;
             sink.emit(
                 io.now,
@@ -1126,42 +910,11 @@ impl MigrationEngine {
 
         // Final incremental memory step + the freeze records the leader
         // thread dumps (open-file table, thread registers, signal handlers).
-        // The residual family defers the pages themselves: only metadata
-        // (VMA layout + freeze records) crosses in the freeze window, and
-        // every deferred page is seeded into the source's residual-
-        // dependency ledger for the demand-resolve phase.
-        let mem_bytes = if self.strategy.has_demand_resolve() {
-            let (full_bytes, pages) = if self.strategy == Strategy::PostCopy {
-                // No precopy ran: the ledger is the entire image. Stage
-                // the process now (metadata + VMA layout; the transfer of
-                // its pages is what the ledger accounts).
-                let img = full_checkpoint(io.proc);
-                self.staged = Some(restore_process(&img));
-                (img.transfer_bytes(), img.pages)
-            } else {
-                let update = incremental_update(&mut self.tracker, io.proc);
-                let bytes =
-                    update.transfer_bytes() + dvelm_ckpt::freeze_records(io.proc).transfer_bytes();
-                let IncrementalUpdate { vma_diff, pages } = update;
-                let staged = self.staged.as_mut().expect("staged process exists");
-                apply_update(
-                    staged,
-                    &IncrementalUpdate {
-                        vma_diff,
-                        pages: Vec::new(),
-                    },
-                );
-                (bytes, pages)
-            };
-            let ledger_bytes = pages.len() as u64 * RESIDUAL_PAGE_BYTES;
-            self.residual = pages.into();
-            full_bytes - ledger_bytes
-        } else {
-            let update = incremental_update(&mut self.tracker, io.proc);
-            let staged = self.staged.as_mut().expect("staged process exists");
-            apply_update(staged, &update);
-            update.transfer_bytes() + dvelm_ckpt::freeze_records(io.proc).transfer_bytes()
-        };
+        let update = incremental_update(&mut self.tracker, io.proc);
+        let staged = self.staged.as_mut().expect("staged process exists");
+        apply_update(staged, &update);
+        let mem_bytes =
+            update.transfer_bytes() + dvelm_ckpt::freeze_records(io.proc).transfer_bytes();
         let mem_time = self.cost.bulk_us(mem_bytes);
         sink.emit(
             io.now,
@@ -1182,9 +935,8 @@ impl MigrationEngine {
         // that parked the migration between detach and restore) can
         // overshoot the wall-clock budget. Restore-on-source is the
         // compensation row — the process resumes at home instead of
-        // committing a restore the conductor already gave up on. Exempt
-        // for the residual family (see `step_capture_request`).
-        if !self.strategy.has_demand_resolve() && self.deadline_exceeded(io.now) {
+        // committing a restore the conductor already gave up on.
+        if self.deadline_exceeded(io.now) {
             let StepIo {
                 now,
                 src_stack,
@@ -1315,19 +1067,6 @@ impl MigrationEngine {
             );
         }
 
-        if self.strategy.has_demand_resolve() && !self.residual.is_empty() {
-            // Switch-over complete: the destination runs the process from
-            // this instant — the freeze window ends here — while the
-            // source ledger stays authoritative for the residual pages.
-            // Completion is deferred until the ledger drains.
-            self.staged = Some(staged);
-            self.phase = Phase::DemandResolve;
-            sink.emit(io.now, Effect::PhaseEntered(PhaseId::DemandResolve));
-            return StepPlan {
-                next_step_after_us: Some(self.cost.rtt_us()),
-            };
-        }
-
         self.phase = Phase::Done;
         // Complete is the final effect of the migration, after every
         // destination stack effect above; its timestamp ends the freeze.
@@ -1337,88 +1076,6 @@ impl MigrationEngine {
         );
         StepPlan {
             next_step_after_us: None,
-        }
-    }
-
-    /// One demand-resolve round: service the faulted-page queue first
-    /// (demand fetches cost a round trip each and preempt the background
-    /// stream), then push one bounded write-back batch. Pages leave the
-    /// source ledger only as they land, so an abort at any instant still
-    /// finds every unfetched page authoritative on the source.
-    ///
-    /// The wall-clock deadline is deliberately *not* enforced here: the
-    /// destination already runs the application, the ledger only shrinks
-    /// (each round moves ≥ 1 page), and rolling back costs strictly more
-    /// than finishing. Overload shows up as slower rounds, never as an
-    /// abandoned live process.
-    fn step_demand_resolve(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
-        if self.residual.is_empty() {
-            // The last batch has landed: the source owes nothing. Hand
-            // the process over — Complete stays the final effect.
-            let Some(staged) = self.staged.take() else {
-                return StepPlan::default();
-            };
-            self.phase = Phase::Done;
-            sink.emit(
-                io.now,
-                Effect::Complete(MigrationComplete { process: staged }),
-            );
-            return StepPlan {
-                next_step_after_us: None,
-            };
-        }
-        let Some(staged) = self.staged.as_mut() else {
-            return StepPlan::default();
-        };
-        let mut delay = 0u64;
-        let mut landed: Vec<PageRecord> = Vec::new();
-        // Faulted-page queue: pages the destination touched before they
-        // arrived; each fault blocks a destination thread on a synchronous
-        // round trip to the source.
-        let faults = DEMAND_FAULTS_PER_STEP.min(self.residual.len());
-        for _ in 0..faults {
-            let Some(page) = self.residual.pop_front() else {
-                break;
-            };
-            sink.emit(
-                io.now,
-                Effect::Shipped {
-                    class: ByteClass::DemandFetch,
-                    bytes: RESIDUAL_PAGE_BYTES,
-                },
-            );
-            delay += self.cost.rtt_us() + self.cost.transfer_us(RESIDUAL_PAGE_BYTES);
-            landed.push(page);
-        }
-        // Background write-back: one bounded batch behind the fetches.
-        let batch = WRITEBACK_BATCH_PAGES.min(self.residual.len());
-        if batch > 0 {
-            let mut bytes = 0u64;
-            for _ in 0..batch {
-                let Some(page) = self.residual.pop_front() else {
-                    break;
-                };
-                sink.emit(
-                    io.now,
-                    Effect::Shipped {
-                        class: ByteClass::WriteBack,
-                        bytes: RESIDUAL_PAGE_BYTES,
-                    },
-                );
-                bytes += RESIDUAL_PAGE_BYTES;
-                landed.push(page);
-            }
-            delay += self.cost.bulk_us(bytes);
-        }
-        apply_update(
-            staged,
-            &IncrementalUpdate {
-                vma_diff: VmaDiff::default(),
-                pages: landed,
-            },
-        );
-        StepPlan {
-            next_step_after_us: Some(delay.max(1)),
         }
     }
 }

@@ -51,12 +51,8 @@ impl WorkloadProfile {
     /// Total socket bytes at freeze for a strategy.
     pub fn freeze_socket_bytes(&self, strategy: Strategy) -> u64 {
         let per_sock = match strategy {
-            // Post-copy ships sockets whole in the switch-over window, like
-            // collective; hybrid tracked them during its precopy prefix.
-            Strategy::Iterative | Strategy::Collective | Strategy::PostCopy => {
-                self.socket_record_bytes
-            }
-            Strategy::IncrementalCollective | Strategy::Hybrid { .. } => self.socket_delta_bytes,
+            Strategy::Iterative | Strategy::Collective => self.socket_record_bytes,
+            Strategy::IncrementalCollective => self.socket_delta_bytes,
         };
         self.connections * (per_sock + 16) // + attach record
     }
@@ -78,37 +74,17 @@ pub fn predict_freeze_us(cost: &CostModel, w: &WorkloadProfile, strategy: Strate
             cost.capture_setup_us(w.connections)
                 + cost.bulk_us(w.freeze_socket_bytes(Strategy::IncrementalCollective))
         }
-        // The post-copy family defers every memory page to the residual
-        // ledger: the switch-over window ships only sockets and metadata.
-        // `mem` above still charges the freeze-record/metadata trickle but
-        // not the dirty set, so subtract the deferred dirty bytes back out.
-        Strategy::PostCopy | Strategy::Hybrid { .. } => {
-            let socks = cost.capture_setup_us(w.connections)
-                + cost.bulk_us(w.freeze_socket_bytes(strategy));
-            let deferred = cost.bulk_us(w.freeze_mem_bytes + 2048) - cost.bulk_us(2048);
-            return base + mem + socks - deferred;
-        }
     };
     base + mem + socks
 }
 
 /// Predicted total migration duration (precopy schedule + freeze), µs.
 pub fn predict_total_us(cost: &CostModel, w: &WorkloadProfile, strategy: Strategy) -> u64 {
-    // The halving timeout schedule: 320+160+80+40+20 ms by default. The
-    // post-copy family truncates the schedule at its round limit (zero
-    // rounds for pure post-copy).
+    // The halving timeout schedule: 320+160+80+40+20 ms by default.
     let mut precopy = 0;
-    let mut rounds = 0u32;
     let mut t = cost.initial_loop_timeout_us;
     loop {
-        if strategy
-            .precopy_round_limit()
-            .is_some_and(|lim| rounds >= lim)
-        {
-            break;
-        }
         precopy += t;
-        rounds += 1;
         if t <= cost.freeze_threshold_us {
             break;
         }

@@ -43,15 +43,6 @@ pub struct MigrationReport {
     /// Protocol-phase entry instants, in order — the Fig. 3 timeline of this
     /// particular migration.
     pub phase_log: Vec<(&'static str, SimTime)>,
-    /// Pages fetched on demand from the source's residual-dependency ledger
-    /// after switch-over (post-copy family; zero for the paper strategies).
-    pub demand_fetch_pages: u64,
-    /// Bytes moved by demand fetches during `DemandResolve`.
-    pub demand_fetch_bytes: u64,
-    /// Pages pushed by the source's background write-back stream.
-    pub writeback_pages: u64,
-    /// Bytes moved by the background write-back stream.
-    pub writeback_bytes: u64,
     /// `Some((phase, reason))` if the migration was aborted rather than
     /// completed; `resumed_at` then records the rollback instant.
     pub aborted: Option<(PhaseId, AbortReason)>,
@@ -74,10 +65,6 @@ impl MigrationReport {
             sockets_migrated: 0,
             packets_reinjected: 0,
             parked_nonempty_sockets: 0,
-            demand_fetch_pages: 0,
-            demand_fetch_bytes: 0,
-            writeback_pages: 0,
-            writeback_bytes: 0,
             phase_log: Vec::new(),
             aborted: None,
         }
@@ -97,12 +84,6 @@ impl MigrationReport {
     /// Total migration duration (precopy + freeze), µs.
     pub fn total_us(&self) -> u64 {
         self.resumed_at.saturating_since(self.started_at)
-    }
-
-    /// Bytes moved after switch-over to resolve residual dependencies —
-    /// demand fetches plus the background write-back stream.
-    pub fn residual_bytes(&self) -> u64 {
-        self.demand_fetch_bytes + self.writeback_bytes
     }
 }
 

@@ -1,6 +1,4 @@
-//! The three socket-migration strategies compared in §III-C and Fig. 5b/5c,
-//! plus the restore-first family (post-copy and hybrid) that trades the
-//! precopy convergence problem for residual source dependencies.
+//! The three socket-migration strategies compared in §III-C and Fig. 5b/5c.
 
 use std::fmt;
 
@@ -21,75 +19,24 @@ pub enum Strategy {
     /// precopy phase*: most socket structures stop changing once the loop
     /// timeout is short, so the freeze phase ships only deltas.
     IncrementalCollective,
-    /// Restore-first: switch over immediately (no precopy loop), shipping
-    /// only metadata, sockets and the working set in the freeze window.
-    /// Remaining pages stay authoritative on the source in a residual-
-    /// dependency ledger and reach the destination via demand fetches and a
-    /// background write-back stream ([`crate::PhaseId::DemandResolve`]).
-    PostCopy,
-    /// A bounded precopy prefix followed by a post-copy switch-over: run at
-    /// most `precopy_rounds` incremental iterations (shrinking the residual
-    /// set while the app runs), then detach and resolve the rest on demand.
-    /// Unlike [`Strategy::PostCopy`], even `precopy_rounds = 0` ships the
-    /// initial full checkpoint before switch-over, so the residual set is
-    /// only the pages dirtied since that snapshot.
-    Hybrid {
-        /// Maximum number of incremental precopy iterations before the
-        /// forced switch-over.
-        precopy_rounds: u32,
-    },
 }
 
 impl Strategy {
     /// All strategies, in the order the paper's figures present them.
-    /// Restricted to the three paper strategies so every figure and
-    /// `Strategy::ALL`-driven test keeps its byte-identical seed output;
-    /// see [`Strategy::ALL_WITH_RESIDUAL`] for the full set.
     pub const ALL: [Strategy; 3] = [
         Strategy::Iterative,
         Strategy::Collective,
         Strategy::IncrementalCollective,
     ];
 
-    /// Every strategy including the restore-first family, for matrix tests
-    /// and benches that exercise residual-dependency handling.
-    pub const ALL_WITH_RESIDUAL: [Strategy; 5] = [
-        Strategy::Iterative,
-        Strategy::Collective,
-        Strategy::IncrementalCollective,
-        Strategy::PostCopy,
-        Strategy::Hybrid { precopy_rounds: 2 },
-    ];
-
     /// Whether socket deltas are shipped during the precopy loop.
     pub fn tracks_sockets_in_precopy(self) -> bool {
-        matches!(
-            self,
-            Strategy::IncrementalCollective | Strategy::Hybrid { .. }
-        )
+        matches!(self, Strategy::IncrementalCollective)
     }
 
     /// Whether the freeze phase ships sockets in one aggregated buffer.
     pub fn is_collective(self) -> bool {
         !matches!(self, Strategy::Iterative)
-    }
-
-    /// Whether the strategy resolves residual pages after switch-over
-    /// (post-copy family): the source keeps a residual-dependency ledger and
-    /// the migration passes through `DemandResolve` before completing.
-    pub fn has_demand_resolve(self) -> bool {
-        matches!(self, Strategy::PostCopy | Strategy::Hybrid { .. })
-    }
-
-    /// The bound on precopy iterations, if the strategy imposes one.
-    /// `Some(0)` means no precopy at all (pure post-copy); `None` means the
-    /// loop runs until the convergence threshold (the paper strategies).
-    pub fn precopy_round_limit(self) -> Option<u32> {
-        match self {
-            Strategy::Iterative | Strategy::Collective | Strategy::IncrementalCollective => None,
-            Strategy::PostCopy => Some(0),
-            Strategy::Hybrid { precopy_rounds } => Some(precopy_rounds),
-        }
     }
 }
 
@@ -99,8 +46,6 @@ impl fmt::Display for Strategy {
             Strategy::Iterative => write!(f, "iterative"),
             Strategy::Collective => write!(f, "collective"),
             Strategy::IncrementalCollective => write!(f, "incremental collective"),
-            Strategy::PostCopy => write!(f, "post-copy"),
-            Strategy::Hybrid { precopy_rounds } => write!(f, "hybrid({precopy_rounds})"),
         }
     }
 }
@@ -116,35 +61,11 @@ mod tests {
         assert!(Strategy::IncrementalCollective.is_collective());
         assert!(Strategy::IncrementalCollective.tracks_sockets_in_precopy());
         assert!(!Strategy::Collective.tracks_sockets_in_precopy());
-        assert!(Strategy::PostCopy.is_collective());
-        assert!(Strategy::Hybrid { precopy_rounds: 2 }.is_collective());
-        assert!(!Strategy::PostCopy.tracks_sockets_in_precopy());
-        assert!(Strategy::Hybrid { precopy_rounds: 2 }.tracks_sockets_in_precopy());
     }
 
     #[test]
     fn display_names() {
         let names: Vec<String> = Strategy::ALL.iter().map(|s| s.to_string()).collect();
         assert_eq!(names, ["iterative", "collective", "incremental collective"]);
-        assert_eq!(Strategy::PostCopy.to_string(), "post-copy");
-        assert_eq!(
-            Strategy::Hybrid { precopy_rounds: 3 }.to_string(),
-            "hybrid(3)"
-        );
-    }
-
-    #[test]
-    fn residual_family() {
-        for s in Strategy::ALL {
-            assert!(!s.has_demand_resolve(), "{s} is a stop-and-copy strategy");
-            assert_eq!(s.precopy_round_limit(), None);
-        }
-        assert!(Strategy::PostCopy.has_demand_resolve());
-        assert_eq!(Strategy::PostCopy.precopy_round_limit(), Some(0));
-        let hybrid = Strategy::Hybrid { precopy_rounds: 4 };
-        assert!(hybrid.has_demand_resolve());
-        assert_eq!(hybrid.precopy_round_limit(), Some(4));
-        assert_eq!(Strategy::ALL_WITH_RESIDUAL.len(), 5);
-        assert_eq!(&Strategy::ALL_WITH_RESIDUAL[..3], &Strategy::ALL[..]);
     }
 }

@@ -146,11 +146,6 @@ pub enum Fault {
         max_extra_us: u64,
         for_us: u64,
     },
-    /// The residual-page stream of the in-flight post-copy migration of
-    /// `pid` stalls: demand fetches and write-back pushes stop flowing for
-    /// `for_us` µs (the source keeps the ledger; resolution resumes after
-    /// the stall). No-op if that pid is not in its demand-resolve phase.
-    FetchStall { pid: Pid, for_us: u64 },
     /// Traffic surge: every client/application flow hosted on `host` ticks
     /// `factor`× faster for `for_us` µs, multiplying its send rate and
     /// dirty rate (a flash crowd hitting a zone). `factor <= 1` restores
@@ -177,7 +172,6 @@ impl Fault {
             Fault::CtrlLoss { .. } => "control loss",
             Fault::CtrlDup { .. } => "control duplication",
             Fault::CtrlReorder { .. } => "control reorder",
-            Fault::FetchStall { .. } => "fetch stall",
         }
     }
 }
@@ -312,14 +306,6 @@ mod tests {
             }
             .label(),
             "control reorder"
-        );
-        assert_eq!(
-            Fault::FetchStall {
-                pid: Pid(1),
-                for_us: 1_000
-            }
-            .label(),
-            "fetch stall"
         );
     }
 

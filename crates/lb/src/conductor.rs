@@ -103,17 +103,7 @@ impl LbMsg {
 /// through, and per-socket iteration is the conservative last resort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyPreference {
-    /// Restore-first switch-over: no precopy loop at all, residual pages
-    /// resolved on demand. The most aggressive ask — and the one with
-    /// residual source dependencies, so a failed attempt must never be
-    /// retried at this level ([`for_attempt`](Self::for_attempt) never asks
-    /// for it).
-    PostCopy,
-    /// A bounded precopy prefix, then the post-copy switch-over. Still
-    /// carries residual dependencies, but a shorter demand-resolve tail.
-    Hybrid,
-    /// Full speed among the residual-free strategies: socket deltas shipped
-    /// during precopy.
+    /// Full speed: socket deltas shipped during precopy.
     Incremental,
     /// No socket diff tracking: one collective transfer in the freeze phase.
     Collective,
@@ -123,24 +113,13 @@ pub enum StrategyPreference {
 
 impl StrategyPreference {
     /// The preference for attempt `n` (1-based): full speed first, one
-    /// degradation per retry. The residual family is opt-in per migration
-    /// (via the runtime's configured strategy ceiling), never the default
-    /// ask, so the attempt ladder starts at `Incremental`.
+    /// degradation per retry.
     pub fn for_attempt(n: u32) -> StrategyPreference {
         match n {
             0 | 1 => StrategyPreference::Incremental,
             2 => StrategyPreference::Collective,
             _ => StrategyPreference::Iterative,
         }
-    }
-
-    /// Whether this preference leaves residual source dependencies after
-    /// switch-over (the post-copy family).
-    pub fn has_residual_dependencies(self) -> bool {
-        matches!(
-            self,
-            StrategyPreference::PostCopy | StrategyPreference::Hybrid
-        )
     }
 }
 
@@ -1202,12 +1181,6 @@ mod tests {
             StrategyPreference::for_attempt(9),
             StrategyPreference::Iterative
         );
-        assert!(StrategyPreference::PostCopy.has_residual_dependencies());
-        assert!(StrategyPreference::Hybrid.has_residual_dependencies());
-        // And the attempt ladder never *asks* for a residual strategy.
-        for n in 0..12 {
-            assert!(!StrategyPreference::for_attempt(n).has_residual_dependencies());
-        }
     }
 
     /// Drives one sender conductor through: attempt 1 (fails) → backoff →

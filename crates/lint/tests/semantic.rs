@@ -77,14 +77,14 @@ fn r9_one_hop_clock_constant() {
     check_semantic_golden("r9_bad", "R9");
 }
 
-/// The symbol graph over the real `crates/core/src/effect.rs` and
-/// `crates/core/src/strategy.rs` must name every variant of the dispatched
-/// enums exactly — additions, removals and renames all break this test, so
-/// the semantic rules can never silently diverge from the vocabulary they
-/// police.
+/// The symbol graph over the real `crates/core/src/effect.rs`,
+/// `crates/core/src/strategy.rs` and `crates/faults/src/lib.rs` must name
+/// every variant of the dispatched enums exactly — additions, removals
+/// and renames all break this test, so the semantic rules can never
+/// silently diverge from the vocabulary they police.
 #[test]
 fn parser_round_trips_the_real_effect_enums() {
-    let cases: [(&str, &str, &[&str]); 4] = [
+    let cases: [(&str, &str, &[&str]); 5] = [
         (
             "crates/core/src/effect.rs",
             "Effect",
@@ -116,7 +116,6 @@ fn parser_round_trips_the_real_effect_enums() {
                 "FreezeCapture",
                 "FreezeDetach",
                 "Restore",
-                "DemandResolve",
             ],
         ),
         (
@@ -138,12 +137,23 @@ fn parser_round_trips_the_real_effect_enums() {
         (
             "crates/core/src/strategy.rs",
             "Strategy",
+            &["Iterative", "Collective", "IncrementalCollective"],
+        ),
+        (
+            "crates/faults/src/lib.rs",
+            "Fault",
             &[
-                "Iterative",
-                "Collective",
-                "IncrementalCollective",
-                "PostCopy",
-                "Hybrid",
+                "NodeCrash",
+                "DownlinkLoss",
+                "TransferStall",
+                "CaptureInstallFail",
+                "RestoreFail",
+                "CtrlBlackout",
+                "Partition",
+                "CtrlLoss",
+                "CtrlDup",
+                "CtrlReorder",
+                "Overload",
             ],
         ),
     ];

@@ -96,13 +96,6 @@ impl TraceRecorder {
                 if phase.is_precopy() {
                     self.report.precopy_iterations += 1;
                 }
-                // Post-copy family: the application resumes on the
-                // destination when demand-resolve begins, not when the last
-                // residual page lands — downtime ends here.
-                if *phase == PhaseId::DemandResolve && self.suspended {
-                    self.report.resumed_at = at;
-                    self.suspended = false;
-                }
             }
             Effect::SuspendApp => {
                 self.report.frozen_at = at;
@@ -129,16 +122,6 @@ impl TraceRecorder {
                     ByteClass::FreezeSocket => {
                         self.report.freeze_bytes += bytes;
                         self.report.freeze_socket_bytes += bytes;
-                    }
-                    // Residual traffic is emitted one page per effect, so
-                    // the effect count doubles as the page count.
-                    ByteClass::DemandFetch => {
-                        self.report.demand_fetch_bytes += bytes;
-                        self.report.demand_fetch_pages += 1;
-                    }
-                    ByteClass::WriteBack => {
-                        self.report.writeback_bytes += bytes;
-                        self.report.writeback_pages += 1;
                     }
                 }
             }
@@ -169,14 +152,7 @@ impl TraceRecorder {
                 self.shed_packets += shed_packets;
             }
             Effect::Complete(_) => {
-                // For the stop-and-copy strategies the app resumes at
-                // completion; for the post-copy family `resumed_at` was
-                // already closed at `DemandResolve` entry and completion
-                // merely marks the ledger drained.
-                if self.suspended {
-                    self.report.resumed_at = at;
-                    self.suspended = false;
-                }
+                self.report.resumed_at = at;
                 if let Some(open) = self.spans.last_mut() {
                     if open.exited_at.is_none() {
                         open.exited_at = Some(at);

@@ -61,15 +61,6 @@ pub enum InvariantViolation {
     /// An ownership event referenced a host the monitor never saw own the
     /// pid (bookkeeping desync between world and monitor — itself a bug).
     UnknownOwner { pid: Pid, host: usize, at: SimTime },
-    /// A post-copy migration was torn down while `pages` residual pages
-    /// were still owed to the destination, and the destination copy kept
-    /// running anyway: it can fault on memory nobody will ever serve.
-    ResidualDependencyLeak { pid: Pid, pages: u64, at: SimTime },
-    /// The source-side copy of a post-copy-migrated process executed an
-    /// application write after handoff: any page it dirties outside the
-    /// residual-dependency ledger silently diverges the two copies — the
-    /// stale-source hazard the ledger protocol exists to prevent.
-    StaleSourceWrite { pid: Pid, at: SimTime },
     /// An interest-table subscription for `pid`'s zone points at a host
     /// that does not own the process (and the pid is not mid-migration,
     /// when both ends legitimately subscribe). A leaked subscription turns
@@ -94,8 +85,6 @@ impl InvariantViolation {
             InvariantViolation::CapturePacketsOverBudget { .. } => "capture packets over budget",
             InvariantViolation::CaptureBytesOverBudget { .. } => "capture bytes over budget",
             InvariantViolation::UnknownOwner { .. } => "unknown owner",
-            InvariantViolation::ResidualDependencyLeak { .. } => "residual dependency leak",
-            InvariantViolation::StaleSourceWrite { .. } => "stale source write",
             InvariantViolation::SubscriptionLeak { .. } => "subscription leak",
         }
     }
@@ -244,27 +233,6 @@ impl InvariantMonitor {
         } else {
             self.epochs.insert(pid, epoch);
         }
-    }
-
-    /// A post-copy migration of `pid` was torn down with `pages` residual
-    /// pages still unserved while the destination copy survived. Recorded
-    /// unconditionally for `pages > 0` — a leak with zero pages owed is not
-    /// a leak.
-    pub fn on_residual_leak(&mut self, now: SimTime, pid: Pid, pages: u64) {
-        if pages > 0 {
-            self.record(InvariantViolation::ResidualDependencyLeak {
-                pid,
-                pages,
-                at: now,
-            });
-        }
-    }
-
-    /// The stale source copy of `pid` executed an application write after
-    /// handoff. Called by the world the first time the source-side app
-    /// ticks after an unfenced rollback raced a surviving destination.
-    pub fn on_stale_source_write(&mut self, now: SimTime, pid: Pid) {
-        self.record(InvariantViolation::StaleSourceWrite { pid, at: now });
     }
 
     // -----------------------------------------------------------------
@@ -443,22 +411,6 @@ mod tests {
         assert!(m.violations().is_empty());
         m.check_capture(T, 65, 64, 3000, 2000);
         assert_eq!(m.violations().len(), 2);
-    }
-
-    #[test]
-    fn residual_hooks_record_the_postcopy_hazards() {
-        let mut m = InvariantMonitor::new();
-        // Zero pages owed is not a leak.
-        m.on_residual_leak(T, Pid(3), 0);
-        assert!(m.violations().is_empty());
-        m.on_residual_leak(T, Pid(3), 17);
-        m.on_residual_leak(T, Pid(3), 17); // persisting condition: once
-        m.on_stale_source_write(T, Pid(3));
-        let labels: Vec<&str> = m.violations().iter().map(|v| v.label()).collect();
-        assert_eq!(
-            labels,
-            vec!["residual dependency leak", "stale source write"]
-        );
     }
 
     #[test]

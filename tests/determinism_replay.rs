@@ -8,11 +8,10 @@
 //!
 //!
 //! Double runs catch nondeterminism; they cannot catch a change that moves
-//! every run the same way. So the chaos scenario, two broadcast-heavy
-//! chatter scenarios (plain and zoned) and the residual-strategy scale
-//! cells are also pinned to golden outputs recorded on the single event
-//! loop. A refactor that claims byte-identical output must pass them
-//! unchanged.
+//! every run the same way. So the chaos scenario and two broadcast-heavy
+//! chatter scenarios (plain and zoned) are also pinned to golden outputs
+//! recorded on the single event loop. A refactor that claims
+//! byte-identical output must pass them unchanged.
 
 use dvelm::lb::AdmissionConfig;
 use dvelm::migrate::OverloadGuard;
@@ -67,10 +66,6 @@ fn replay_full(monitored: bool) -> (Vec<String>, SimTime) {
         overload_guard: OverloadGuard {
             deadline_us: Some(10 * SECOND),
             max_stagnant_rounds: Some(8),
-            // Mirror the chaos soak: non-converging precopies escalate to
-            // hybrid switch-overs, so the replay also proves the
-            // demand-resolve path is deterministic.
-            escalate_nonconverging: true,
         },
         capture_budget: CaptureBudget::bounded(CAPTURE_PACKETS, CAPTURE_BYTES),
         xlate_gc_ttl_us: Some(10 * SECOND),
@@ -243,44 +238,6 @@ fn monitor_does_not_perturb_figures() {
     );
 }
 
-/// The residual-dependency strategies go through demand-fetch and
-/// write-back queues that post-copy work shares with ordinary traffic —
-/// the scale cell's deterministic fingerprint (which folds in the
-/// demand-fetch / write-back counters) must match its golden, and the
-/// cells must actually exercise those queues.
-#[test]
-fn residual_scale_cells_match_golden() {
-    use dvelm_bench::scale::{run_scale, ScaleConfig};
-    use dvelm_migrate::Strategy;
-
-    for (strategy, golden) in [
-        (Strategy::PostCopy, POSTCOPY_SMOKE_FINGERPRINT),
-        (
-            Strategy::Hybrid { precopy_rounds: 2 },
-            HYBRID_SMOKE_FINGERPRINT,
-        ),
-    ] {
-        let cell = run_scale(&ScaleConfig {
-            strategy,
-            ..ScaleConfig::smoke()
-        });
-        assert!(
-            cell.migrations_completed > 0,
-            "{strategy}: the smoke cell must complete migrations"
-        );
-        assert!(
-            cell.demand_fetch_pages > 0 || cell.writeback_pages > 0,
-            "{strategy}: a residual-strategy cell must move pages through \
-             the demand-fetch or write-back queue"
-        );
-        assert_eq!(
-            cell.det_fingerprint(),
-            golden,
-            "{strategy}: smoke-cell fingerprint drifted"
-        );
-    }
-}
-
 #[test]
 fn chaos_seed_replays_byte_identical() {
     let (log_a, end_a) = replay();
@@ -347,22 +304,6 @@ const AOI_GOLDEN: Golden = Golden {
     effects: 78,
     end_us: 3_999_793,
 };
-/// `ScaleConfig::smoke()` under `Strategy::PostCopy`.
-const POSTCOPY_SMOKE_FINGERPRINT: &str = "n4 c100 m2 s2 seed0x5ca1ebc strat[post-copy] aoi=false: \
-    sim_us=2100000 events=21177 deliveries=20750 usercmds=6166 route_errors=0 \
-    started=2 rejected=0 completed=2 aborted=0 freeze_max=612 total_max=692 \
-    df=1040p/4284800b wb=8304p/34212480b peak_pkts=1 peak_bytes=48 shed_udp=0 clamped=0 \
-    phases=[demand-resolve: fetch + write-back=0,freeze: detach + transfer=539,\
-    freeze: signal + capture setup=684,restore: rehash + reinject + resume=0]";
-/// `ScaleConfig::smoke()` under `Strategy::Hybrid { precopy_rounds: 2 }`.
-const HYBRID_SMOKE_FINGERPRINT: &str = "n4 c100 m2 s2 seed0x5ca1ebc strat[hybrid(2)] aoi=false: \
-    sim_us=2100000 events=21611 deliveries=20950 usercmds=6166 route_errors=0 \
-    started=2 rejected=0 completed=2 aborted=0 freeze_max=609 total_max=562539 \
-    df=312p/1285440b wb=2462p/10143440b peak_pkts=1 peak_bytes=48 shed_udp=0 clamped=0 \
-    phases=[demand-resolve: fetch + write-back=0,freeze: detach + transfer=533,\
-    freeze: signal + capture setup=684,precopy: full checkpoint=640000,\
-    precopy: incremental iteration=482986,restore: rehash + reinject + resume=0]";
-
 /// Diff two effect logs byte-for-byte, pointing at the first divergent
 /// entry (with a line of context) rather than dumping both streams.
 fn assert_logs_identical(label_a: &str, log_a: &[String], label_b: &str, log_b: &[String]) {

@@ -180,155 +180,6 @@ fn fault_postdetach_dst_crash_restores_on_source() {
 }
 
 // ---------------------------------------------------------------------
-// post-copy family: faults during demand-resolve
-// ---------------------------------------------------------------------
-
-/// Drive the world until the migration enters its demand-resolve phase,
-/// then assert it actually did (rather than completing under us).
-fn run_until_demand_resolve(w: &mut World, mig: dvelm::cluster::MigId, strategy: Strategy) {
-    let mut deadline = w.now();
-    while w.migration_in_demand_resolve(mig) == Some(false) {
-        deadline += 200;
-        w.run_until(deadline);
-    }
-    assert_eq!(
-        w.migration_in_demand_resolve(mig),
-        Some(true),
-        "{strategy:?}: migration finished before entering demand-resolve"
-    );
-}
-
-/// The residual strategies under test, with enough precopy rounds for the
-/// hybrid variant to still carry a ledger at switch-over.
-const RESIDUAL: [Strategy; 2] = [Strategy::PostCopy, Strategy::Hybrid { precopy_rounds: 2 }];
-
-#[test]
-fn fault_dst_crash_during_demand_resolve_restores_on_source() {
-    // The hardest post-copy cell: the destination copy is already running
-    // when its host dies. The source's residual-dependency ledger is
-    // intact, so the outcome must be RestoredOnSource — never Lost.
-    for strategy in RESIDUAL {
-        let (mut w, n0, n1, _ch, zone, _, updates_received) = zone_world(0xfa0c);
-        let mig = w.begin_migration(zone, n1, strategy).unwrap();
-        run_until_demand_resolve(&mut w, mig, strategy);
-        assert!(
-            w.migration_residual_pages(mig).unwrap_or(0) > 0,
-            "{strategy:?}: the ledger must still hold pages when the crash lands"
-        );
-
-        w.inject_fault(Fault::NodeCrash { host: n1 });
-
-        match w.migration_outcome(mig) {
-            Some(MigrationOutcome::Aborted {
-                phase,
-                reason,
-                recovery,
-            }) => {
-                assert_eq!(phase, PhaseId::DemandResolve, "{strategy:?}");
-                assert_eq!(reason, AbortReason::DestinationCrashed, "{strategy:?}");
-                assert_eq!(
-                    recovery,
-                    Recovery::RestoredOnSource,
-                    "{strategy:?}: ledger intact ⇒ never Lost"
-                );
-            }
-            other => panic!("{strategy:?}: expected an aborted outcome, got {other:?}"),
-        }
-        assert_eq!(w.active_migrations(), 0, "{strategy:?}");
-        assert_eq!(w.host_of(zone), Some(n0), "{strategy:?}");
-        assert!(w.lost_images.is_empty(), "{strategy:?}: nothing was lost");
-
-        // Unlike pre-switch-over aborts, the connections do NOT survive:
-        // socket state lived on the destination since switch-over and died
-        // with it (BLCR semantics, DESIGN.md §12 abort-row table). The
-        // restored source copy runs, but clients must reconnect — the
-        // update stream stays parked rather than resuming.
-        let before = *updates_received.borrow();
-        w.run_for(2 * SECOND);
-        let after = *updates_received.borrow();
-        assert!(
-            after <= before + 20,
-            "{strategy:?}: a demand-resolve abort cannot keep the old \
-             connections streaming ({before} -> {after})"
-        );
-    }
-}
-
-#[test]
-fn fault_src_crash_during_demand_resolve_loses_the_ledger() {
-    // The dual cell: the *source* dies mid-resolve. The ledger — the only
-    // authoritative copy of the unfetched pages — dies with it, and the
-    // partially-fetched destination copy is unrecoverable: this is the one
-    // cell where `Lost` is the honest outcome (and exactly why the
-    // `Lost`-avoidance theorem is conditioned on ledger intactness).
-    for strategy in RESIDUAL {
-        let (mut w, n0, n1, _ch, zone, _, _) = zone_world(0xfa0d);
-        let mig = w.begin_migration(zone, n1, strategy).unwrap();
-        run_until_demand_resolve(&mut w, mig, strategy);
-        assert!(
-            w.migration_residual_pages(mig).unwrap_or(0) > 0,
-            "{strategy:?}"
-        );
-
-        w.inject_fault(Fault::NodeCrash { host: n0 });
-
-        match w.migration_outcome(mig) {
-            Some(MigrationOutcome::Aborted {
-                phase,
-                reason,
-                recovery,
-            }) => {
-                assert_eq!(phase, PhaseId::DemandResolve, "{strategy:?}");
-                assert_eq!(reason, AbortReason::SourceCrashed, "{strategy:?}");
-                assert_eq!(
-                    recovery,
-                    Recovery::Lost,
-                    "{strategy:?}: the ledger died with the source"
-                );
-            }
-            other => panic!("{strategy:?}: expected an aborted outcome, got {other:?}"),
-        }
-        assert_eq!(w.host_of(zone), None, "{strategy:?}");
-        assert!(
-            w.lost_images.is_empty(),
-            "{strategy:?}: a partial image is not cold-restartable"
-        );
-        w.run_for(SECOND);
-    }
-}
-
-#[test]
-fn fault_fetch_stall_defers_resolution_without_killing_it() {
-    // A stalled residual stream mid-resolve delays completion but must not
-    // abort: the destination copy keeps running (it is already resumed)
-    // and resolution picks up where it left off once the stall lifts.
-    for strategy in RESIDUAL {
-        let (mut w, _n0, n1, _ch, zone, _, updates_received) = zone_world(0xfa0e);
-        let mig = w.begin_migration(zone, n1, strategy).unwrap();
-        run_until_demand_resolve(&mut w, mig, strategy);
-
-        w.inject_fault(Fault::FetchStall {
-            pid: zone,
-            for_us: 500 * MILLISECOND,
-        });
-        w.run_for(2 * SECOND);
-
-        assert!(
-            w.migration_outcome(mig).is_some_and(|o| o.is_completed()),
-            "{strategy:?}: a fetch stall must defer, not kill: {:?}",
-            w.migration_outcome(mig)
-        );
-        assert_eq!(w.host_of(zone), Some(n1), "{strategy:?}");
-        let report = w.reports.last().expect("completion produces a report");
-        assert!(
-            report.demand_fetch_pages + report.writeback_pages > 0,
-            "{strategy:?}: resolution resumed after the stall"
-        );
-        assert_stream_alive(&mut w, &updates_received, "swarm clients after fetch stall");
-    }
-}
-
-// ---------------------------------------------------------------------
 // destination kernel refusals: freeze rollback and restore fallback
 // ---------------------------------------------------------------------
 

@@ -91,7 +91,6 @@ fn fault_surge_during_precopy_aborts_nonconverging() {
         overload_guard: OverloadGuard {
             deadline_us: None,
             max_stagnant_rounds: Some(2),
-            escalate_nonconverging: false,
         },
         ..WorldConfig::default()
     });
@@ -139,7 +138,6 @@ fn fault_migration_deadline_aborts_overloaded() {
         overload_guard: OverloadGuard {
             deadline_us: Some(10_000),
             max_stagnant_rounds: None,
-            escalate_nonconverging: false,
         },
         ..WorldConfig::default()
     });
@@ -164,96 +162,6 @@ fn fault_migration_deadline_aborts_overloaded() {
 }
 
 // ---------------------------------------------------------------------
-// escalation: a non-converging precopy degrades into hybrid switch-over
-// ---------------------------------------------------------------------
-
-#[test]
-fn surge_escalates_nonconverging_precopy_into_hybrid_switchover() {
-    // Baseline: the identical surge scenario with the guard disabled. The
-    // precopy loop still terminates (the loop timeout shrinks to the final
-    // checkpoint threshold) but the freeze ships the whole re-dirtied
-    // set — the unbounded-payload cost the convergence guard exists to
-    // avoid paying.
-    let freeze_baseline = {
-        let (mut w, n0, n1, _ch, zone, _c) = zone_world_with(WorldConfig {
-            seed: 0x0b01,
-            ..WorldConfig::default()
-        });
-        w.inject_fault(Fault::Overload {
-            host: n0,
-            factor: 32,
-            for_us: 0,
-        });
-        let mig = w.begin_migration(zone, n1, Strategy::Collective).unwrap();
-        w.run_for(4 * SECOND);
-        assert!(
-            w.migration_outcome(mig).is_some_and(|o| o.is_completed()),
-            "unguarded run must push through: {:?}",
-            w.migration_outcome(mig)
-        );
-        w.reports.last().unwrap().freeze_us()
-    };
-    assert!(freeze_baseline > 0, "the baseline pays a real freeze");
-
-    // Escalated: same seed, same surge, but the guard degrades the
-    // non-converging precopy into a hybrid switch-over instead of
-    // aborting (`fault_surge_during_precopy_aborts_nonconverging` is the
-    // escalation-off sibling). The migration that used to be abandoned now
-    // completes, and its freeze undercuts the push-through baseline
-    // because only metadata + sockets cross the freeze window.
-    let (mut w, n0, n1, _ch, zone, c) = zone_world_with(WorldConfig {
-        seed: 0x0b01,
-        overload_guard: OverloadGuard {
-            deadline_us: None,
-            max_stagnant_rounds: Some(2),
-            escalate_nonconverging: true,
-        },
-        ..WorldConfig::default()
-    });
-    w.inject_fault(Fault::Overload {
-        host: n0,
-        factor: 32,
-        for_us: 0,
-    });
-    let mig = w.begin_migration(zone, n1, Strategy::Collective).unwrap();
-    w.run_for(4 * SECOND);
-
-    assert!(
-        w.migration_outcome(mig).is_some_and(|o| o.is_completed()),
-        "escalation must turn the NonConverging abort into a completion: {:?}",
-        w.migration_outcome(mig)
-    );
-    assert_eq!(w.host_of(zone), Some(n1), "the zone actually moved");
-    let report = w.reports.last().expect("completion produces a report");
-    assert!(
-        report
-            .phase_log
-            .iter()
-            .any(|(p, _)| *p == PhaseId::DemandResolve.label()),
-        "the completion went through demand-resolve: {:?}",
-        report.phase_log
-    );
-    assert!(
-        report.demand_fetch_pages + report.writeback_pages > 0,
-        "the residual ledger was actually drained"
-    );
-    assert!(
-        report.freeze_us() < freeze_baseline,
-        "switch-over freeze {} must undercut the push-through freeze {}",
-        report.freeze_us(),
-        freeze_baseline
-    );
-
-    // The swarm keeps receiving updates from the new host under the
-    // still-active surge.
-    assert_stream_alive(
-        &mut w,
-        &c.updates_received,
-        "swarm after hybrid switch-over",
-    );
-}
-
-// ---------------------------------------------------------------------
 // deadline audit: a stalled post-detach transfer still hits the budget
 // ---------------------------------------------------------------------
 
@@ -272,7 +180,6 @@ fn fault_stalled_postdetach_transfer_exceeds_deadline() {
             // end), far too tight for a 2 s mid-transfer park.
             deadline_us: Some(700 * MILLISECOND),
             max_stagnant_rounds: None,
-            escalate_nonconverging: false,
         },
         ..WorldConfig::default()
     });

@@ -267,198 +267,6 @@ fn partition_in_calm_down() {
     }
 }
 
-// ---------------------------------------------------------------------
-// post-copy family: partition mid-resolve (ISSUE 8)
-// ---------------------------------------------------------------------
-
-/// The residual strategies under test.
-const RESIDUAL: [Strategy; 2] = [Strategy::PostCopy, Strategy::Hybrid { precopy_rounds: 2 }];
-
-/// The zone scenario without the load balancer: residual cells drive the
-/// migration by hand so the cut lands exactly mid-resolve, with the
-/// invariant monitor armed throughout.
-fn build_manual(seed: u64, fence_enabled: bool) -> Scenario {
-    let mut w = World::new(WorldConfig {
-        seed,
-        fence_enabled,
-        ..WorldConfig::default()
-    });
-    w.enable_monitor();
-
-    let n0 = w.add_server_node();
-    let n1 = w.add_server_node();
-    let ch = w.add_client_host();
-
-    let server = ZoneServer::new();
-    let updates_sent = server.updates_sent.clone();
-    let zone = w.spawn_process(n0, "zone", 64, 1024, Box::new(server));
-    let addr = SockAddr::new(Ip::CLUSTER_PUBLIC, ZONE_BASE_PORT);
-    w.app_tcp_listen(n0, zone, addr);
-
-    let client = SwarmClient::new();
-    let bytes_received = client.bytes_received.clone();
-    let swarm = w.spawn_process(ch, "swarm", 64, 256, Box::new(client));
-    for _ in 0..4 {
-        w.app_tcp_connect(ch, swarm, addr, false);
-    }
-
-    w.run_for(SECOND);
-    Scenario {
-        w,
-        n0,
-        n1,
-        zone,
-        updates_sent,
-        bytes_received,
-    }
-}
-
-/// Step until the migration enters demand-resolve, failing loudly if it
-/// finishes first.
-fn run_until_demand_resolve(w: &mut World, mig: dvelm::cluster::MigId) {
-    let mut deadline = w.now();
-    while w.migration_in_demand_resolve(mig) == Some(false) {
-        deadline += 200;
-        w.run_until(deadline);
-    }
-    assert_eq!(
-        w.migration_in_demand_resolve(mig),
-        Some(true),
-        "migration finished before the cut could land mid-resolve"
-    );
-}
-
-#[test]
-fn partition_mid_resolve_heals_and_completes() {
-    // Cut the residual stream mid-resolve. Two heal instants per strategy:
-    // while the write-back is still outstanding (50 ms — resolution picks
-    // up exactly where the cut parked it) and long after the drain would
-    // have finished unstalled (2 s — the parked ledger survives arbitrary
-    // delay). Either way the migration must complete, the ledger drain to
-    // zero, and not a byte of the update stream go missing.
-    let mut seed = 0x9ae0u64;
-    for strategy in RESIDUAL {
-        for heal in [50 * MILLISECOND, 2 * SECOND] {
-            let what = format!("{strategy} mid-resolve heal@{heal}");
-            let mut s = build_manual(seed, true);
-            seed += 1;
-            let mig = s.w.begin_migration(s.zone, s.n1, strategy).unwrap();
-            run_until_demand_resolve(&mut s.w, mig);
-            assert!(
-                s.w.migration_residual_pages(mig).unwrap_or(0) > 0,
-                "{what}: the ledger must be mid-drain when the cut lands"
-            );
-            let (a, b) = (s.n0, s.n1);
-            s.w.inject_fault(Fault::Partition {
-                groups: [HostSet::of(&[a]), HostSet::of(&[b])],
-                for_us: heal,
-            });
-            s.w.run_for(heal + 5 * SECOND);
-
-            assert!(
-                s.w.migration_outcome(mig).is_some_and(|o| o.is_completed()),
-                "{what}: a healed cut must not kill the resolution: {:?}",
-                s.w.migration_outcome(mig)
-            );
-            assert_eq!(s.w.host_of(s.zone), Some(b), "{what}");
-            let report = s.w.reports.last().expect("completion produces a report");
-            assert!(
-                report.demand_fetch_pages + report.writeback_pages > 0,
-                "{what}: the ledger was actually drained"
-            );
-            assert_cell_safe(&mut s, &what);
-        }
-    }
-}
-
-#[test]
-fn monitor_catches_residual_leak_when_fence_disabled() {
-    // The stale-source hazard realized (ISSUE 8): with the fence off, an
-    // abort mid-resolve across an active partition leaves the destination
-    // copy running — still owed `residual_pages` nobody will ever serve
-    // (ResidualDependencyLeak) — while the source restores its own copy,
-    // whose first write makes it the stale survivor (StaleSourceWrite).
-    // With the fence armed, the identical cut + cancel stays single-owner
-    // and the monitor stays silent.
-    let mut seed = 0x9af0u64;
-    for strategy in RESIDUAL {
-        // Unfenced: the monitor must name both hazards.
-        let mut s = build_manual(seed, false);
-        seed += 1;
-        let mig = s.w.begin_migration(s.zone, s.n1, strategy).unwrap();
-        run_until_demand_resolve(&mut s.w, mig);
-        let owed = s.w.migration_residual_pages(mig).unwrap_or(0);
-        assert!(owed > 0, "{strategy}: pages must still be owed");
-        let (a, b) = (s.n0, s.n1);
-        s.w.inject_fault(Fault::Partition {
-            groups: [HostSet::of(&[a]), HostSet::of(&[b])],
-            for_us: 0, // never heals: the orphan keeps running
-        });
-        s.w.inject_fault(Fault::TransferStall { pid: s.zone });
-        s.w.run_for(SECOND);
-
-        let owners =
-            s.w.hosts
-                .iter()
-                .filter(|h| h.alive && h.procs.contains_key(&s.zone))
-                .count();
-        assert_eq!(
-            owners, 2,
-            "{strategy}: without the fence both sides keep a copy"
-        );
-        let leak = s.w.violations().iter().any(|v| {
-            matches!(
-                v,
-                InvariantViolation::ResidualDependencyLeak { pid, pages, .. }
-                    if *pid == s.zone && *pages > 0
-            )
-        });
-        assert!(
-            leak,
-            "{strategy}: the monitor must flag the leaked ledger: {:?}",
-            s.w.violations()
-        );
-        let stale = s.w.violations().iter().any(|v| {
-            matches!(
-                v,
-                InvariantViolation::StaleSourceWrite { pid, .. } if *pid == s.zone
-            )
-        });
-        assert!(
-            stale,
-            "{strategy}: the monitor must flag the stale source write: {:?}",
-            s.w.violations()
-        );
-
-        // Fenced control: the same cut + cancel leaves exactly one live
-        // copy and a clean monitor — the fence closes the window the
-        // monitor just proved real.
-        let mut s = build_manual(seed, true);
-        seed += 1;
-        let mig = s.w.begin_migration(s.zone, s.n1, strategy).unwrap();
-        run_until_demand_resolve(&mut s.w, mig);
-        let (a, b) = (s.n0, s.n1);
-        s.w.inject_fault(Fault::Partition {
-            groups: [HostSet::of(&[a]), HostSet::of(&[b])],
-            for_us: 0,
-        });
-        s.w.inject_fault(Fault::TransferStall { pid: s.zone });
-        s.w.run_for(SECOND);
-        let owners =
-            s.w.hosts
-                .iter()
-                .filter(|h| h.alive && h.procs.contains_key(&s.zone))
-                .count();
-        assert_eq!(owners, 1, "{strategy}: the fence keeps a single owner");
-        s.w.monitor_sweep();
-        assert!(
-            s.w.violations().is_empty(),
-            "{strategy}: fenced run must stay clean: {:?}",
-            s.w.violations()
-        );
-    }
-}
-
 /// The nastiest cell with the fence armed: the cut opens *after* the
 /// detach point — the destination already holds the complete image — and
 /// stays up past lease expiry, so the sender force-cancels and restores

@@ -14,8 +14,7 @@
 //! * **zero TCP payload bytes lost** — the paper's loss-prevention
 //!   property holds under zoned routing exactly as under broadcast,
 //!   because the destination subscribes the instant its capture hooks are
-//!   armed (pre-switch-over rows only: a demand-resolve abort kills the
-//!   connections by design, see `tests/fault_matrix.rs`).
+//!   armed.
 //!
 //! Rows: clean completion, destination crash before the detach point,
 //! destination crash after it, and the epoch fence refusing a stale
@@ -169,7 +168,7 @@ fn run_until_past_detach(w: &mut World, mig: dvelm::cluster::MigId, what: &str) 
 
 #[test]
 fn handoff_clean_complete_moves_the_subscription() {
-    for strategy in Strategy::ALL_WITH_RESIDUAL {
+    for strategy in Strategy::ALL {
         let mut s = build(0x20e1, strategy, false);
         assert_eq!(
             s.w.zone_subscribers(ZONE),
@@ -195,12 +194,7 @@ fn handoff_clean_complete_moves_the_subscription() {
 
 #[test]
 fn handoff_predetach_abort_keeps_source_subscribed() {
-    for strategy in Strategy::ALL_WITH_RESIDUAL {
-        // Post-copy freezes and detaches at the very first step — there is
-        // no pre-detach window to crash in, so row 3 is its only abort row.
-        if matches!(strategy, Strategy::PostCopy) {
-            continue;
-        }
+    for strategy in Strategy::ALL {
         let mut s = build(0x20e2, strategy, false);
         let mig = s.w.begin_migration(s.zone, s.n1, strategy).unwrap();
         s.w.run_for(5 * MILLISECOND);
@@ -234,7 +228,7 @@ fn handoff_predetach_abort_keeps_source_subscribed() {
 
 #[test]
 fn handoff_postdetach_abort_restores_source_subscription() {
-    for strategy in Strategy::ALL_WITH_RESIDUAL {
+    for strategy in Strategy::ALL {
         let mut s = build(0x20e3, strategy, false);
         let mig = s.w.begin_migration(s.zone, s.n1, strategy).unwrap();
         run_until_past_detach(&mut s.w, mig, &format!("{strategy:?} post-detach"));
@@ -252,17 +246,12 @@ fn handoff_postdetach_abort_restores_source_subscription() {
                 s.w.migration_outcome(mig)
             );
         };
+        assert_eq!(phase, dvelm::migrate::PhaseId::FreezeDetach, "{strategy:?}");
         assert_eq!(reason, AbortReason::DestinationCrashed, "{strategy:?}");
         assert_eq!(recovery, Recovery::RestoredOnSource, "{strategy:?}");
         assert_eq!(s.w.host_of(s.zone), Some(s.n0), "{strategy:?}");
         assert_zone_consistent(&mut s, &format!("{strategy:?} post-detach abort"));
-        // The byte audit only holds for pre-switch-over rows: a crash that
-        // lands in demand-resolve kills the connections with the
-        // destination (BLCR semantics; the residual strategies switch over
-        // at detach, so their crash usually falls there).
-        if phase == dvelm::migrate::PhaseId::FreezeDetach {
-            assert_bytes_settle(&mut s, &format!("{strategy:?} post-detach abort"));
-        }
+        assert_bytes_settle(&mut s, &format!("{strategy:?} post-detach abort"));
     }
 }
 
@@ -295,9 +284,9 @@ fn handoff_fenced_stale_epoch_leaves_one_subscriber() {
     // cut opens past detach and heals 1 µs after the destination's lease
     // expires, so the woken transfer's restore is refused by the fence
     // (see `tests/partition_matrix.rs` for the fence choreography itself).
-    // Whatever concrete strategy the conductor clamps the ceiling to, the
+    // Whatever concrete strategy the conductor maps the ceiling to, the
     // interest table must end with exactly one seat.
-    for strategy in Strategy::ALL_WITH_RESIDUAL {
+    for strategy in Strategy::ALL {
         let what = format!("{strategy:?} fenced stale epoch");
         let mut s = build(0x20e4, strategy, true);
         run_until_phase(&mut s.w, s.n0, &what, |p| {
