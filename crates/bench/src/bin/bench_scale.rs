@@ -21,7 +21,6 @@ fn cell(nodes: usize, clients: usize, migrations: usize, run_secs: u64, aoi: boo
         migrations,
         run_secs,
         seed: SCALE_SEED,
-        monitored: false,
         aoi,
     }
 }

@@ -409,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn no_arguments_give_the_default_sweep() {
+    fn no_arguments_give_the_full_sweep() {
         assert_eq!(parse_connections(&[]), Ok(DEFAULT_CONNECTIONS.to_vec()));
     }
 

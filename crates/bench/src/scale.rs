@@ -38,12 +38,6 @@ pub struct ScaleConfig {
     pub run_secs: u64,
     /// World RNG seed.
     pub seed: u64,
-    /// Arm the world's invariant monitor for the run. This is excluded
-    /// from the fingerprint — the monitor observes the run
-    /// without scheduling events or drawing randomness, so a monitored
-    /// cell must fingerprint identically to a plain one (asserted by
-    /// `tests/determinism_replay.rs`).
-    pub monitored: bool,
     /// Interest-managed (AOI) routing: each server's port is mapped to its
     /// own zone, so inbound usercmds reach only the serving node instead of
     /// the full broadcast. AOI rows get an `@aoi`-suffixed cell key; the
@@ -60,7 +54,6 @@ impl ScaleConfig {
             migrations: 2,
             run_secs: 2,
             seed: SCALE_SEED,
-            monitored: false,
             aoi: false,
         }
     }
@@ -182,9 +175,6 @@ fn build_world(cfg: &ScaleConfig) -> (World, Vec<dvelm_proc::Pid>, Vec<usize>, R
         strategy: STRATEGY,
         ..WorldConfig::default()
     });
-    if cfg.monitored {
-        w.enable_monitor();
-    }
     let usercmds = Rc::new(RefCell::new(0u64));
     let mut node_hosts = Vec::with_capacity(cfg.nodes);
     let mut server_pids = Vec::with_capacity(cfg.nodes);
@@ -261,18 +251,6 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleCell {
     }
     w.run_until(warmup_end + cfg.run_secs * SECOND);
     w.run_for(DRAIN_US);
-    if cfg.monitored {
-        w.monitor_sweep();
-        assert!(
-            w.violations().is_empty(),
-            "fault-free scale cell must hold every invariant \
-             (cell {}x{}, seed {:#x}): {:?}",
-            cfg.nodes,
-            cfg.clients,
-            cfg.seed,
-            w.violations()
-        );
-    }
 
     let wall_ms = started_wall.elapsed().as_secs_f64() * 1000.0;
     let events = w.sched.dispatched() - events_before;
@@ -491,7 +469,6 @@ mod tests {
                 migrations: 1,
                 run_secs: 1,
                 seed: 1,
-                monitored: false,
                 aoi: false,
             },
             sched_clamped: 0,

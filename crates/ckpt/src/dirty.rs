@@ -6,10 +6,6 @@
 //! tracking list, and collects (clearing) the dirty pages.
 
 use crate::image::{PageRecord, VmaRecord, PAGE_RECORD_OVERHEAD, VMA_RECORD_LEN};
-use crate::wire::{
-    WireError, WireReader, WireWriter, UPDATE_HEADER_LEN, VMA_REMOVE_RECORD_LEN, VMA_REMOVE_TAG,
-    VMA_RESIZE_RECORD_LEN, VMA_RESIZE_TAG,
-};
 use dvelm_proc::mem::{AddressSpace, VmaId, PAGE_SIZE};
 
 /// Region-level changes since the previous iteration.
@@ -29,76 +25,24 @@ impl VmaDiff {
         self.inserted.is_empty() && self.resized.is_empty() && self.removed.is_empty()
     }
 
-    /// Transfer size of the diff records, bytes. The resize/remove terms use
-    /// the same constants as [`encode`](Self::encode), so the timing model
-    /// charges exactly what the wire format carries (inserted regions are
+    /// Transfer size of the diff records, bytes (inserted regions are
     /// charged at the full [`VMA_RECORD_LEN`] like any other VMA record).
     pub fn transfer_bytes(&self) -> u64 {
         self.inserted.len() as u64 * VMA_RECORD_LEN
             + self.resized.len() as u64 * VMA_RESIZE_RECORD_LEN
             + self.removed.len() as u64 * VMA_REMOVE_RECORD_LEN
     }
-
-    /// Encode the diff. Each resize record occupies exactly
-    /// [`VMA_RESIZE_RECORD_LEN`] bytes (tag, id, new page count, reserved)
-    /// and each remove record exactly [`VMA_REMOVE_RECORD_LEN`] bytes (tag,
-    /// id); inserted regions use the compact [`VmaRecord`] encoding.
-    pub fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.inserted.len() as u32);
-        for v in &self.inserted {
-            v.encode(w);
-        }
-        w.put_u32(self.resized.len() as u32);
-        for (id, pages) in &self.resized {
-            w.put_u32(VMA_RESIZE_TAG);
-            w.put_u64(id.0);
-            w.put_u64(*pages as u64);
-            w.put_u32(0); // reserved
-        }
-        w.put_u32(self.removed.len() as u32);
-        for id in &self.removed {
-            w.put_u32(VMA_REMOVE_TAG);
-            w.put_u64(id.0);
-        }
-    }
-
-    /// Decode a diff written by [`encode`](Self::encode).
-    pub fn decode(r: &mut WireReader<'_>) -> Result<VmaDiff, WireError> {
-        let ni = r.get_u32()?;
-        let mut inserted = Vec::with_capacity(ni as usize);
-        for _ in 0..ni {
-            inserted.push(VmaRecord::decode(r)?);
-        }
-        let nr = r.get_u32()?;
-        let mut resized = Vec::with_capacity(nr as usize);
-        for _ in 0..nr {
-            expect_tag(r, VMA_RESIZE_TAG)?;
-            let id = VmaId(r.get_u64()?);
-            let pages = r.get_u64()? as usize;
-            let _reserved = r.get_u32()?;
-            resized.push((id, pages));
-        }
-        let nd = r.get_u32()?;
-        let mut removed = Vec::with_capacity(nd as usize);
-        for _ in 0..nd {
-            expect_tag(r, VMA_REMOVE_TAG)?;
-            removed.push(VmaId(r.get_u64()?));
-        }
-        Ok(VmaDiff {
-            inserted,
-            resized,
-            removed,
-        })
-    }
 }
 
-fn expect_tag(r: &mut WireReader<'_>, want: u32) -> Result<(), WireError> {
-    let got = r.get_u32()?;
-    if got != want {
-        return Err(WireError::BadTag(got));
-    }
-    Ok(())
-}
+/// Transfer size of one VMA-resize diff record, bytes: record tag `u32` +
+/// region id `u64` + new page count `u64` + reserved `u32`.
+pub const VMA_RESIZE_RECORD_LEN: u64 = 24;
+/// Transfer size of one VMA-remove diff record, bytes: record tag `u32` +
+/// region id `u64`.
+pub const VMA_REMOVE_RECORD_LEN: u64 = 12;
+/// Transfer size of the incremental-update header, bytes: iteration `u32` +
+/// three `u32` record counts (inserted / resized+removed / pages).
+pub const UPDATE_HEADER_LEN: u64 = 16;
 
 /// One incremental update: region diff + dirty pages.
 #[derive(Debug, Clone, Default)]
@@ -245,66 +189,6 @@ mod tests {
         let up = tr.step(&mut space);
         assert_eq!(up.vma_diff.resized, vec![(id, 10)]);
         assert_eq!(up.pages.len(), 6, "grown pages are dirty");
-    }
-
-    #[test]
-    fn diff_roundtrips_and_record_sizes_match_the_constants() {
-        use dvelm_proc::mem::VmaKind;
-        let diff = VmaDiff {
-            inserted: vec![VmaRecord {
-                id: VmaId(9),
-                kind: VmaKind::Anon,
-                start: 0x7000,
-                pages: 3,
-            }],
-            resized: vec![(VmaId(2), 40), (VmaId(5), 1)],
-            removed: vec![VmaId(3)],
-        };
-        let mut w = WireWriter::new();
-        diff.encode(&mut w);
-        let with_all = w.len();
-        let buf = w.into_bytes();
-        let mut r = WireReader::new(&buf);
-        assert_eq!(VmaDiff::decode(&mut r).unwrap(), diff);
-        assert_eq!(r.remaining(), 0);
-
-        // The wire cost of each record class equals the constant the
-        // transfer model charges: strip the records and count the delta.
-        let mut w = WireWriter::new();
-        VmaDiff {
-            resized: Vec::new(),
-            ..diff.clone()
-        }
-        .encode(&mut w);
-        assert_eq!(
-            (with_all - w.len()) as u64,
-            diff.resized.len() as u64 * VMA_RESIZE_RECORD_LEN
-        );
-        let mut w = WireWriter::new();
-        VmaDiff {
-            removed: Vec::new(),
-            ..diff.clone()
-        }
-        .encode(&mut w);
-        assert_eq!(
-            (with_all - w.len()) as u64,
-            diff.removed.len() as u64 * VMA_REMOVE_RECORD_LEN
-        );
-    }
-
-    #[test]
-    fn diff_decode_rejects_a_foreign_tag() {
-        let diff = VmaDiff {
-            inserted: Vec::new(),
-            resized: vec![(VmaId(1), 2)],
-            removed: Vec::new(),
-        };
-        let mut w = WireWriter::new();
-        diff.encode(&mut w);
-        let mut buf = w.into_bytes();
-        buf[4] ^= 0xff; // corrupt the first record's tag
-        let mut r = WireReader::new(&buf);
-        assert!(matches!(VmaDiff::decode(&mut r), Err(WireError::BadTag(_))));
     }
 
     #[test]

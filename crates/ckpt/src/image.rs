@@ -7,9 +7,10 @@
 //!   this feeds the migration timing model;
 //! * the compact [`encode`](CheckpointImage::encode) representation — page
 //!   contents are 64-bit fingerprints in the simulation, so the encoded
-//!   buffer is small; it exists for restore fidelity and roundtrip testing.
+//!   buffer is small; only the benchmark's encode probe uses it (see
+//!   [`wire`](crate::wire)).
 
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::WireWriter;
 use dvelm_proc::mem::{PageRef, VmaId, VmaKind, PAGE_SIZE};
 use dvelm_proc::process::SIGHANDLER_RECORD_LEN;
 use dvelm_proc::thread::THREAD_RECORD_LEN;
@@ -41,27 +42,13 @@ pub struct VmaRecord {
 }
 
 impl VmaRecord {
-    /// Compact encoding (shared by full images and incremental diffs; the
-    /// *transfer* model charges [`VMA_RECORD_LEN`] per record regardless).
+    /// Compact encoding (the *transfer* model charges [`VMA_RECORD_LEN`] per
+    /// record regardless).
     pub fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.id.0);
         w.put_u8(kind_code(self.kind));
         w.put_u64(self.start);
         w.put_u64(self.pages as u64);
-    }
-
-    /// Decode one compact record.
-    pub fn decode(r: &mut WireReader<'_>) -> Result<VmaRecord, WireError> {
-        let id = VmaId(r.get_u64()?);
-        let kind = kind_from_code(r.get_u8()?);
-        let start = r.get_u64()?;
-        let pages = r.get_u64()? as usize;
-        Ok(VmaRecord {
-            id,
-            kind,
-            start,
-            pages,
-        })
     }
 }
 
@@ -147,63 +134,6 @@ impl CheckpointImage {
         w.put_u32(self.freeze.sig_handlers);
         w.into_bytes()
     }
-
-    /// Decode a compact encoding.
-    pub fn decode(buf: &[u8]) -> Result<CheckpointImage, WireError> {
-        let mut r = WireReader::new(buf);
-        let pid = Pid(r.get_u64()?);
-        let name = r.get_str()?.to_owned();
-        let thread_count = r.get_u32()?;
-        let cpu_share = r.get_f64()?;
-        let nv = r.get_u32()?;
-        let mut vmas = Vec::with_capacity(nv as usize);
-        for _ in 0..nv {
-            vmas.push(VmaRecord::decode(&mut r)?);
-        }
-        let np = r.get_u32()?;
-        let mut pages = Vec::with_capacity(np as usize);
-        for _ in 0..np {
-            let vma = VmaId(r.get_u64()?);
-            let index = r.get_u32()? as usize;
-            let fingerprint = r.get_u64()?;
-            pages.push(PageRecord {
-                vma,
-                index,
-                fingerprint,
-            });
-        }
-        let nf = r.get_u32()?;
-        let mut files = Vec::with_capacity(nf as usize);
-        for _ in 0..nf {
-            let fd = r.get_u32()?;
-            let path = r.get_str()?.to_owned();
-            let off = r.get_u64()?;
-            files.push((fd, path, off));
-        }
-        let ns = r.get_u32()?;
-        let mut socket_fds = Vec::with_capacity(ns as usize);
-        for _ in 0..ns {
-            socket_fds.push(r.get_u32()?);
-        }
-        let threads = r.get_u32()?;
-        let sig_handlers = r.get_u32()?;
-        Ok(CheckpointImage {
-            meta: ProcessMeta {
-                pid,
-                name,
-                thread_count,
-                cpu_share,
-            },
-            vmas,
-            pages,
-            freeze: FreezeImage {
-                files,
-                socket_fds,
-                threads,
-                sig_handlers,
-            },
-        })
-    }
 }
 
 fn kind_code(k: VmaKind) -> u8 {
@@ -213,16 +143,6 @@ fn kind_code(k: VmaKind) -> u8 {
         VmaKind::Heap => 2,
         VmaKind::Stack => 3,
         VmaKind::Anon => 4,
-    }
-}
-
-fn kind_from_code(c: u8) -> VmaKind {
-    match c {
-        0 => VmaKind::Text,
-        1 => VmaKind::Data,
-        2 => VmaKind::Heap,
-        3 => VmaKind::Stack,
-        _ => VmaKind::Anon,
     }
 }
 
@@ -294,14 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip() {
-        let img = sample_image();
-        let buf = img.encode();
-        let back = CheckpointImage::decode(&buf).unwrap();
-        assert_eq!(back, img);
-    }
-
-    #[test]
     fn transfer_bytes_dominated_by_pages() {
         let img = sample_image();
         let t = img.transfer_bytes();
@@ -323,11 +235,5 @@ mod tests {
         assert_eq!(fi.socket_fds, vec![1, 2]);
         assert_eq!(fi.threads, 1);
         assert!(fi.transfer_bytes() > 0);
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let buf = sample_image().encode();
-        assert!(CheckpointImage::decode(&buf[..buf.len() - 1]).is_err());
     }
 }

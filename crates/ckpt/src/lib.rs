@@ -3,8 +3,9 @@
 //! The paper extends the Berkeley Lab Checkpoint/Restart library with live
 //! (incremental) checkpointing. This crate reproduces that layer:
 //!
-//! * a **checkpoint image format** with an explicit wire encoding — byte
-//!   counts are first-class because they drive the timing model;
+//! * **checkpoint image records** whose transfer sizes are first-class,
+//!   because they drive the timing model (a compact encoder in
+//!   [`wire`] serves only the benchmark's encode probe);
 //! * **full checkpoints** (the first precopy transfer: memory map + all
 //!   pages);
 //! * **incremental updates** — dirty pages collected via the dirty bit plus a
@@ -27,13 +28,7 @@ pub mod restore;
 pub mod wire;
 
 pub use checkpoint::{freeze_records, full_checkpoint, incremental_update};
-pub use dirty::{IncrementalTracker, IncrementalUpdate, VmaDiff};
-pub use image::{
-    CheckpointImage, FreezeImage, PageRecord, ProcessMeta, VmaRecord, PAGE_RECORD_OVERHEAD,
-    VMA_RECORD_LEN,
-};
+pub use dirty::IncrementalTracker;
+pub use image::{CheckpointImage, FreezeImage, ProcessMeta, VmaRecord, VMA_RECORD_LEN};
 pub use restore::{apply_update, restore_process};
-pub use wire::{
-    WireError, WireReader, WireWriter, UPDATE_HEADER_LEN, VMA_REMOVE_RECORD_LEN,
-    VMA_RESIZE_RECORD_LEN,
-};
+pub use wire::WireWriter;

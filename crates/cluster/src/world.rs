@@ -21,6 +21,7 @@ use dvelm_proc::{Fd, FdEntry, Pid, Process, PAGE_SIZE};
 use dvelm_sim::{DetRng, DispatchKey, Scheduler, SimTime};
 use dvelm_stack::{
     CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect, TimerFire,
+    XlateRule,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1528,8 +1529,7 @@ impl World {
     fn local_load(&self, host: usize, now: SimTime) -> LoadInfo {
         let h = &self.hosts[host];
         let cpu = h.load_monitor.current().unwrap_or_else(|| h.cpu_pct());
-        let zones = self.router.interest().node_subscriptions(h.stack.node);
-        LoadInfo::new(h.stack.node, cpu, h.procs.len() as u32, now).with_zones(zones)
+        LoadInfo::new(h.stack.node, cpu, h.procs.len() as u32, now)
     }
 
     fn on_conductor_tick(&mut self, host: usize) {
@@ -1754,6 +1754,25 @@ impl World {
         Some(idx)
     }
 
+    /// The host a translation rule for `peer` goes to (install and revoke
+    /// alike). The peer endpoint may itself have migrated since the
+    /// connection was created, so this is whichever host currently runs its
+    /// socket, falling back to the host its address names.
+    fn xlate_target(&self, peer: NodeId, rule: &XlateRule) -> Option<usize> {
+        self.hosts
+            .iter()
+            .position(|h| {
+                h.stack.has_established(
+                    rule.peer_local,
+                    SockAddr {
+                        ip: rule.old_remote_ip,
+                        port: rule.remote_port,
+                    },
+                )
+            })
+            .or_else(|| self.host_by_node(peer))
+    }
+
     // ------------------------------------------------------------------
     // migration stepping
     // ------------------------------------------------------------------
@@ -1870,21 +1889,7 @@ impl World {
                     .suspended = true;
             }
             Effect::SendXlate { peer, rule } => {
-                // The peer endpoint may itself have migrated since the
-                // connection was created; deliver the rule to whichever host
-                // currently runs its socket, falling back to the host its
-                // address names.
-                let owner = self.hosts.iter().position(|h| {
-                    h.stack.has_established(
-                        rule.peer_local,
-                        dvelm_net::SockAddr {
-                            ip: rule.old_remote_ip,
-                            port: rule.remote_port,
-                        },
-                    )
-                });
-                let target = owner.or_else(|| self.host_by_node(peer));
-                if let Some(h) = target {
+                if let Some(h) = self.xlate_target(peer, &rule) {
                     self.sched.schedule_after(
                         self.cfg.ctrl_latency_us,
                         Event::InstallXlate { host: h, rule },
@@ -1912,17 +1917,7 @@ impl World {
                 // got it. One extra microsecond on top of the control
                 // latency guarantees the revoke lands after a simultaneous
                 // install of the same rule.
-                let owner = self.hosts.iter().position(|h| {
-                    h.stack.has_established(
-                        rule.peer_local,
-                        dvelm_net::SockAddr {
-                            ip: rule.old_remote_ip,
-                            port: rule.remote_port,
-                        },
-                    )
-                });
-                let target = owner.or_else(|| self.host_by_node(peer));
-                if let Some(h) = target {
+                if let Some(h) = self.xlate_target(peer, &rule) {
                     self.sched.schedule_after(
                         self.cfg.ctrl_latency_us + 1,
                         Event::RemoveXlate { host: h, rule },

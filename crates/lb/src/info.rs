@@ -14,13 +14,6 @@ pub struct LoadInfo {
     pub cpu_pct: f64,
     /// Number of DVE zone-server processes hosted.
     pub nprocs: u32,
-    /// Number of zone subscriptions the node's processes hold in the
-    /// router's interest table. Under AOI routing this approximates the
-    /// node's share of inbound usercmd fan-in, which `nprocs` alone does
-    /// not: a node hosting one hot multi-zone process can receive more
-    /// traffic than a node hosting ten single-zone ones. Zero in legacy
-    /// broadcast mode, where fan-in is uniform by construction.
-    pub zones: u32,
     /// When the sample was taken (sender clock; the cluster is a LAN, so
     /// clock skew is ignored as in the prototype).
     pub at: SimTime,
@@ -33,15 +26,8 @@ impl LoadInfo {
             node,
             cpu_pct,
             nprocs,
-            zones: 0,
             at,
         }
-    }
-
-    /// The same sample annotated with the node's zone-subscription count.
-    pub fn with_zones(mut self, zones: u32) -> LoadInfo {
-        self.zones = zones;
-        self
     }
 
     /// Whether the sample is recent enough to base an admission or
@@ -64,8 +50,6 @@ mod tests {
         assert_eq!(li.node, NodeId(3));
         assert_eq!(li.cpu_pct, 87.5);
         assert_eq!(li.nprocs, 20);
-        assert_eq!(li.zones, 0);
-        assert_eq!(li.with_zones(7).zones, 7);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl PeerDb {
         dead
     }
 
-    /// Remove one peer explicitly (graceful leave).
-    pub fn remove(&mut self, node: NodeId) {
-        self.peers.remove(&node);
-    }
-
     /// Known peers, in node order.
     pub fn iter(&self) -> impl Iterator<Item = &LoadInfo> {
         self.peers.values()
@@ -131,13 +126,5 @@ mod tests {
         assert_eq!(dead, vec![NodeId(1)]);
         assert_eq!(db.len(), 1);
         assert!(db.get(NodeId(2)).is_some());
-    }
-
-    #[test]
-    fn explicit_remove() {
-        let mut db = PeerDb::new();
-        db.update(li(1, 50.0, 1));
-        db.remove(NodeId(1));
-        assert!(db.is_empty());
     }
 }

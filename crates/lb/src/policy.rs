@@ -52,14 +52,6 @@ pub struct PolicyConfig {
     /// arbitrarily far from the recorded value, so it is ineligible as a
     /// destination until a fresh sample arrives. `0` disables the check.
     pub load_fresh_factor: u32,
-    /// Destination admission high-water mark, CPU %: a peer at or above
-    /// this is never sent a migration even if it sits below the cluster
-    /// average; the intent is *deferred* instead. `f64::INFINITY`
-    /// disables deferral (the paper-prototype behaviour).
-    pub dest_high_water: f64,
-    /// Bound on the deferral queue; when full, the lowest-priority
-    /// (smallest CPU share) intent is shed.
-    pub max_deferred: usize,
 }
 
 impl Default for PolicyConfig {
@@ -79,8 +71,6 @@ impl Default for PolicyConfig {
             blacklist_us: 30 * SECOND,
             lease_us: 15 * SECOND,
             load_fresh_factor: 2,
-            dest_high_water: f64::INFINITY,
-            max_deferred: 8,
         }
     }
 }
@@ -114,10 +104,9 @@ impl PolicyConfig {
     /// as the sender is heavier, so both converge to the average after the
     /// migration. Returns the peer minimizing the distance to that mirror
     /// target, restricted to peers below the average. Peers in `exclude`
-    /// (blacklisted after a failed migration) are never chosen. Admission
-    /// filters: a peer is only eligible if its load sample is fresh at `now`
-    /// (see `load_fresh_factor`) and its load is below the admission
-    /// high-water mark.
+    /// (blacklisted after a failed migration) are never chosen, and neither
+    /// is a peer whose load sample is stale at `now` (see
+    /// `load_fresh_factor`).
     pub fn choose_destination_at(
         &self,
         now: SimTime,
@@ -133,33 +122,12 @@ impl PolicyConfig {
             .filter(|li| !exclude.contains(&li.node))
             .filter(|li| li.is_fresh(now, fresh_us))
             .filter(|li| li.cpu_pct < cluster_avg - self.receiver_margin)
-            .filter(|li| li.cpu_pct < self.dest_high_water)
             .min_by(|a, b| {
                 let da = (a.cpu_pct - target).abs();
                 let db = (b.cpu_pct - target).abs();
                 da.partial_cmp(&db).expect("CPU loads are finite")
             })
             .map(|li| li.node)
-    }
-
-    /// Whether some peer would qualify as a destination (fresh, not
-    /// excluded, below the average) but is held back *only* by the
-    /// admission high-water mark. Distinguishes "defer and try again when
-    /// the receivers drain" from "there is nowhere to go at all".
-    pub fn viable_but_congested(
-        &self,
-        now: SimTime,
-        cluster_avg: f64,
-        peers: &PeerDb,
-        exclude: &[NodeId],
-    ) -> bool {
-        let fresh_us = self.load_fresh_us();
-        peers
-            .iter()
-            .filter(|li| !exclude.contains(&li.node))
-            .filter(|li| li.is_fresh(now, fresh_us))
-            .filter(|li| li.cpu_pct < cluster_avg - self.receiver_margin)
-            .any(|li| li.cpu_pct >= self.dest_high_water)
     }
 
     /// **Selection policy** (§IV-C): pick the process whose CPU consumption
@@ -283,30 +251,6 @@ mod tests {
             lax.choose_destination_at(now, 90.0, 75.0, &db, &[]),
             Some(NodeId(2))
         );
-    }
-
-    #[test]
-    fn high_water_mark_blocks_congested_destination() {
-        let cfg = PolicyConfig {
-            dest_high_water: 60.0,
-            ..PolicyConfig::default()
-        };
-        let now = SimTime::ZERO;
-        // Both below avg - margin, but only node 3 is under the high water.
-        let db = peers(&[(2, 62.0), (3, 40.0)]);
-        assert_eq!(
-            cfg.choose_destination_at(now, 90.0, 75.0, &db, &[]),
-            Some(NodeId(3))
-        );
-        // Every qualifying peer congested: no destination, but the caller
-        // can tell it is worth deferring.
-        let db = peers(&[(2, 62.0), (4, 65.0)]);
-        assert_eq!(cfg.choose_destination_at(now, 90.0, 75.0, &db, &[]), None);
-        assert!(cfg.viable_but_congested(now, 75.0, &db, &[]));
-        // No peer below the average at all: nothing to defer for.
-        let db = peers(&[(2, 80.0)]);
-        assert_eq!(cfg.choose_destination_at(now, 90.0, 75.0, &db, &[]), None);
-        assert!(!cfg.viable_but_congested(now, 75.0, &db, &[]));
     }
 
     #[test]

@@ -254,14 +254,13 @@ fn valid_trace() -> Vec<(NodeId, LbMsg)> {
             },
         ),
         (NodeId(1), LbMsg::Heartbeat(li(1, 88.0))),
-        (NodeId(0), LbMsg::Leave),
     ]
 }
 
 /// Messages whose relative order the shuffle must preserve: the migration
-/// protocol itself plus membership changes (Hello/Leave feed the admission
-/// decision's cluster average — losing a peer before its request arrives is
-/// a genuinely different world, not an equivalent reordering). Heartbeats
+/// protocol itself plus discovery (a Hello feeds the admission decision's
+/// cluster average — learning a peer only after its request arrives is a
+/// genuinely different world, not an equivalent reordering). Heartbeats
 /// float freely: newest-wins peer samples keep the decision stable.
 fn is_ordered(msg: &LbMsg) -> bool {
     !matches!(msg, LbMsg::Heartbeat(_))
@@ -290,8 +289,8 @@ proptest! {
     /// every message may be delivered again at any later point.
     #[test]
     fn duplicated_reordered_trace_converges(
-        keys in proptest::collection::vec(0u64..1_000_000, 9),
-        dups in proptest::collection::vec((0usize..9, 0usize..20), 0..8),
+        keys in proptest::collection::vec(0u64..1_000_000, 8),
+        dups in proptest::collection::vec((0usize..8, 0usize..20), 0..8),
     ) {
         let trace = valid_trace();
         let baseline = replay(&trace);

@@ -123,12 +123,6 @@ impl InterestTable {
     pub fn is_empty(&self) -> bool {
         self.subs.is_empty()
     }
-
-    /// Total live subscriptions held by `node` across all zones (carried in
-    /// the load-balancer's `LoadInfo` as a cheap interest-pressure signal).
-    pub fn node_subscriptions(&self, node: NodeId) -> u32 {
-        self.subs.values().filter(|set| set.contains(&node)).count() as u32
-    }
 }
 
 #[cfg(test)]
@@ -175,7 +169,6 @@ mod tests {
         t.purge_node(NodeId(9));
         assert!(t.subscribers(ZoneId(1)).is_none());
         assert_eq!(t.subscribers(ZoneId(2)).unwrap().len(), 1);
-        assert_eq!(t.node_subscriptions(NodeId(9)), 0);
-        assert_eq!(t.node_subscriptions(NodeId(5)), 1);
+        assert!(t.iter().all(|(_, set)| !set.contains(&NodeId(9))));
     }
 }

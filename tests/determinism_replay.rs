@@ -17,7 +17,7 @@ use dvelm::lb::AdmissionConfig;
 use dvelm::migrate::OverloadGuard;
 use dvelm::openarena::apps::{OaClient, OaServer, OA_PORT};
 use dvelm::prelude::*;
-use dvelm::stack::CaptureBudget;
+use dvelm::stack::{CaptureBudget, StackStats};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -190,27 +190,113 @@ fn monitor_does_not_perturb_the_stream() {
     assert_logs_identical("plain", &plain, "monitored", &monitored);
 }
 
-/// The figures stay honest under the monitor: the fault-free scale cell's
-/// deterministic fingerprint and the Fig. 5b/5c freeze-bench outputs
-/// (worst/mean freeze time, freeze-phase socket bytes, and the full
+/// What a monitored and a plain run of the smoke scenario must agree on.
+#[derive(Debug, PartialEq)]
+struct SmokeRun {
+    log: Vec<String>,
+    reports: String,
+    stack_stats: Vec<StackStats>,
+    route_errors: u64,
+    events: u64,
+    end: SimTime,
+}
+
+/// The scale benchmark's smoke cell on the plain `World` API: 4 `OaServer`
+/// nodes on distinct ports, 100 `OaClient`s round-robin across them, one
+/// second of warm-up, then two migrations 100 ms apart, each moving a
+/// node's server to the node half a ring away, and a run to 3.1 s.
+fn smoke_run(monitored: bool) -> SmokeRun {
+    const NODES: usize = 4;
+    let mut w = World::new(WorldConfig {
+        seed: 0x05CA_1EBC,
+        ..WorldConfig::default()
+    });
+    w.enable_effect_log();
+    if monitored {
+        w.enable_monitor();
+    }
+    let usercmds = Rc::new(RefCell::new(0u64));
+    let mut nodes = Vec::new();
+    let mut pids = Vec::new();
+    let mut addrs = Vec::new();
+    for i in 0..NODES {
+        let node = w.add_server_node();
+        let pid = w.spawn_process(
+            node,
+            "oa_server",
+            512,
+            4096,
+            Box::new(OaServer::new(usercmds.clone())),
+        );
+        let addr = SockAddr::new(Ip::CLUSTER_PUBLIC, OA_PORT + i as u16);
+        w.app_udp_bind(node, pid, addr);
+        nodes.push(node);
+        pids.push(pid);
+        addrs.push(addr);
+    }
+    for c in 0..100 {
+        let addr = addrs[c % NODES];
+        let ch = w.add_client_host();
+        let arrivals = Rc::new(RefCell::new(Vec::new()));
+        let pid = w.spawn_process(
+            ch,
+            "oa_client",
+            64,
+            256,
+            Box::new(OaClient::new(addr, arrivals)),
+        );
+        w.app_udp_socket(ch, pid, Some(addr));
+    }
+
+    let warmup_end = SimTime::from_secs(1);
+    for k in 0..2 {
+        w.run_until(warmup_end + k as u64 * 100 * MILLISECOND);
+        w.begin_migration(
+            pids[k],
+            nodes[k + NODES / 2],
+            Strategy::IncrementalCollective,
+        )
+        .expect("smoke migration admitted");
+    }
+    w.run_until(warmup_end + 2 * SECOND);
+    w.run_for(100 * MILLISECOND);
+    if monitored {
+        w.monitor_sweep();
+        assert!(
+            w.violations().is_empty(),
+            "the fault-free smoke run must hold every invariant: {:?}",
+            w.violations()
+        );
+    }
+    assert_eq!(w.reports.len(), 2, "both smoke migrations report");
+    SmokeRun {
+        log: w.effect_log().to_vec(),
+        reports: format!("{:?}", w.reports),
+        stack_stats: w.hosts.iter().map(|h| h.stack.stats()).collect(),
+        route_errors: w.route_errors(),
+        events: w.sched.dispatched(),
+        end: w.now(),
+    }
+}
+
+/// The figures stay honest under the monitor: the smoke scenario's effect
+/// stream, migration reports, per-host stack counters, route errors,
+/// dispatched events and end instant, and the Fig. 5b/5c freeze-bench
+/// outputs (worst/mean freeze time, freeze-phase socket bytes, and the full
 /// per-run reports including the phase timeline) are byte-identical with
 /// the monitor armed. A monitor that scheduled an event or drew from the
 /// world RNG would shift a timestamp here.
 #[test]
 fn monitor_does_not_perturb_figures() {
     use dvelm::dve::{run_freeze_bench, FreezeBenchConfig};
-    use dvelm_bench::scale::{run_scale, ScaleConfig};
 
-    let scale_cfg = ScaleConfig::smoke();
-    let plain = run_scale(&scale_cfg);
-    let monitored = run_scale(&ScaleConfig {
-        monitored: true,
-        ..scale_cfg
-    });
+    let plain = smoke_run(false);
+    let monitored = smoke_run(true);
+    assert!(!plain.log.is_empty(), "the smoke migrations emit effects");
+    assert_logs_identical("plain", &plain.log, "monitored", &monitored.log);
     assert_eq!(
-        plain.det_fingerprint(),
-        monitored.det_fingerprint(),
-        "scale-cell fingerprint must not depend on the monitor"
+        plain, monitored,
+        "the smoke run must not depend on the monitor"
     );
 
     let freeze_cfg = FreezeBenchConfig {
