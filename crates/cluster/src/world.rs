@@ -1505,13 +1505,7 @@ impl World {
         if is_tcp {
             let data = self.hosts[host].stack.read_tcp(sock, now);
             if !data.is_empty() {
-                // §V-C fidelity: while the application processes the data it
-                // holds the socket lock, so segments arriving meanwhile park
-                // on the backlog and are processed at unlock.
-                self.hosts[host].stack.set_user_locked(sock, true, now);
                 self.with_app(host, pid, |app, ctx| app.on_tcp_data(ctx, fd, &data));
-                let fx = self.hosts[host].stack.set_user_locked(sock, false, now);
-                self.apply_effects(host, fx);
             }
         } else {
             let dgrams = self.hosts[host].stack.read_udp(sock);

@@ -18,11 +18,11 @@
 //!
 //! The engine emits effects in the exact order the owner must act on them:
 //!
-//! * [`Effect::SuspendApp`] precedes any source-side [`Effect::Stack`]
-//!   effects of the same step, so backlog processing triggered by the final
-//!   checkpoint signal observes the process as already suspended;
-//! * [`Effect::SendXlate`] requests precede source-side stack effects (the
-//!   owner schedules rule installation one control latency later);
+//! * [`Effect::SuspendApp`] opens the freeze phase, before any socket is
+//!   detached from the source;
+//! * [`Effect::SendXlate`] requests are emitted at capture setup, before
+//!   detach (the owner schedules rule installation one control latency
+//!   later);
 //! * [`Effect::Complete`] is always the final effect of a migration, after
 //!   every destination-side stack effect of the restore step.
 //!
@@ -222,8 +222,8 @@ pub enum Effect {
     /// The engine entered a protocol phase. Trace-only.
     PhaseEntered(PhaseId),
     /// The application must stop executing (freeze phase entered). Emitted
-    /// exactly once per migration, before any same-step source stack
-    /// effects; its timestamp is the report's `frozen_at`.
+    /// exactly once per migration; its timestamp is the report's
+    /// `frozen_at`.
     SuspendApp,
     /// A capture entry was enabled on the destination stack. Trace-only
     /// (the engine enables it directly; it owns the destination stack for
@@ -233,17 +233,14 @@ pub enum Effect {
     /// the connection's other endpoint; installation should happen one
     /// control-message latency later.
     SendXlate { peer: NodeId, rule: XlateRule },
-    /// A stack effect produced on `side` while stepping (backlog processing
-    /// on the source when threads return to userspace; timer arming and
-    /// ACKs from re-injected segments on the destination).
+    /// A stack effect produced on `side` while stepping: timer arming and
+    /// ACKs from re-installed or re-injected sockets on the destination, or
+    /// on the source when an abort restores the sockets there.
     Stack { side: Side, effect: StackEffect },
     /// A migratable socket was detached from the source stack. Trace-only.
     SocketDetached {
         /// Source-side socket id (no longer valid after restore).
         sock: SockId,
-        /// Its backlog/prequeue were non-empty at detach (only possible
-        /// with kernel-initiated checkpointing, §V-C1).
-        parked_nonempty: bool,
     },
     /// Bytes moved between the hosts. Trace-only.
     Shipped { class: ByteClass, bytes: u64 },

@@ -21,7 +21,7 @@
 //!                  (+ socket deltas, incremental strategy); the loop timeout
 //!                  halves each iteration; at 20 ms → freeze
 //! CaptureRequest   PhaseEntered(FreezeCapture), SuspendApp,
-//!                  [InstallCapture…], [SendXlate…], [Stack(Src)…]
+//!                  [InstallCapture…], [SendXlate…]
 //!                  — app suspended; capture entries enabled on the
 //!                  destination; translation requests for in-cluster peers
 //! Detach           PhaseEntered(FreezeDetach), [SocketDetached,
@@ -172,12 +172,6 @@ pub struct MigrationEngine {
     pub strategy: Strategy,
     /// Timing/size model for transfer and freeze costs.
     pub cost: CostModel,
-    /// Signal-based checkpoint notification (the paper's design). When
-    /// false, checkpointing is kernel-initiated (as in the incremental-C/R
-    /// systems the paper cites): threads are not pulled out of system
-    /// calls, so sockets can reach the freeze phase locked, with non-empty
-    /// backlogs/prequeues that must be shipped too.
-    pub signal_based: bool,
     phase: Phase,
     tracker: IncrementalTracker,
     staged: Option<Process>,
@@ -239,7 +233,6 @@ impl MigrationEngine {
             src,
             dst,
             strategy,
-            signal_based: true,
             loop_timeout_us: cost.initial_loop_timeout_us,
             cost,
             phase: Phase::Start,
@@ -527,12 +520,8 @@ impl MigrationEngine {
     fn step_start(&mut self, io: StepIo<'_>, sink: &mut dyn EffectSink) -> StepPlan {
         self.started_at = Some(io.now);
         sink.emit(io.now, Effect::PhaseEntered(PhaseId::PrecopyFull));
-        // Live checkpoint request: signal; all threads return to userspace
-        // (guaranteeing empty backlogs/prequeues, §V-C1), then the helper
-        // thread transfers the full image while the app continues.
-        if self.signal_based {
-            io.proc.signal_checkpoint();
-        }
+        // Live checkpoint request: the helper thread transfers the full
+        // image while the app continues.
         let img = full_checkpoint(io.proc);
         let mem_bytes = img.transfer_bytes();
         let mut bytes = mem_bytes;
@@ -679,24 +668,7 @@ impl MigrationEngine {
         }
         sink.emit(io.now, Effect::PhaseEntered(PhaseId::FreezeCapture));
         // Freeze begins: signal for the final checkpoint, threads barrier.
-        // SuspendApp must precede the source stack effects below, so the
-        // owner sees the process suspended before backlog processing runs.
         sink.emit(io.now, Effect::SuspendApp);
-        let mut src_effects = Vec::new();
-        if self.signal_based {
-            // Every thread abandons its system call and returns to
-            // userspace: socket locks drop and the fast path is left, so
-            // parked segments are processed *before* the state is dumped.
-            io.proc.signal_checkpoint();
-            let sids: Vec<SockId> = io.proc.fds.sockets().map(|(_, s)| s).collect();
-            for sid in sids {
-                if let Some(Socket::Tcp(t)) = io.src_stack.sock_mut(sid) {
-                    t.user_locked = false;
-                    t.fast_path_reader = false;
-                }
-                src_effects.extend(io.src_stack.set_user_locked(sid, false, io.now));
-            }
-        }
         io.proc.freeze_all();
 
         // Phase one of collective migration: collect capturing details of
@@ -739,15 +711,6 @@ impl MigrationEngine {
                     });
                 }
             }
-        }
-        for effect in src_effects {
-            sink.emit(
-                io.now,
-                Effect::Stack {
-                    side: Side::Src,
-                    effect,
-                },
-            );
         }
 
         if install_failed {
@@ -873,17 +836,7 @@ impl MigrationEngine {
                 .extend(io.src_stack.xlate.take_self_rules_for(sock.local()));
             self.carried_rules
                 .extend(io.src_stack.xlate.take_rules_for(sock.local()));
-            let parked_nonempty = match &sock {
-                Socket::Tcp(t) => !t.parked_queues_empty(),
-                _ => false,
-            };
-            sink.emit(
-                io.now,
-                Effect::SocketDetached {
-                    sock: sid,
-                    parked_nonempty,
-                },
-            );
+            sink.emit(io.now, Effect::SocketDetached { sock: sid });
             let b = match self.strategy {
                 Strategy::Iterative | Strategy::Collective => sock.record_len(),
                 Strategy::IncrementalCollective => {

@@ -35,11 +35,6 @@ pub struct MigrationReport {
     /// Packets captured on the destination while the sockets were in
     /// transit, then re-injected.
     pub packets_reinjected: u64,
-    /// Sockets whose backlog/prequeue were non-empty at detach. Always zero
-    /// with signal-based checkpoint notification (§V-C1: every thread
-    /// returns to userspace first); kernel-initiated checkpointing can catch
-    /// sockets locked, forcing their parked queues into the image.
-    pub parked_nonempty_sockets: u32,
     /// Protocol-phase entry instants, in order — the Fig. 3 timeline of this
     /// particular migration.
     pub phase_log: Vec<(&'static str, SimTime)>,
@@ -64,7 +59,6 @@ impl MigrationReport {
             freeze_socket_bytes: 0,
             sockets_migrated: 0,
             packets_reinjected: 0,
-            parked_nonempty_sockets: 0,
             phase_log: Vec::new(),
             aborted: None,
         }

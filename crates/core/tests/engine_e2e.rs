@@ -610,78 +610,6 @@ fn effect_stream_honors_ordering_contract() {
 }
 
 #[test]
-fn kernel_initiated_checkpoint_catches_locked_sockets() {
-    // §III-A/§V-C ablation: with signal-based notification, a socket
-    // that was user-locked when the migration started is unlocked (the
-    // thread returns to userspace) and its backlog is processed before
-    // the dump; with kernel-initiated checkpointing the parked queues
-    // reach the freeze phase non-empty and must be shipped.
-    for (signal_based, expect_parked) in [(true, 0u32), (false, 1u32)] {
-        let mut world = World::new();
-        let (mut proc, client_sids, _db, _l) = setup(&mut world, 2);
-
-        // The app "holds the socket lock" on one connection; a segment
-        // arrives and parks on the backlog.
-        let target = proc
-            .fds
-            .sockets()
-            .map(|(_, s)| s)
-            .find(|s| {
-                world.hosts[SRC].sock(*s).is_some_and(|k| {
-                    k.is_tcp() && !k.is_listener() && k.remote().is_some_and(|r| !r.ip.is_local())
-                })
-            })
-            .expect("a client connection");
-        let Some(Socket::Tcp(t)) = world.hosts[SRC].sock_mut(target) else {
-            panic!("a TCP client connection")
-        };
-        t.user_locked = true;
-        world.send(CLIENT, client_sids[0], b"parked");
-        world.send(CLIENT, client_sids[1], b"normal");
-
-        let mut engine = MigrationEngine::new(
-            proc.pid,
-            NodeId(0),
-            NodeId(1),
-            Strategy::Collective,
-            CostModel::default(),
-        );
-        engine.signal_based = signal_based;
-        let mut recorder = TraceRecorder::new(proc.pid, Strategy::Collective, world.now);
-        let mut buf = EffectBuf::new();
-        'mig: loop {
-            let now = world.now;
-            let plan = {
-                let (src, dst) = world.split(SRC, DST);
-                engine.step(
-                    StepIo {
-                        now,
-                        src_stack: src,
-                        dst_stack: dst,
-                        proc: &mut proc,
-                    },
-                    &mut buf,
-                )
-            };
-            for (at, effect) in buf.take() {
-                recorder.observe(at, &effect);
-                match effect {
-                    Effect::Stack { effect, .. } => world.pump(vec![effect]),
-                    Effect::Complete(_) => break 'mig,
-                    _ => {}
-                }
-            }
-            world.now += plan.next_step_after_us.expect("reschedules");
-        }
-        assert_eq!(
-            recorder.into_report().parked_nonempty_sockets,
-            expect_parked,
-            "signal_based={signal_based}"
-        );
-    }
-}
-
-#[test]
 fn closing_socket_is_released_not_migrated() {
     let mut world = World::new();
     let (mut proc, _client_sids, _db, _l) = setup(&mut world, 3);

@@ -125,13 +125,8 @@ impl TraceRecorder {
                     }
                 }
             }
-            Effect::SocketDetached {
-                parked_nonempty, ..
-            } => {
+            Effect::SocketDetached { .. } => {
                 self.report.sockets_migrated += 1;
-                if *parked_nonempty {
-                    self.report.parked_nonempty_sockets += 1;
-                }
                 if let Some(open) = self.spans.last_mut() {
                     open.sockets_touched += 1;
                 }
@@ -284,7 +279,6 @@ mod tests {
             t(483_000),
             &Effect::SocketDetached {
                 sock: dvelm_stack::SockId(3),
-                parked_nonempty: true,
             },
         );
         r.observe(
@@ -325,7 +319,6 @@ mod tests {
         assert_eq!(report.freeze_bytes, 1_112);
         assert_eq!(report.freeze_socket_bytes, 88);
         assert_eq!(report.sockets_migrated, 1);
-        assert_eq!(report.parked_nonempty_sockets, 1);
         assert_eq!(report.packets_reinjected, 2);
         assert_eq!(
             report.phase_log,

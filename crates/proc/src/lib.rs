@@ -13,9 +13,10 @@
 //!   Workload writes go to a bounded per-space write log first and are
 //!   made, cache-hot and in order, before the page state is next read or
 //!   changed;
-//! * **threads** with registers, signal masks and an in-syscall flag — the
-//!   signal-based checkpoint notification forces every thread back to
-//!   userspace, which is what guarantees sockets are unlocked at freeze time;
+//! * **threads**, each running or frozen — the signal-based checkpoint
+//!   notification forces every thread back to userspace, which is what
+//!   guarantees sockets are unlocked at freeze time, so no thread is
+//!   modelled inside a system call;
 //! * a **file-descriptor table** mixing regular files (re-opened on restart;
 //!   contents are shared/replicated per §II-A) and sockets (migrated by the
 //!   mechanism in `dvelm-migrate`).
@@ -32,4 +33,4 @@ pub mod thread;
 pub use fdtable::{Fd, FdEntry, FdTable};
 pub use mem::{AddressSpace, PageRef, Vma, VmaId, VmaKind, PAGE_SIZE};
 pub use process::{Pid, Process};
-pub use thread::{Registers, Thread, ThreadState};
+pub use thread::{Thread, ThreadState};

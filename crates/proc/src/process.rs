@@ -62,20 +62,6 @@ impl Process {
         tid
     }
 
-    /// Deliver the live-checkpoint signal to every thread (§III-A): all
-    /// threads return to userspace; returns how many were pulled out of a
-    /// system call.
-    pub fn signal_checkpoint(&mut self) -> usize {
-        let mut pulled = 0;
-        for t in &mut self.threads {
-            if t.state == ThreadState::InSyscall {
-                pulled += 1;
-            }
-            t.deliver_checkpoint_signal();
-        }
-        pulled
-    }
-
     /// Freeze every thread (final checkpoint step).
     pub fn freeze_all(&mut self) {
         for t in &mut self.threads {
@@ -127,16 +113,6 @@ mod tests {
         let t3 = p.spawn_thread();
         assert_eq!((t2, t3), (2, 3));
         assert_eq!(p.threads.len(), 3);
-    }
-
-    #[test]
-    fn checkpoint_signal_returns_threads_to_userspace() {
-        let mut p = Process::new(Pid(1), "p", 1, 1);
-        p.spawn_thread();
-        p.threads[0].state = ThreadState::InSyscall;
-        let pulled = p.signal_checkpoint();
-        assert_eq!(pulled, 1);
-        assert!(p.threads.iter().all(|t| t.state == ThreadState::Running));
     }
 
     #[test]

@@ -1,19 +1,13 @@
-//! Threads: registers, signal state and the in-syscall flag.
+//! Threads: a tid and a scheduling state.
 //!
 //! The paper's live checkpoint is signal-driven (§III-A): every application
 //! thread receives the checkpoint signal, returns from whatever system call
 //! it was executing (releasing kernel locks, in particular the socket lock),
 //! runs the handler, and synchronizes on a barrier where a leader is chosen.
-//! The in-syscall flag here lets the migration engine reproduce — and, for
-//! the kernel-initiated ablation, *not* reproduce — that guarantee.
-
-/// Register file snapshot (program counter, stack pointer, GPRs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Registers {
-    pub pc: u64,
-    pub sp: u64,
-    pub gp: [u64; 14],
-}
+//! The model starts from that guarantee: a thread is never inside a system
+//! call, so it is either running or frozen. Registers and signal masks are
+//! not modelled; their checkpoint record is charged as the constant
+//! [`THREAD_RECORD_LEN`].
 
 /// Encoded size of a per-thread checkpoint record (registers, signal state,
 /// tid and thread relations), bytes.
@@ -23,8 +17,6 @@ pub const THREAD_RECORD_LEN: u64 = 192;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
     Running,
-    /// Blocked inside a system call.
-    InSyscall,
     /// Suspended by the freeze phase.
     Frozen,
 }
@@ -33,9 +25,6 @@ pub enum ThreadState {
 #[derive(Debug, Clone)]
 pub struct Thread {
     pub tid: u64,
-    pub regs: Registers,
-    /// Blocked-signal mask.
-    pub sigmask: u64,
     pub state: ThreadState,
 }
 
@@ -44,18 +33,7 @@ impl Thread {
     pub fn new(tid: u64) -> Thread {
         Thread {
             tid,
-            regs: Registers::default(),
-            sigmask: 0,
             state: ThreadState::Running,
-        }
-    }
-
-    /// Deliver the checkpoint signal: a thread blocked in a system call
-    /// abandons the call and returns to userspace (§III-A's "convenient
-    /// property").
-    pub fn deliver_checkpoint_signal(&mut self) {
-        if self.state == ThreadState::InSyscall {
-            self.state = ThreadState::Running;
         }
     }
 
@@ -74,21 +52,6 @@ impl Thread {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn signal_pulls_thread_out_of_syscall() {
-        let mut t = Thread::new(1);
-        t.state = ThreadState::InSyscall;
-        t.deliver_checkpoint_signal();
-        assert_eq!(t.state, ThreadState::Running);
-    }
-
-    #[test]
-    fn signal_leaves_running_thread_alone() {
-        let mut t = Thread::new(1);
-        t.deliver_checkpoint_signal();
-        assert_eq!(t.state, ThreadState::Running);
-    }
 
     #[test]
     fn freeze_resume_cycle() {

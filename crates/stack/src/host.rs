@@ -209,11 +209,6 @@ impl HostStack {
         self.socks.get(sid)
     }
 
-    /// Mutable access to a socket (tests and the migration engine).
-    pub fn sock_mut(&mut self, sid: SockId) -> Option<&mut Socket> {
-        self.socks.get_mut(sid)
-    }
-
     /// Whether a (ip, port) pair is bound on this host.
     pub fn is_bound(&self, ip: Ip, port: Port) -> bool {
         self.bhash.contains_key(&(ip, port))
@@ -225,7 +220,7 @@ impl HostStack {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<6}{:<6}{:<24}{:<24}{:<14}{}\n",
-            "sock", "proto", "local", "remote", "state", "queues(w/r/o/b/p)"
+            "sock", "proto", "local", "remote", "state", "queues(w/r/o)"
         ));
         for (sid, sock) in self.socks.iter() {
             let (proto, remote, state, queues) = match sock {
@@ -237,7 +232,7 @@ impl HostStack {
                             .map(|r| r.to_string())
                             .unwrap_or_else(|| "*".into()),
                         format!("{:?}", t.state),
-                        format!("{}/{}/{}/{}/{}", q.0, q.1, q.2, q.3, q.4),
+                        format!("{}/{}/{}", q.0, q.1, q.2),
                     )
                 }
                 Socket::Udp(u) => (
@@ -246,7 +241,7 @@ impl HostStack {
                         .map(|r| r.to_string())
                         .unwrap_or_else(|| "*".into()),
                     "-".to_string(),
-                    format!("-/{}/-/-/-", u.queued()),
+                    format!("-/{}/-", u.queued()),
                 ),
             };
             out.push_str(&format!(
@@ -491,37 +486,6 @@ impl HostStack {
     fn hash_established(&mut self, tuple: FourTuple, sid: SockId) {
         if self.ehash.insert(tuple, sid).is_none() {
             self.ports.add(tuple.local.port);
-        }
-    }
-
-    /// Mark the socket user-locked (application inside a handler holding the
-    /// socket lock): arriving segments divert to the backlog.
-    pub fn set_user_locked(&mut self, sid: SockId, locked: bool, now: SimTime) -> Vec<StackEffect> {
-        let Some(Socket::Tcp(t)) = self.socks.get_mut(sid) else {
-            return Vec::new();
-        };
-        t.user_locked = locked;
-        if locked {
-            return Vec::new();
-        }
-        match self.with_tcp(sid, now, |t, ctx| t.process_parked(ctx)) {
-            Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
-            None => Vec::new(),
-        }
-    }
-
-    /// Toggle the fast-path reader flag (blocked-in-recv emulation).
-    pub fn set_fast_path(&mut self, sid: SockId, active: bool, now: SimTime) -> Vec<StackEffect> {
-        let Some(Socket::Tcp(t)) = self.socks.get_mut(sid) else {
-            return Vec::new();
-        };
-        t.fast_path_reader = active;
-        if active {
-            return Vec::new();
-        }
-        match self.with_tcp(sid, now, |t, ctx| t.process_parked(ctx)) {
-            Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
-            None => Vec::new(),
         }
     }
 

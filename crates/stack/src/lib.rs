@@ -7,9 +7,11 @@
 //! * **ehash / bhash** lookup tables — established-connection and bind/listen
 //!   hash tables; "disabling" a socket for migration means unhashing it from
 //!   both and clearing its retransmission timer.
-//! * the five TCP **socket-buffer queues** — write (outgoing, unacked),
-//!   receive (in-order, undelivered), out-of-order, backlog (arrivals while
-//!   the socket is user-locked) and prequeue (fast-path receive).
+//! * the three TCP **socket-buffer queues** — write (outgoing, unacked),
+//!   receive (in-order, undelivered) and out-of-order. The kernel's backlog
+//!   and prequeue are not modelled: the signal-based final checkpoint
+//!   (§V-C1) returns every thread to userspace, so both are empty at
+//!   freeze time.
 //! * **jiffies-based TCP timestamps** feeding RTT estimation and congestion
 //!   control — the structures that must be shifted on the destination node.
 //! * the **netfilter hooks** of the prototype, in its fixed order: on

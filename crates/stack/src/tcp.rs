@@ -2,9 +2,8 @@
 //!
 //! Models the parts of Linux TCP that socket migration must extract, ship and
 //! restore (§V-C1): connection identifiers, sequence/ack state, the write /
-//! receive / out-of-order queues plus the backlog and prequeue, the
-//! retransmission timer, and jiffies-based timestamps feeding RTT estimation
-//! and congestion control.
+//! receive / out-of-order queues, the retransmission timer, and
+//! jiffies-based timestamps feeding RTT estimation and congestion control.
 //!
 //! The socket is a pure state machine: every entry point takes a [`TcpCtx`](crate::tcp::TcpCtx)
 //! (current time, local jiffies, the host's mutation-stamp counter) and
@@ -144,7 +143,7 @@ pub struct TcpSocket {
     /// jiffies delta here so timestamps continue seamlessly (§V-C1).
     ts_offset: i64,
 
-    // --- the five queues ---
+    // --- the three queues ---
     /// Outgoing: unacked (front) + not-yet-sent (tail).
     write_queue: VecDeque<Skb>,
     /// Index of the first never-transmitted skb in `write_queue`.
@@ -153,15 +152,6 @@ pub struct TcpSocket {
     recv_queue: VecDeque<Skb>,
     /// Out-of-order arrivals keyed by sequence number.
     ofo_queue: BTreeMap<u32, Skb>,
-    /// Arrivals while the socket is user-locked.
-    backlog: VecDeque<Segment>,
-    /// Fast-path receive queue (arrivals while a reader is blocked).
-    prequeue: VecDeque<Segment>,
-
-    /// Application currently holds the socket lock.
-    pub user_locked: bool,
-    /// A reader is blocked in receive (fast path active).
-    pub fast_path_reader: bool,
 
     // --- retransmission timer ---
     rto_deadline: Option<SimTime>,
@@ -202,10 +192,6 @@ impl TcpSocket {
             next_unsent: 0,
             recv_queue: VecDeque::new(),
             ofo_queue: BTreeMap::new(),
-            backlog: VecDeque::new(),
-            prequeue: VecDeque::new(),
-            user_locked: false,
-            fast_path_reader: false,
             rto_deadline: None,
             timer_gen: 0,
             last_stamp: 0,
@@ -311,14 +297,12 @@ impl TcpSocket {
         self.rto_deadline
     }
 
-    /// Lengths of (write, recv, out-of-order, backlog, prequeue) queues.
-    pub fn queue_lens(&self) -> (usize, usize, usize, usize, usize) {
+    /// Lengths of (write, recv, out-of-order) queues.
+    pub fn queue_lens(&self) -> (usize, usize, usize) {
         (
             self.write_queue.len(),
             self.recv_queue.len(),
             self.ofo_queue.len(),
-            self.backlog.len(),
-            self.prequeue.len(),
         )
     }
 
@@ -462,42 +446,11 @@ impl TcpSocket {
     // receiving
     // ------------------------------------------------------------------
 
-    /// Main receive entry point. Honors the user lock (backlog) and the
-    /// fast path (prequeue), as in §V-C1: a segment arriving while the
-    /// application holds the lock is parked, not processed.
+    /// Main receive entry point: every segment is processed on arrival.
+    /// The final checkpoint is signal-based (§V-C1), so no thread holds a
+    /// socket lock at freeze time; the kernel's backlog and prequeue are
+    /// empty then and are not modelled.
     pub fn on_segment(&mut self, seg: Segment, ctx: &mut TcpCtx<'_>) -> Vec<TcpOut> {
-        if self.user_locked {
-            self.backlog.push_back(seg);
-            self.last_stamp = ctx.next_stamp();
-            return Vec::new();
-        }
-        if self.fast_path_reader && matches!(self.state, TcpState::Established) {
-            self.prequeue.push_back(seg);
-            self.last_stamp = ctx.next_stamp();
-            return Vec::new();
-        }
-        self.process_segment(seg, ctx)
-    }
-
-    /// Process segments parked on the backlog (called when the user lock is
-    /// released) and the prequeue (called when the blocked reader resumes).
-    pub fn process_parked(&mut self, ctx: &mut TcpCtx<'_>) -> Vec<TcpOut> {
-        let mut out = Vec::new();
-        let parked: Vec<Segment> = self
-            .prequeue
-            .drain(..)
-            .chain(self.backlog.drain(..))
-            .collect();
-        if !parked.is_empty() {
-            self.last_stamp = ctx.next_stamp();
-        }
-        for seg in parked {
-            out.extend(self.process_segment(seg, ctx));
-        }
-        out
-    }
-
-    fn process_segment(&mut self, seg: Segment, ctx: &mut TcpCtx<'_>) -> Vec<TcpOut> {
         let Transport::Tcp {
             flags,
             seq,
@@ -840,13 +793,6 @@ impl TcpSocket {
         self.clear_timer();
     }
 
-    /// Whether the parked queues (backlog, prequeue) are empty — guaranteed
-    /// by the signal-based checkpoint notification (§V-C1), but *not* by
-    /// kernel-initiated checkpointing.
-    pub fn parked_queues_empty(&self) -> bool {
-        self.backlog.is_empty() && self.prequeue.is_empty()
-    }
-
     /// Apply the source→destination jiffies delta after migration: shift
     /// every timestamp recorded in the source's jiffies domain (skb
     /// timestamps) and fold the delta into the timestamp offset used for
@@ -890,12 +836,6 @@ impl TcpSocket {
             write_queue_bytes: self.write_queue.iter().map(Skb::record_len).sum(),
             recv_queue_bytes: self.recv_queue.iter().map(Skb::record_len).sum(),
             ofo_queue_bytes: self.ofo_queue.values().map(Skb::record_len).sum(),
-            parked_bytes: self
-                .backlog
-                .iter()
-                .chain(self.prequeue.iter())
-                .map(|s| s.wire_size())
-                .sum(),
             mutation_stamp: self.last_stamp,
         }
     }
@@ -903,11 +843,7 @@ impl TcpSocket {
     /// Encoded size of a full record.
     pub fn record_len(&self) -> u64 {
         let r = self.record();
-        TCP_RECORD_SCALAR
-            + r.write_queue_bytes
-            + r.recv_queue_bytes
-            + r.ofo_queue_bytes
-            + r.parked_bytes
+        TCP_RECORD_SCALAR + r.write_queue_bytes + r.recv_queue_bytes + r.ofo_queue_bytes
     }
 
     /// Encoded size of an incremental record containing only changes since
@@ -956,8 +892,6 @@ pub struct TcpSocketRecord {
     pub recv_queue_bytes: u64,
     /// Encoded size of the out-of-order queue.
     pub ofo_queue_bytes: u64,
-    /// Encoded size of the backlog parked behind a user lock.
-    pub parked_bytes: u64,
     /// Stamp of the most recent mutation (incremental checkpoints).
     pub mutation_stamp: u64,
 }
@@ -1141,41 +1075,6 @@ mod tests {
         assert_eq!(c.srtt_us(), 30 * MILLISECOND);
         assert!(c.rto_us() >= RTO_MIN_US);
         assert!(c.rto_us() < SECOND);
-    }
-
-    #[test]
-    fn user_lock_diverts_to_backlog() {
-        let mut h = Harness::new();
-        let (mut c, mut s) = established_pair(&mut h);
-        s.user_locked = true;
-        let out = c.send(Bytes::from_static(b"x"), &mut h.ctx());
-        let seg = extract_tx(&out).pop().unwrap();
-        let replies = s.on_segment(seg, &mut h.ctx());
-        assert!(replies.is_empty(), "locked socket defers processing");
-        assert_eq!(s.queue_lens().3, 1, "segment parked on backlog");
-        assert!(!s.parked_queues_empty());
-        s.user_locked = false;
-        let replies = s.process_parked(&mut h.ctx());
-        assert!(
-            !extract_tx(&replies).is_empty(),
-            "backlog processed on unlock"
-        );
-        assert_eq!(s.read(&mut h.ctx()).len(), 1);
-        assert!(s.parked_queues_empty());
-    }
-
-    #[test]
-    fn fast_path_reader_diverts_to_prequeue() {
-        let mut h = Harness::new();
-        let (mut c, mut s) = established_pair(&mut h);
-        s.fast_path_reader = true;
-        let out = c.send(Bytes::from_static(b"y"), &mut h.ctx());
-        let seg = extract_tx(&out).pop().unwrap();
-        s.on_segment(seg, &mut h.ctx());
-        assert_eq!(s.queue_lens().4, 1, "segment on prequeue");
-        s.fast_path_reader = false;
-        s.process_parked(&mut h.ctx());
-        assert_eq!(s.read(&mut h.ctx()).len(), 1);
     }
 
     #[test]

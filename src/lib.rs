@@ -10,7 +10,7 @@
 //! |---|---|
 //! | [`dvelm_sim`] | discrete-event core: clock, events, jiffies, RNG |
 //! | [`dvelm_net`] | single-IP broadcast router, in-cluster switch, links |
-//! | [`dvelm_stack`] | TCP/UDP stack: ehash/bhash, 5 skb queues, netfilter, capture, translation |
+//! | [`dvelm_stack`] | TCP/UDP stack: ehash/bhash, 3 skb queues, netfilter, capture, translation |
 //! | [`dvelm_proc`] | processes: VMAs + dirty bits, threads, fd table |
 //! | [`dvelm_ckpt`] | BLCR-style checkpoint/restart + incremental updates |
 //! | [`dvelm_migrate`] | **the contribution**: precopy live migration with iterative / collective / incremental-collective socket migration and packet-loss prevention |

@@ -101,7 +101,6 @@ fn tcp_freeze_bench_is_loss_agnostic_for_correctness() {
         });
         for rep in &r.reports {
             assert_eq!(rep.sockets_migrated, 48 + 2);
-            assert_eq!(rep.parked_nonempty_sockets, 0, "signal-based default");
         }
     }
 }
