@@ -380,13 +380,13 @@ const CHAOS_GOLDEN: Golden = Golden {
 };
 /// The broadcast chatter scenario of [`chatter_replay_matches_golden`].
 const CHATTER_GOLDEN: Golden = Golden {
-    digest: 0x8e9e_1392_a992_339f,
+    digest: 0x4ed9_7832_3c87_55e2,
     effects: 85,
     end_us: 3_999_414,
 };
 /// The zoned chatter scenario of [`aoi_replay_matches_golden`].
 const AOI_GOLDEN: Golden = Golden {
-    digest: 0xfdd1_0aba_78fa_7030,
+    digest: 0x6941_0ce5_69c1_6dff,
     effects: 78,
     end_us: 3_999_793,
 };

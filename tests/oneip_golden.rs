@@ -68,11 +68,11 @@ struct Golden {
 }
 
 const GOLDEN: Golden = Golden {
-    effects_digest: 0x5537_aed5_e602_bf70,
+    effects_digest: 0xa8ab_c43c_0f52_6ce5,
     effects: 199,
     end_us: 5_628_049,
     counters_digest: 0xa60f_df3f_f481_9baa,
-    sockets_digest: 0x7235_0b03_d825_5516,
+    sockets_digest: 0x0c4b_50ca_45b4_5678,
     sockets: 88,
     rx_total: 80_648,
     rx_dropped_no_socket: 62_685,
@@ -92,7 +92,7 @@ const PRESSURE_BUDGET: CaptureBudget = CaptureBudget {
 
 /// [`capture_pressure_world_matches_golden`]'s pins: the effect-log
 /// digest, its length and the per-host counter digest.
-const PRESSURE_GOLDEN: (u64, usize, u64) = (0xec97_a46d_4caa_8635, 206, 0xfdf3_cb0c_e90a_82b2);
+const PRESSURE_GOLDEN: (u64, usize, u64) = (0x43e0_d244_4544_af16, 206, 0xfdf3_cb0c_e90a_82b2);
 
 /// Each host's counters, one line per host in host order.
 fn counter_lines(w: &World) -> Vec<String> {
