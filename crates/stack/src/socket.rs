@@ -6,10 +6,10 @@ use crate::udp::UdpSocket;
 use dvelm_net::SockAddr;
 
 /// A socket: TCP or UDP.
-// The TCP variant is much larger than UDP (sequence state, five queues,
+// The TCP variant is much larger than UDP (sequence state, three queues,
 // congestion/RTT fields). Boxing it would add an indirection to every
-// receive-path access for the dominant variant; sockets live in a HashMap
-// and are moved only at migration, so the size skew is fine.
+// receive-path access for the dominant variant; sockets live in a
+// `SockTable` and are moved only at migration, so the size skew is fine.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Socket {
