@@ -7,9 +7,9 @@
 //! what makes the paper's figures regenerable as tests.
 //!
 //! The crate deliberately has no dependencies: time is a `u64` of
-//! microseconds, the RNG is SplitMix64/xoshiro-style and the queue is a binary
-//! heap with a monotone tie-breaking sequence number (FIFO among simultaneous
-//! events).
+//! microseconds, the RNG is SplitMix64/xoshiro-style and the queue is a
+//! calendar queue (the kernel timer wheel's shape) ordered by due time and a
+//! monotone tie-breaking sequence number (FIFO among simultaneous events).
 //!
 //! # Example
 //!

@@ -3,7 +3,9 @@
 //! The runtime (in `dvelm-cluster`) drives the loop: `pop_next` advances the
 //! clock to the event's due time and hands the event back for dispatch.
 //! Generic over the event payload so every layer can be tested with its own
-//! little event enum.
+//! little event enum. The pending set is a calendar queue
+//! ([`EventQueue`]): a push, a pop and a peek each cost a small constant on
+//! average, whatever the number of pending events.
 
 use crate::queue::{DispatchKey, EventQueue};
 use crate::time::SimTime;
@@ -253,7 +255,9 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::queue::prop_tests::delay;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// One step of [`reserved_push_matches_schedule_at`]'s workload.
     /// Instants are `now + ahead - back` µs, so some lie in the past.
@@ -276,6 +280,37 @@ mod prop_tests {
                 Just(ReserveOp::Pop),
             ],
             1..300,
+        )
+    }
+
+    /// One step of [`scheduler_matches_ordered_model`]'s workload.
+    #[derive(Debug, Clone, Copy)]
+    enum ModelOp {
+        /// `n` `schedule_at`s at `now + ahead - back` µs.
+        Schedule(u64, u64, usize),
+        /// A reservation at `now + ahead` µs, then `n` `schedule_at`s at
+        /// the same instant.
+        ReserveThenBurst(u64, usize),
+        /// Push one outstanding reservation, chosen by index.
+        Fill(usize),
+        Pop,
+        /// Fill every reservation, then pop until empty.
+        Drain,
+    }
+
+    fn model_ops() -> impl Strategy<Value = Vec<ModelOp>> {
+        proptest::collection::vec(
+            prop_oneof![
+                (0u64..3, delay(), 1usize..6).prop_map(|(b, a, n)| ModelOp::Schedule(b, a, n)),
+                (0u64..200, 0u64..8).prop_map(|(b, a)| ModelOp::Schedule(b, a, 1)),
+                (delay(), 0usize..6).prop_map(|(a, n)| ModelOp::ReserveThenBurst(a, n)),
+                (0usize..64).prop_map(ModelOp::Fill),
+                Just(ModelOp::Pop),
+                Just(ModelOp::Pop),
+                Just(ModelOp::Pop),
+                (0u8..40).prop_map(|x| if x == 0 { ModelOp::Drain } else { ModelOp::Pop }),
+            ],
+            1..600,
         )
     }
 
@@ -349,6 +384,80 @@ mod prop_tests {
                 prop_assert_eq!(s.clamped(), reference.clamped());
                 prop_assert_eq!(s.stats().scheduled, reference.stats().scheduled);
                 prop_assert_eq!(s.now(), reference.now());
+            }
+        }
+
+        /// The scheduler against a `BTreeMap` keyed by `(at, seq)`, over
+        /// the calendar's whole range: delays from zero to past the ring,
+        /// past instants clamped to `now`, reservations whose older `seq`
+        /// must land among same-instant pushes made after them, drains to
+        /// empty followed by a restart, and enough simulated time to wrap
+        /// the ring many times. A reservation enters the model when it is
+        /// made and the queue when it is filled, at the latest just before
+        /// the pop it heads.
+        #[test]
+        fn scheduler_matches_ordered_model(ops in model_ops()) {
+            let mut s: Scheduler<u64> = Scheduler::new();
+            let mut model: BTreeMap<DispatchKey, u64> = BTreeMap::new();
+            let mut outstanding: BTreeMap<DispatchKey, u64> = BTreeMap::new();
+            let mut clamped = 0u64;
+            let mut payload = 0u64;
+            for op in ops {
+                match op {
+                    ModelOp::Schedule(back, ahead, n) => {
+                        let at = SimTime::from_micros(
+                            (s.now().as_micros() + ahead).saturating_sub(back),
+                        );
+                        for _ in 0..n {
+                            let key = DispatchKey { at: at.max(s.now()), seq: s.stats().scheduled };
+                            clamped += u64::from(at < s.now());
+                            s.schedule_at(at, payload);
+                            model.insert(key, payload);
+                            payload += 1;
+                        }
+                    }
+                    ModelOp::ReserveThenBurst(ahead, n) => {
+                        let at = s.now() + ahead;
+                        let key = s.reserve_at(at);
+                        prop_assert_eq!(key.at, at);
+                        outstanding.insert(key, payload);
+                        model.insert(key, payload);
+                        payload += 1;
+                        for _ in 0..n {
+                            let key = DispatchKey { at, seq: s.stats().scheduled };
+                            s.schedule_at(at, payload);
+                            model.insert(key, payload);
+                            payload += 1;
+                        }
+                    }
+                    ModelOp::Fill(pick) => {
+                        if let Some(&key) = outstanding.keys().nth(pick % outstanding.len().max(1)) {
+                            let e = outstanding.remove(&key).unwrap_or_default();
+                            s.schedule_reserved(key, e);
+                        }
+                    }
+                    ModelOp::Pop => {
+                        if let Some((&head, _)) = model.first_key_value() {
+                            if let Some(e) = outstanding.remove(&head) {
+                                s.schedule_reserved(head, e);
+                            }
+                        }
+                        let expect = model.pop_first();
+                        prop_assert_eq!(s.peek().map(|(k, e)| (k, *e)), expect);
+                        prop_assert_eq!(s.pop_next(), expect.map(|(k, e)| (k.at, e)));
+                    }
+                    ModelOp::Drain => {
+                        for (key, e) in std::mem::take(&mut outstanding) {
+                            s.schedule_reserved(key, e);
+                        }
+                        while let Some((key, e)) = model.pop_first() {
+                            prop_assert_eq!(s.pop_next(), Some((key.at, e)));
+                        }
+                        prop_assert_eq!(s.pop_next(), None);
+                    }
+                }
+                prop_assert_eq!(s.pending(), model.len() - outstanding.len());
+                prop_assert_eq!(s.clamped(), clamped);
             }
         }
 

@@ -7,6 +7,7 @@
 //! cluster runtime to schedule.
 
 use crate::capture::{CaptureOutcome, CaptureTable, PressureEvent};
+use crate::demux::{DemuxTable, FourTuple};
 use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
 use crate::skb::Skb;
@@ -19,18 +20,10 @@ use bytes::Bytes;
 use dvelm_net::{Ip, NodeId, Port, SockAddr};
 use dvelm_sim::{DetRng, Jiffies, SimTime};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 /// A host-local socket identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SockId(pub u64);
-
-/// Established-connection hash key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct FourTuple {
-    local: SockAddr,
-    remote: SockAddr,
-}
 
 /// The lookup-table entry a socket lives under.
 enum TableKey {
@@ -125,8 +118,8 @@ pub struct HostStack {
     pub xlate: XlateTable,
 
     socks: SockTable<Socket>,
-    ehash: BTreeMap<FourTuple, SockId>,
-    bhash: BTreeMap<(Ip, Port), SockId>,
+    ehash: DemuxTable<FourTuple, SockId>,
+    bhash: DemuxTable<SockAddr, SockId>,
     /// The ports of every `bhash` entry and the local ports of every
     /// `ehash` entry: the sockets' part of the receive path's summary.
     ports: PortClaims,
@@ -154,8 +147,8 @@ impl HostStack {
             capture: CaptureTable::new(),
             xlate: XlateTable::new(),
             socks: SockTable::new(),
-            ehash: BTreeMap::new(),
-            bhash: BTreeMap::new(),
+            ehash: DemuxTable::new(),
+            bhash: DemuxTable::new(),
             ports: PortClaims::default(),
             pending_children: SockTable::new(),
             next_sock: 1,
@@ -211,7 +204,7 @@ impl HostStack {
 
     /// Whether a (ip, port) pair is bound on this host.
     pub fn is_bound(&self, ip: Ip, port: Port) -> bool {
-        self.bhash.contains_key(&(ip, port))
+        self.bhash.contains_key(&SockAddr { ip, port })
     }
 
     /// A `netstat`-style dump of every socket on this host, one line each,
@@ -272,8 +265,8 @@ impl HostStack {
         loop {
             let p = Port(self.next_ephemeral);
             self.next_ephemeral = self.next_ephemeral.checked_add(1).unwrap_or(32_768);
-            if !self.bhash.contains_key(&(self.public_ip, p))
-                && !self.bhash.contains_key(&(self.local_ip, p))
+            if !self.bhash.contains_key(&SockAddr::new(self.public_ip, p.0))
+                && !self.bhash.contains_key(&SockAddr::new(self.local_ip, p.0))
             {
                 return p;
             }
@@ -286,7 +279,7 @@ impl HostStack {
 
     /// Create a TCP listening socket bound to `addr`.
     pub fn tcp_listen(&mut self, addr: SockAddr) -> Result<SockId, BindError> {
-        if self.bhash.contains_key(&(addr.ip, addr.port)) {
+        if self.bhash.contains_key(&addr) {
             return Err(BindError::AddrInUse(addr));
         }
         let sid = self.alloc_sid();
@@ -350,7 +343,7 @@ impl HostStack {
 
     /// Bind a UDP socket.
     pub fn udp_bind(&mut self, addr: SockAddr) -> Result<SockId, BindError> {
-        if self.bhash.contains_key(&(addr.ip, addr.port)) {
+        if self.bhash.contains_key(&addr) {
             return Err(BindError::AddrInUse(addr));
         }
         let sid = self.alloc_sid();
@@ -468,7 +461,7 @@ impl HostStack {
                 }
             }
             TableKey::Bound(local) => {
-                if self.bhash.remove(&(local.ip, local.port)).is_some() {
+                if self.bhash.remove(&local).is_some() {
                     self.ports.remove(local.port);
                 }
             }
@@ -477,7 +470,7 @@ impl HostStack {
 
     /// Insert into `bhash`, keeping the port summary in step.
     fn hash_bound(&mut self, local: SockAddr, sid: SockId) {
-        if self.bhash.insert((local.ip, local.port), sid).is_none() {
+        if self.bhash.insert(local, sid).is_none() {
             self.ports.add(local.port);
         }
     }
@@ -619,7 +612,7 @@ impl HostStack {
             local: seg.dst,
             remote: seg.src,
         };
-        let claimant = if self.bhash.contains_key(&(seg.dst.ip, seg.dst.port)) {
+        let claimant = if self.bhash.contains_key(&seg.dst) {
             Some("bhash")
         } else if self.ehash.contains_key(&tuple) {
             Some("ehash")
@@ -662,7 +655,7 @@ impl HostStack {
                     local: seg.dst,
                     remote: seg.src,
                 };
-                if let Some(&sid) = self.ehash.get(&ft) {
+                if let Some(sid) = self.ehash.get(&ft) {
                     let seg = seg.into_owned();
                     return match self.with_tcp(sid, now, |t, ctx| t.on_segment(seg, ctx)) {
                         Some((outs, gen)) => self.map_tcp_outs(sid, gen, outs, now),
@@ -670,7 +663,7 @@ impl HostStack {
                     };
                 }
                 if flags.syn && !flags.ack {
-                    if let Some(&lid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
+                    if let Some(lid) = self.bhash.get(&seg.dst) {
                         if self.socks.get(lid).is_some_and(Socket::is_listener) {
                             return self.accept_syn(lid, &seg, now);
                         }
@@ -682,7 +675,7 @@ impl HostStack {
                 Vec::new()
             }
             Transport::Udp { .. } => {
-                if let Some(&sid) = self.bhash.get(&(seg.dst.ip, seg.dst.port)) {
+                if let Some(sid) = self.bhash.get(&seg.dst) {
                     if let Some(Socket::Udp(u)) = self.socks.get_mut(sid) {
                         let jiffies = Jiffies::at(self.jiffies_base, now);
                         let seg = seg.into_owned();

@@ -5,8 +5,9 @@
 //! manipulates:
 //!
 //! * **ehash / bhash** lookup tables — established-connection and bind/listen
-//!   hash tables; "disabling" a socket for migration means unhashing it from
-//!   both and clearing its retransmission timer.
+//!   hash tables, each an open-addressing table probed once per segment;
+//!   "disabling" a socket for migration means unhashing it from both and
+//!   clearing its retransmission timer.
 //! * the three TCP **socket-buffer queues** — write (outgoing, unacked),
 //!   receive (in-order, undelivered) and out-of-order. The kernel's backlog
 //!   and prequeue are not modelled: the signal-based final checkpoint
@@ -29,6 +30,8 @@
 
 /// Incoming-packet capture for loss prevention during migration (§V-B).
 pub mod capture;
+/// The open-addressing hash table behind ehash and bhash.
+mod demux;
 /// The per-node stack: socket table, ehash/bhash, timers, migration ops.
 pub mod host;
 /// Per-port claim counts: the receive path's summary of what a host keeps.

@@ -824,7 +824,8 @@ impl TcpSocket {
         out
     }
 
-    /// Full checkpoint record (used for byte accounting and restore checks).
+    /// Full checkpoint record, for restore checks. Its encoded size is
+    /// [`record_len`](Self::record_len).
     pub fn record(&self) -> TcpSocketRecord {
         TcpSocketRecord {
             local: self.local,
@@ -840,10 +841,13 @@ impl TcpSocket {
         }
     }
 
-    /// Encoded size of a full record.
+    /// Encoded size of a full record: the scalar part plus every queued
+    /// buffer, summed straight from the queues.
     pub fn record_len(&self) -> u64 {
-        let r = self.record();
-        TCP_RECORD_SCALAR + r.write_queue_bytes + r.recv_queue_bytes + r.ofo_queue_bytes
+        let queued = self.write_queue.iter().chain(self.recv_queue.iter());
+        TCP_RECORD_SCALAR
+            + queued.map(Skb::record_len).sum::<u64>()
+            + self.ofo_queue.values().map(Skb::record_len).sum::<u64>()
     }
 
     /// Encoded size of an incremental record containing only changes since
