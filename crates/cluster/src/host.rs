@@ -18,12 +18,12 @@ pub enum HostKind {
     Database,
 }
 
-/// A process together with its application.
+/// A process together with its application. While the process's threads
+/// are frozen (a migration's freeze phase) the application neither ticks
+/// nor reads.
 pub struct ProcEntry {
     pub process: Process,
     pub app: Box<dyn App>,
-    /// Frozen by a migration freeze phase: no ticks, no reads.
-    pub suspended: bool,
     /// Real-time loop period, µs.
     pub tick_period_us: u64,
     /// Generation of the live tick chain; `Event::AppTick` events stamped

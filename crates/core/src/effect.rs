@@ -221,9 +221,10 @@ pub struct MigrationAborted {
 pub enum Effect {
     /// The engine entered a protocol phase. Trace-only.
     PhaseEntered(PhaseId),
-    /// The application must stop executing (freeze phase entered). Emitted
-    /// exactly once per migration; its timestamp is the report's
-    /// `frozen_at`.
+    /// The application stopped executing (freeze phase entered): the
+    /// engine froze the process's threads in the same step, and they are
+    /// the record of it. Emitted at most once per migration; its timestamp
+    /// is the report's `frozen_at`.
     SuspendApp,
     /// A capture entry was enabled on the destination stack. Trace-only
     /// (the engine enables it directly; it owns the destination stack for
@@ -265,9 +266,10 @@ pub enum Effect {
     /// process (and its application state) to the destination node.
     Complete(MigrationComplete),
     /// Rollback: the suspended application must resume executing on the
-    /// source (the counterpart of [`Effect::SuspendApp`]). Emitted at most
-    /// once per migration, and only on an abort whose recovery is
-    /// [`AbortRecovery::ResumedOnSource`].
+    /// source (the counterpart of [`Effect::SuspendApp`]). The owner
+    /// resumes the source process's threads — an abort does not hand the
+    /// engine the process. Emitted at most once per migration, and only on
+    /// an abort whose recovery is [`AbortRecovery::ResumedOnSource`].
     ResumeApp,
     /// Rollback: a capture entry was disabled on the destination stack
     /// (the counterpart of [`Effect::InstallCapture`]). Trace-only.

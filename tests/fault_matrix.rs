@@ -180,6 +180,49 @@ fn fault_postdetach_dst_crash_restores_on_source() {
 }
 
 // ---------------------------------------------------------------------
+// abort between capture and detach: the frozen source thaws
+// ---------------------------------------------------------------------
+
+#[test]
+fn fault_capture_window_abort_thaws_the_source_threads() {
+    for strategy in Strategy::ALL {
+        let (mut w, n0, n1, _ch, zone, updates_sent, _) = zone_world(0xfa01);
+        let mig = w.begin_migration(zone, n1, strategy).unwrap();
+        let frozen = |w: &World| w.hosts[n0].procs[&zone].process.is_frozen();
+        // The capture step freezes the threads; detach follows at least
+        // the signal and barrier cost (230 µs) later.
+        let mut deadline = w.now();
+        while !frozen(&w) {
+            deadline += 20;
+            w.run_until(deadline);
+        }
+        assert_eq!(
+            w.migration_past_detach(mig),
+            Some(false),
+            "{strategy:?}: the abort must land between capture and detach"
+        );
+
+        assert!(w.abort_migration(mig, AbortReason::TransferStalled));
+
+        match w.migration_outcome(mig) {
+            Some(MigrationOutcome::Aborted {
+                phase, recovery, ..
+            }) => {
+                assert_eq!(phase, PhaseId::FreezeCapture, "{strategy:?}");
+                assert_eq!(recovery, Recovery::ResumedOnSource, "{strategy:?}");
+            }
+            other => panic!("{strategy:?}: expected an aborted outcome, got {other:?}"),
+        }
+        assert!(
+            !frozen(&w),
+            "{strategy:?}: resumed threads right after the abort"
+        );
+        assert_stream_alive(&mut w, &updates_sent, "zone server after resume");
+        assert!(!frozen(&w), "{strategy:?}: threads still running 2 s later");
+    }
+}
+
+// ---------------------------------------------------------------------
 // destination kernel refusals: freeze rollback and restore fallback
 // ---------------------------------------------------------------------
 
