@@ -5,8 +5,9 @@
 //! nothing bounds what the *cluster* commits to at once: under a thundering
 //! herd every overloaded node picks the same few light peers and the
 //! receivers' memory fills with in-flight checkpoint images. The
-//! [`AdmissionControl`] ledger is the single authority the runtime consults
-//! before a migration is allowed to start:
+//! [`AdmissionControl`] gate is the single authority the runtime consults
+//! before a migration is allowed to start, checking its budgets against the
+//! migrations the runtime has in flight:
 //!
 //! * a cluster-wide concurrent-migration semaphore,
 //! * a per-node semaphore (a node counts against it as source *or*
@@ -18,7 +19,6 @@
 //! admission behaves exactly like the paper prototype.
 
 use dvelm_net::NodeId;
-use std::collections::BTreeMap;
 
 /// Budgets enforced by [`AdmissionControl`]. All default to unlimited.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,15 +77,7 @@ impl AdmissionDenied {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ActiveEntry {
-    token: u64,
-    src: NodeId,
-    dst: NodeId,
-    image_bytes: u64,
-}
-
-/// Counters kept by the ledger, for tests and reporting.
+/// Counters kept by the admission gate, for tests and reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     pub admitted: u64,
@@ -98,13 +90,12 @@ pub struct AdmissionStats {
     pub peak_inflight_bytes: u64,
 }
 
-/// The admission ledger. Admit with an opaque caller-chosen token
-/// (the runtime uses the migration id) and release with the same token
-/// when the migration completes or aborts.
+/// The admission gate: the budgets and the counters of what they did. It
+/// keeps no ledger of its own — the caller passes the migrations it has in
+/// flight, so the budgets are checked against the one record of them.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionControl {
     cfg: AdmissionConfig,
-    active: Vec<ActiveEntry>,
     stats: AdmissionStats,
 }
 
@@ -112,86 +103,49 @@ impl AdmissionControl {
     pub fn new(cfg: AdmissionConfig) -> AdmissionControl {
         AdmissionControl {
             cfg,
-            active: Vec::new(),
             stats: AdmissionStats::default(),
         }
-    }
-
-    /// Number of currently admitted migrations.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Number of admitted migrations touching `node` as source or
-    /// destination.
-    pub fn active_on(&self, node: NodeId) -> usize {
-        self.active
-            .iter()
-            .filter(|e| e.src == node || e.dst == node)
-            .count()
-    }
-
-    /// Summed bytes of in-flight checkpoint images headed for `dst`.
-    pub fn inflight_image_bytes(&self, dst: NodeId) -> u64 {
-        self.active
-            .iter()
-            .filter(|e| e.dst == dst)
-            .map(|e| e.image_bytes)
-            .sum()
-    }
-
-    /// Per-destination in-flight image bytes, for reporting.
-    pub fn inflight_by_destination(&self) -> BTreeMap<NodeId, u64> {
-        let mut map = BTreeMap::new();
-        for e in &self.active {
-            *map.entry(e.dst).or_insert(0) += e.image_bytes;
-        }
-        map
     }
 
     pub fn stats(&self) -> AdmissionStats {
         self.stats
     }
 
-    /// Check the budgets without taking a slot.
-    pub fn would_admit(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        image_bytes: u64,
-    ) -> Result<(), AdmissionDenied> {
-        if self.active.len() >= self.cfg.max_cluster_migrations {
-            return Err(AdmissionDenied::ClusterBusy);
-        }
-        if self.active_on(src) >= self.cfg.max_node_migrations {
-            return Err(AdmissionDenied::NodeBusy(src));
-        }
-        if self.active_on(dst) >= self.cfg.max_node_migrations {
-            return Err(AdmissionDenied::NodeBusy(dst));
-        }
-        let would_be = self.inflight_image_bytes(dst).saturating_add(image_bytes);
-        if would_be > self.cfg.max_inflight_image_bytes {
-            return Err(AdmissionDenied::ImageBudget { dst, would_be });
-        }
-        Ok(())
-    }
-
-    /// Take a slot for a migration of `image_bytes` from `src` to `dst`.
-    /// `image_bytes` is the caller's upper-bound estimate of the checkpoint
-    /// image (the ledger exists to prevent overload, so it budgets against
-    /// the worst case, not the post-precopy residue).
+    /// Admit a migration of `image_bytes` from `src` to `dst` alongside
+    /// the migrations already `in_flight`, each given as `(src, dst,
+    /// image_bytes it was admitted with)`. `image_bytes` is the caller's
+    /// upper-bound estimate of the checkpoint image (the gate exists to
+    /// prevent overload, so it budgets against the worst case, not the
+    /// post-precopy residue); the caller keeps it with the migration.
     pub fn admit(
         &mut self,
-        token: u64,
+        in_flight: impl IntoIterator<Item = (NodeId, NodeId, u64)>,
         src: NodeId,
         dst: NodeId,
         image_bytes: u64,
     ) -> Result<(), AdmissionDenied> {
-        debug_assert!(
-            !self.active.iter().any(|e| e.token == token),
-            "admission token reused while active"
-        );
-        if let Err(denied) = self.would_admit(src, dst, image_bytes) {
+        let (mut active, mut on_src, mut on_dst, mut dst_bytes) = (0, 0, 0, 0u64);
+        for (s, d, bytes) in in_flight {
+            active += 1;
+            on_src += usize::from(s == src || d == src);
+            on_dst += usize::from(s == dst || d == dst);
+            if d == dst {
+                dst_bytes += bytes;
+            }
+        }
+        let would_be = dst_bytes.saturating_add(image_bytes);
+        let denied = if active >= self.cfg.max_cluster_migrations {
+            Some(AdmissionDenied::ClusterBusy)
+        } else if on_src >= self.cfg.max_node_migrations {
+            Some(AdmissionDenied::NodeBusy(src))
+        } else if on_dst >= self.cfg.max_node_migrations {
+            Some(AdmissionDenied::NodeBusy(dst))
+        } else if would_be > self.cfg.max_inflight_image_bytes {
+            Some(AdmissionDenied::ImageBudget { dst, would_be })
+        } else {
+            None
+        };
+        if let Some(denied) = denied {
             match denied {
                 AdmissionDenied::ClusterBusy => self.stats.denied_cluster += 1,
                 AdmissionDenied::NodeBusy(_) => self.stats.denied_node += 1,
@@ -199,28 +153,10 @@ impl AdmissionControl {
             }
             return Err(denied);
         }
-        self.active.push(ActiveEntry {
-            token,
-            src,
-            dst,
-            image_bytes,
-        });
         self.stats.admitted += 1;
-        self.stats.peak_active = self.stats.peak_active.max(self.active.len());
-        self.stats.peak_inflight_bytes = self
-            .stats
-            .peak_inflight_bytes
-            .max(self.inflight_image_bytes(dst));
+        self.stats.peak_active = self.stats.peak_active.max(active + 1);
+        self.stats.peak_inflight_bytes = self.stats.peak_inflight_bytes.max(would_be);
         Ok(())
-    }
-
-    /// Release the slot taken under `token`. Returns whether the token was
-    /// active (releasing an unknown token is a no-op, so completion and
-    /// abort paths can both call it unconditionally).
-    pub fn release(&mut self, token: u64) -> bool {
-        let before = self.active.len();
-        self.active.retain(|e| e.token != token);
-        self.active.len() != before
     }
 }
 
@@ -230,14 +166,41 @@ mod tests {
 
     const MB: u64 = 1 << 20;
 
+    /// The migrations in flight, as a runtime keeps them: `(id, src, dst,
+    /// image_bytes)`.
+    #[derive(Default)]
+    struct Live(Vec<(u64, NodeId, NodeId, u64)>);
+
+    impl Live {
+        fn admit(
+            &mut self,
+            ac: &mut AdmissionControl,
+            id: u64,
+            src: NodeId,
+            dst: NodeId,
+            image_bytes: u64,
+        ) -> Result<(), AdmissionDenied> {
+            let in_flight = self.0.iter().map(|&(_, s, d, b)| (s, d, b));
+            ac.admit(in_flight, src, dst, image_bytes)?;
+            self.0.push((id, src, dst, image_bytes));
+            Ok(())
+        }
+
+        fn finish(&mut self, id: u64) {
+            self.0.retain(|e| e.0 != id);
+        }
+    }
+
     #[test]
     fn unlimited_admits_everything() {
         let mut ac = AdmissionControl::new(AdmissionConfig::UNLIMITED);
+        let mut live = Live::default();
         for t in 0..64 {
-            ac.admit(t, NodeId(0), NodeId(1), 100 * MB).unwrap();
+            live.admit(&mut ac, t, NodeId(0), NodeId(1), 100 * MB)
+                .unwrap();
         }
-        assert_eq!(ac.active_count(), 64);
         assert_eq!(ac.stats().admitted, 64);
+        assert_eq!(ac.stats().peak_active, 64);
     }
 
     #[test]
@@ -247,14 +210,15 @@ mod tests {
             ..AdmissionConfig::UNLIMITED
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.admit(1, NodeId(0), NodeId(1), MB).unwrap();
-        ac.admit(2, NodeId(2), NodeId(3), MB).unwrap();
+        let mut live = Live::default();
+        live.admit(&mut ac, 1, NodeId(0), NodeId(1), MB).unwrap();
+        live.admit(&mut ac, 2, NodeId(2), NodeId(3), MB).unwrap();
         assert_eq!(
-            ac.admit(3, NodeId(4), NodeId(5), MB),
+            live.admit(&mut ac, 3, NodeId(4), NodeId(5), MB),
             Err(AdmissionDenied::ClusterBusy)
         );
-        assert!(ac.release(1));
-        ac.admit(3, NodeId(4), NodeId(5), MB).unwrap();
+        live.finish(1);
+        live.admit(&mut ac, 3, NodeId(4), NodeId(5), MB).unwrap();
         assert_eq!(ac.stats().denied_cluster, 1);
         assert_eq!(ac.stats().peak_active, 2);
     }
@@ -266,14 +230,15 @@ mod tests {
             ..AdmissionConfig::UNLIMITED
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.admit(1, NodeId(0), NodeId(1), MB).unwrap();
+        let mut live = Live::default();
+        live.admit(&mut ac, 1, NodeId(0), NodeId(1), MB).unwrap();
         // Node 1 is busy as a destination, so it cannot be a source either.
         assert_eq!(
-            ac.admit(2, NodeId(1), NodeId(2), MB),
+            live.admit(&mut ac, 2, NodeId(1), NodeId(2), MB),
             Err(AdmissionDenied::NodeBusy(NodeId(1)))
         );
         // An unrelated pair is fine.
-        ac.admit(3, NodeId(2), NodeId(3), MB).unwrap();
+        live.admit(&mut ac, 3, NodeId(2), NodeId(3), MB).unwrap();
         assert_eq!(ac.stats().denied_node, 1);
     }
 
@@ -284,30 +249,24 @@ mod tests {
             ..AdmissionConfig::UNLIMITED
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.admit(1, NodeId(0), NodeId(9), 60 * MB).unwrap();
-        ac.admit(2, NodeId(1), NodeId(9), 40 * MB).unwrap();
+        let mut live = Live::default();
+        live.admit(&mut ac, 1, NodeId(0), NodeId(9), 60 * MB)
+            .unwrap();
+        live.admit(&mut ac, 2, NodeId(1), NodeId(9), 40 * MB)
+            .unwrap();
         assert_eq!(
-            ac.admit(3, NodeId(2), NodeId(9), 1),
+            live.admit(&mut ac, 3, NodeId(2), NodeId(9), 1),
             Err(AdmissionDenied::ImageBudget {
                 dst: NodeId(9),
                 would_be: 100 * MB + 1
             })
         );
         // A different destination has its own budget.
-        ac.admit(4, NodeId(2), NodeId(8), 100 * MB).unwrap();
-        assert!(ac.release(2));
-        ac.admit(5, NodeId(2), NodeId(9), 40 * MB).unwrap();
-        assert_eq!(ac.inflight_image_bytes(NodeId(9)), 100 * MB);
+        live.admit(&mut ac, 4, NodeId(2), NodeId(8), 100 * MB)
+            .unwrap();
+        live.finish(2);
+        live.admit(&mut ac, 5, NodeId(2), NodeId(9), 40 * MB)
+            .unwrap();
         assert_eq!(ac.stats().peak_inflight_bytes, 100 * MB);
-    }
-
-    #[test]
-    fn release_unknown_token_is_noop() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::UNLIMITED);
-        assert!(!ac.release(77));
-        ac.admit(1, NodeId(0), NodeId(1), MB).unwrap();
-        assert!(ac.release(1));
-        assert!(!ac.release(1));
-        assert_eq!(ac.active_count(), 0);
     }
 }
