@@ -11,7 +11,9 @@
 //! * **mention census** inside one fn's body, for dispatch-arm coverage;
 //! * **assertion census** over named test files, for abort-row coverage;
 //! * **`pub` fn census**: the `pub` fns no non-test code names. A bare-name
-//!   mention outside test code and `use` declarations keeps a fn alive;
+//!   mention outside test code and `use` declarations keeps a fn alive; a
+//!   field label or field access does not, so a getter named after its
+//!   field cannot keep itself alive;
 //! * **clock taint**: the fixpoint of "this parameter carries the sim
 //!   clock", seeded by SimTime-typed parameters named `now`/`at` and
 //!   propagated backwards through call sites that pass a caller's own
@@ -176,7 +178,7 @@ impl SymbolGraph {
     /// a file `defines` accepts whose bare name no non-test code in the graph
     /// names, as `(path, line, qualified name)` in walk order. Resolution is
     /// by bare name only, so any same-named call, method call or path keeps
-    /// a fn alive.
+    /// a fn alive; a same-named field (`x:`, `.x`) does not.
     pub fn unreferenced_pub_fns(&self, defines: impl Fn(&str) -> bool) -> Vec<(&str, u32, &str)> {
         let live: BTreeSet<&str> = self
             .files

@@ -273,7 +273,8 @@ pub struct FileSyms {
     /// queries (e.g. "inside a `MigrationAborted { … }` literal").
     pub braces_after_ident: Vec<(String, usize, usize)>,
     /// Every identifier named in non-test code outside `use` declarations,
-    /// except the name token of a `fn` definition: calls, method calls and
+    /// except the name token of a `fn` definition and field names (labels
+    /// `x:` and accesses `.x` that are not calls): calls, method calls and
     /// paths such as `.map(Foo::bar)` alike.
     pub mentions: BTreeSet<String>,
 }
@@ -428,7 +429,9 @@ impl FileSyms {
         }
 
         // `use` declarations name a fn without using it (a re-export keeps
-        // nothing alive by itself), so they are skipped to their `;`.
+        // nothing alive by itself), so they are skipped to their `;`. Field
+        // names are skipped too: they share a getter's name without calling
+        // it.
         let mut mentions = BTreeSet::new();
         let mut in_use = false;
         for (i, t) in toks.iter().enumerate() {
@@ -436,10 +439,7 @@ impl FileSyms {
                 in_use = !t.is_punct(';');
             } else if t.is_ident("use") {
                 in_use = true;
-            } else if t.kind == TokKind::Ident
-                && !ctx.in_test[i]
-                && !(i > 0 && toks[i - 1].is_ident("fn"))
-            {
+            } else if t.kind == TokKind::Ident && !ctx.in_test[i] && mentions_fn(toks, i) {
                 mentions.insert(t.text.clone());
             }
         }
@@ -494,6 +494,21 @@ fn is_pub(toks: &[Tok], fn_kw: usize) -> bool {
             .is_some_and(|open| open > 0 && toks[open - 1].is_ident("pub"));
     }
     toks[k].is_ident("pub")
+}
+
+/// Whether the identifier at `i` may name a fn without defining it: it is
+/// not the name of a `fn` definition, nor a field label (`x:`, one colon),
+/// nor a field access (`.x` followed by neither `(` nor `::`).
+fn mentions_fn(toks: &[Tok], i: usize) -> bool {
+    let colon_at = |k: usize| toks.get(k).is_some_and(|t| t.is_punct(':'));
+    let path = colon_at(i + 1) && colon_at(i + 2);
+    let label = colon_at(i + 1) && !path;
+    let call = toks
+        .get(i + 1)
+        .is_some_and(|t| t.kind == TokKind::Open('('));
+    let defined = i > 0 && toks[i - 1].is_ident("fn");
+    let access = i > 0 && toks[i - 1].is_punct('.') && !call && !path;
+    !(defined || label || access)
 }
 
 /// Variant names of an enum body span (top-level identifiers, attributes

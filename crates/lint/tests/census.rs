@@ -1,6 +1,6 @@
 //! `census` over the `fixtures/census/` mini-root: a `pub fn` called only
-//! from `tests/`, only from a `#[cfg(test)]` module, or only re-exported is
-//! listed; one called from `benchmark/src`, `examples/` or a bin, named
+//! from `tests/`, only from a `#[cfg(test)]` module, only re-exported, or
+//! named only as a field (`self.x`, `x:`) is listed; one called from `benchmark/src`, `examples/` or a bin, named
 //! only as a path (`.map(T::f)`), sharing its bare name with a called
 //! method, or defined in `crates/lint` is not. The output is pinned
 //! byte-for-byte in `census.expected`

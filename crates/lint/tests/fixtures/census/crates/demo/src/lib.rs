@@ -49,6 +49,30 @@ pub fn live(tables: &[Table], other: &mut Other) -> Vec<u8> {
     tables.iter().map(Table::as_path).collect()
 }
 
+pub struct Counter {
+    hits: u64,
+    total: u64,
+}
+
+impl Counter {
+    /// Listed: its own body reads the field `self.hits` and `tally` labels
+    /// the field `hits:`, but nothing calls it.
+    pub fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    /// Not listed: `tally` calls it as a method.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+}
+
+/// Not listed: the crate's binary calls it.
+pub fn tally() -> u64 {
+    let counter = Counter { hits: 1, total: 2 };
+    counter.total()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

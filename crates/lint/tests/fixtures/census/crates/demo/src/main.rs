@@ -1,3 +1,4 @@
 fn main() {
     demo::live(&[demo::Table], &mut demo::Other);
+    demo::tally();
 }

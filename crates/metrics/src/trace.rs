@@ -45,16 +45,9 @@ pub struct PhaseSpan {
 pub struct TraceRecorder {
     report: MigrationReport,
     spans: Vec<PhaseSpan>,
-    captures_enabled: u32,
-    captures_removed: u32,
-    xlate_rules_sent: u32,
-    xlate_rules_revoked: u32,
-    pressure_events: u32,
-    shed_packets: u64,
     /// Whether a `SuspendApp` was observed — i.e. the application actually
     /// stopped at some point.
     suspended: bool,
-    finished: bool,
 }
 
 impl TraceRecorder {
@@ -64,14 +57,7 @@ impl TraceRecorder {
         TraceRecorder {
             report: MigrationReport::new(pid, strategy, started_at),
             spans: Vec::new(),
-            captures_enabled: 0,
-            captures_removed: 0,
-            xlate_rules_sent: 0,
-            xlate_rules_revoked: 0,
-            pressure_events: 0,
-            shed_packets: 0,
             suspended: false,
-            finished: false,
         }
     }
 
@@ -102,12 +88,10 @@ impl TraceRecorder {
                 self.suspended = true;
             }
             Effect::InstallCapture { .. } => {
-                self.captures_enabled += 1;
                 if let Some(open) = self.spans.last_mut() {
                     open.sockets_touched += 1;
                 }
             }
-            Effect::SendXlate { .. } => self.xlate_rules_sent += 1,
             Effect::Shipped { class, bytes } => {
                 if let Some(open) = self.spans.last_mut() {
                     open.bytes += bytes;
@@ -137,15 +121,18 @@ impl TraceRecorder {
                     open.packets_reinjected += 1;
                 }
             }
-            Effect::Stack { .. } => {}
             // Interest handoff rides the stream for ordering/observability;
             // the table itself lives in the router, so the trace only needs
-            // the timestamps already carried by the effect log.
-            Effect::Subscribe { .. } | Effect::Unsubscribe { .. } => {}
-            Effect::QueuePressure { shed_packets, .. } => {
-                self.pressure_events += 1;
-                self.shed_packets += shed_packets;
-            }
+            // the timestamps already carried by the effect log. Translation
+            // requests, capture removal and queue pressure likewise shape no
+            // report field.
+            Effect::Stack { .. }
+            | Effect::Subscribe { .. }
+            | Effect::Unsubscribe { .. }
+            | Effect::SendXlate { .. }
+            | Effect::RevokeXlate { .. }
+            | Effect::RemoveCapture { .. }
+            | Effect::QueuePressure { .. } => {}
             Effect::Complete(_) => {
                 self.report.resumed_at = at;
                 if let Some(open) = self.spans.last_mut() {
@@ -153,11 +140,8 @@ impl TraceRecorder {
                         open.exited_at = Some(at);
                     }
                 }
-                self.finished = true;
             }
             Effect::ResumeApp => self.report.resumed_at = at,
-            Effect::RemoveCapture { .. } => self.captures_removed += 1,
-            Effect::RevokeXlate { .. } => self.xlate_rules_revoked += 1,
             Effect::Aborted(a) => {
                 self.report.aborted = Some((a.phase, a.reason));
                 // The rollback instant closes the trace: an abort whose
@@ -176,14 +160,8 @@ impl TraceRecorder {
                     }
                 }
                 self.report.phase_log.push(("aborted", at));
-                self.finished = true;
             }
         }
-    }
-
-    /// Whether a `Complete` effect has been observed.
-    pub fn finished(&self) -> bool {
-        self.finished
     }
 
     /// The phase timeline so far.
@@ -191,37 +169,8 @@ impl TraceRecorder {
         &self.spans
     }
 
-    /// Capture entries installed on the destination.
-    pub fn captures_enabled(&self) -> u32 {
-        self.captures_enabled
-    }
-
-    /// Capture entries rolled back by an abort.
-    pub fn captures_removed(&self) -> u32 {
-        self.captures_removed
-    }
-
-    /// Translation rules sent to in-cluster peers.
-    pub fn xlate_rules_sent(&self) -> u32 {
-        self.xlate_rules_sent
-    }
-
-    /// Translation rules recalled from peers by an abort.
-    pub fn xlate_rules_revoked(&self) -> u32 {
-        self.xlate_rules_revoked
-    }
-
-    /// Capture-queue budget-pressure incidents observed on the stream.
-    pub fn pressure_events(&self) -> u32 {
-        self.pressure_events
-    }
-
-    /// Packets shed or refused by capture-queue budgets.
-    pub fn shed_packets(&self) -> u64 {
-        self.shed_packets
-    }
-
-    /// The derived report so far (complete once [`finished`](Self::finished)).
+    /// The derived report so far (complete once `Complete` or `Aborted`
+    /// has been observed).
     pub fn report(&self) -> &MigrationReport {
         &self.report
     }
@@ -298,14 +247,12 @@ mod tests {
         r.observe(t(489_000), &Effect::PhaseEntered(PhaseId::Restore));
         r.observe(t(489_000), &Effect::PacketReinjected);
         r.observe(t(489_000), &Effect::PacketReinjected);
-        assert!(!r.finished());
         r.observe(
             t(489_500),
             &Effect::Complete(MigrationComplete {
                 process: Process::new(Pid(9), "p", 1, 1),
             }),
         );
-        assert!(r.finished());
 
         let report = r.into_report();
         assert_eq!(report.pid, Pid(9));
@@ -357,7 +304,6 @@ mod tests {
         assert_eq!(spans[0].bytes, 10);
         assert_eq!(spans[1].exited_at, None);
         assert_eq!(spans[1].sockets_touched, 1);
-        assert_eq!(r.captures_enabled(), 1);
     }
 
     #[test]
@@ -380,7 +326,6 @@ mod tests {
             },
         );
         r.observe(t(7_000), &Effect::ResumeApp);
-        assert!(!r.finished());
         r.observe(
             t(7_000),
             &Effect::Aborted(MigrationAborted {
@@ -389,8 +334,6 @@ mod tests {
                 recovery: AbortRecovery::ResumedOnSource,
             }),
         );
-        assert!(r.finished());
-        assert_eq!(r.captures_removed(), 1);
         let report = r.into_report();
         assert!(report.is_aborted());
         assert_eq!(
@@ -405,33 +348,6 @@ mod tests {
             Some(&("aborted", t(7_000))),
             "the abort is on the phase log"
         );
-    }
-
-    #[test]
-    fn queue_pressure_is_folded() {
-        let mut r = recorder();
-        r.observe(t(0), &Effect::PhaseEntered(PhaseId::FreezeDetach));
-        let key = dvelm_stack::capture::CaptureKey::any_remote(dvelm_net::Port(80));
-        r.observe(
-            t(10),
-            &Effect::QueuePressure {
-                key,
-                queued_packets: 32,
-                queued_bytes: 4_096,
-                shed_packets: 3,
-            },
-        );
-        r.observe(
-            t(20),
-            &Effect::QueuePressure {
-                key,
-                queued_packets: 16,
-                queued_bytes: 8_192,
-                shed_packets: 1,
-            },
-        );
-        assert_eq!(r.pressure_events(), 2);
-        assert_eq!(r.shed_packets(), 4);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl Link {
         Some(done + self.latency_us)
     }
 
-    /// When the wire becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Transfer counters.
     pub fn stats(&self) -> LinkStats {
         self.stats
@@ -417,7 +412,7 @@ mod prop_tests {
                 l.transmit(SimTime::ZERO, *s, &mut r);
                 expect += l.serialization_us(*s);
             }
-            prop_assert_eq!(l.busy_until(), SimTime::from_micros(expect));
+            prop_assert_eq!(l.busy_until, SimTime::from_micros(expect));
         }
     }
 }

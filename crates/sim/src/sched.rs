@@ -121,11 +121,6 @@ impl<E> Scheduler<E> {
         self.dispatched
     }
 
-    /// Number of past-instant `schedule_at` calls clamped to `now`.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-
     /// Aggregate counters in one struct.
     pub fn stats(&self) -> SchedStats {
         SchedStats {
@@ -161,15 +156,15 @@ mod tests {
         let mut s: Scheduler<u32> = Scheduler::new();
         s.schedule_after(100, 1);
         s.pop_next();
-        assert_eq!(s.clamped(), 0);
+        assert_eq!(s.stats().clamped, 0);
         s.schedule_at(SimTime::from_micros(10), 2); // in the past
         let (t, e) = s.pop_next().unwrap();
         assert_eq!(e, 2);
         assert_eq!(t, SimTime::from_micros(100)); // clamped, clock monotone
-        assert_eq!(s.clamped(), 1);
+        assert_eq!(s.stats().clamped, 1);
         // Scheduling exactly at `now` is not a clamp.
         s.schedule_at(s.now(), 3);
-        assert_eq!(s.clamped(), 1);
+        assert_eq!(s.stats().clamped, 1);
     }
 
     #[test]
@@ -233,10 +228,10 @@ mod tests {
         s.pop_next();
         let key = s.reserve_at(SimTime::from_micros(10));
         assert_eq!(key.at, SimTime::from_micros(100));
-        assert_eq!(s.clamped(), 1);
+        assert_eq!(s.stats().clamped, 1);
         // Exactly `now` is not a clamp.
         assert_eq!(s.reserve_at(s.now()).at, s.now());
-        assert_eq!(s.clamped(), 1);
+        assert_eq!(s.stats().clamped, 1);
         s.schedule_reserved(key, 1);
         assert_eq!(s.pop_next(), Some((SimTime::from_micros(100), 1)));
     }
@@ -381,7 +376,7 @@ mod prop_tests {
                         prop_assert_eq!(popped, reference.pop_next());
                     }
                 }
-                prop_assert_eq!(s.clamped(), reference.clamped());
+                prop_assert_eq!(s.stats().clamped, reference.stats().clamped);
                 prop_assert_eq!(s.stats().scheduled, reference.stats().scheduled);
                 prop_assert_eq!(s.now(), reference.now());
             }
@@ -457,7 +452,7 @@ mod prop_tests {
                     }
                 }
                 prop_assert_eq!(s.pending(), model.len() - outstanding.len());
-                prop_assert_eq!(s.clamped(), clamped);
+                prop_assert_eq!(s.stats().clamped, clamped);
             }
         }
 

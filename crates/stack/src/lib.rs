@@ -64,5 +64,5 @@ pub use socket::Socket;
 pub use socktable::SockTable;
 pub use tcp::{TcpSocket, TcpSocketRecord, TcpState};
 pub use timer::{SockTimers, TimerFire};
-pub use udp::{UdpSocket, UdpSocketRecord};
+pub use udp::UdpSocket;
 pub use xlate::{SelfXlateRule, XlateRule, XlateTable};

@@ -272,21 +272,6 @@ impl TcpSocket {
         self.cwnd
     }
 
-    /// Next sequence number to send.
-    pub fn snd_nxt(&self) -> u32 {
-        self.snd_nxt
-    }
-
-    /// Oldest unacknowledged sequence number.
-    pub fn snd_una(&self) -> u32 {
-        self.snd_una
-    }
-
-    /// Next expected receive sequence number.
-    pub fn rcv_nxt(&self) -> u32 {
-        self.rcv_nxt
-    }
-
     /// Unacknowledged bytes in flight.
     pub fn flight(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)
@@ -987,9 +972,9 @@ mod tests {
     fn three_way_handshake() {
         let mut h = Harness::new();
         let (c, s) = established_pair(&mut h);
-        assert_eq!(c.snd_nxt(), 101);
-        assert_eq!(c.rcv_nxt(), 901);
-        assert_eq!(s.rcv_nxt(), 101);
+        assert_eq!(c.snd_nxt, 101);
+        assert_eq!(c.rcv_nxt, 901);
+        assert_eq!(s.rcv_nxt, 101);
         assert!(
             c.timer_deadline().is_none(),
             "no data in flight after handshake"

@@ -147,31 +147,6 @@ impl UdpSocket {
     pub fn apply_jiffies_delta(&mut self, _delta: i64) {}
 }
 
-/// Summary record of a UDP socket's checkpointable state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpSocketRecord {
-    /// Bound local address.
-    pub local: SockAddr,
-    /// Default peer, if connected.
-    pub remote: Option<SockAddr>,
-    /// Encoded size of the queued receive buffers.
-    pub recv_queue_bytes: u64,
-    /// Stamp of the most recent mutation (incremental checkpoints).
-    pub mutation_stamp: u64,
-}
-
-impl UdpSocket {
-    /// Build the summary record.
-    pub fn record(&self) -> UdpSocketRecord {
-        UdpSocketRecord {
-            local: self.local,
-            remote: self.remote,
-            recv_queue_bytes: self.recv_queue.iter().map(|d| d.skb.record_len()).sum(),
-            mutation_stamp: self.last_stamp,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
