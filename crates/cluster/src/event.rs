@@ -6,6 +6,7 @@ use dvelm_net::NodeId;
 use dvelm_proc::Pid;
 use dvelm_stack::xlate::XlateRule;
 use dvelm_stack::{Segment, SockId};
+use std::rc::Rc;
 
 /// Everything that can happen in the simulated cluster.
 #[derive(Debug)]
@@ -18,7 +19,12 @@ pub enum Event {
     /// O(frames) instead of O(frames × nodes); hosts are delivered in
     /// order, which is exactly the dispatch order the per-host events had
     /// (consecutive scheduler sequence numbers at an equal instant).
-    BroadcastArrival { hosts: Vec<usize>, seg: Segment },
+    ///
+    /// When every server node hears the frame, `hosts` is the world's
+    /// shared member snapshot and only the members claiming the frame's
+    /// port run the receive path; any other list is delivered host by
+    /// host.
+    BroadcastArrival { hosts: Rc<[usize]>, seg: Segment },
     /// A socket's one pending retransmission fire, pushed at the dispatch
     /// key with sequence `seq` (see [`SockTimers`]).
     ///

@@ -15,15 +15,17 @@ use dvelm_migrate::{
 };
 use dvelm_monitor::{InvariantMonitor, InvariantViolation};
 use dvelm_net::{
-    BroadcastRouter, ClusterSwitch, Ip, LossModel, NodeId, Port, RouteError, SockAddr, ZoneId,
+    BroadcastRouter, ClusterSwitch, Fanout, Ip, LossModel, NodeId, Port, RouteError, SockAddr,
+    ZoneId,
 };
 use dvelm_proc::{Fd, FdEntry, Pid, Process, PAGE_SIZE};
 use dvelm_sim::{DetRng, DispatchKey, Scheduler, SimTime};
 use dvelm_stack::{
-    CaptureBudget, CaptureKey, HostStack, PressureKind, Segment, SockId, StackEffect, TimerFire,
-    XlateRule,
+    CaptureBudget, CaptureKey, ClaimChanges, HostStack, PressureKind, RxGroup, Segment, SockId,
+    StackEffect, TimerFire, XlateRule,
 };
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// A migration task identifier.
 pub type MigId = u64;
@@ -286,9 +288,22 @@ pub struct World {
     /// Pooled stack-effect vectors for application callbacks (same
     /// re-entrancy argument).
     stack_fx_pool: Vec<Vec<StackEffect>>,
-    /// Pooled host lists for [`Event::BroadcastArrival`] (one list travels
-    /// through the scheduler per broadcast frame and comes back here).
-    bcast_pool: Vec<Vec<usize>>,
+    /// The server hosts the router fans inbound frames out to, in node
+    /// order. A uniform broadcast (every member hears it at one instant)
+    /// carries this very snapshot as its [`Event::BroadcastArrival`] host
+    /// list; a node attaching or leaving replaces it, so a frame scheduled
+    /// before then no longer matches and takes the per-host path.
+    members: Rc<[usize]>,
+    /// The members' shared receive state: their port-claim transitions and
+    /// the uniform frames they drop unclaimed.
+    rx_group: RxGroup,
+    /// The members claiming each port, ascending: the hosts a uniform
+    /// broadcast to that port is handed to. Exact once
+    /// [`sync_claimants`](World::sync_claimants) has read the group's
+    /// changes.
+    claimants: BTreeMap<Port, Vec<usize>>,
+    /// Reusable buffer for the group's claim changes.
+    claim_changes: Vec<(NodeId, Port)>,
 }
 
 impl World {
@@ -339,7 +354,10 @@ impl World {
             arrival_buf: Vec::new(),
             mig_fx_pool: Vec::new(),
             stack_fx_pool: Vec::new(),
-            bcast_pool: Vec::new(),
+            members: Rc::from([]),
+            rx_group: RxGroup::new(),
+            claimants: BTreeMap::new(),
+            claim_changes: Vec::new(),
         }
     }
 
@@ -468,10 +486,84 @@ impl World {
         let jiffies_base = self.rng.fork(node.0 as u64 ^ 0x1ff).next_u64() % 100_000_000;
         let mut stack = HostStack::server_node(node, jiffies_base, self.cfg.seed ^ node.0 as u64);
         stack.capture.set_budget(self.cfg.capture_budget);
-        self.router.attach_node(node);
         self.switch.attach(node);
         self.hosts.push(Host::new(HostKind::Server, stack));
-        self.hosts.len() - 1
+        let host = self.hosts.len() - 1;
+        self.join_fabric(host);
+        host
+    }
+
+    /// Attach a server host's public interface to the router and make its
+    /// stack a member of the broadcast group.
+    fn join_fabric(&mut self, host: usize) {
+        self.router.attach_node(self.hosts[host].stack.node);
+        self.hosts[host].stack.join_group(&self.rx_group);
+        self.sync_claimants();
+        self.index_claims(host);
+        self.members = self.router.nodes().map(|n| n.0 as usize).collect();
+    }
+
+    /// Detach a server host's public interface from the router and take
+    /// its stack out of the broadcast group.
+    fn leave_fabric(&mut self, host: usize) {
+        self.sync_claimants();
+        self.router.detach_node(self.hosts[host].stack.node);
+        self.hosts[host].stack.leave_group();
+        self.claimants.retain(|_, hosts| {
+            hosts.retain(|&h| h != host);
+            !hosts.is_empty()
+        });
+        self.members = self.router.nodes().map(|n| n.0 as usize).collect();
+    }
+
+    /// Bring the claimant index up to date with the members' port-claim
+    /// transitions since the last call.
+    fn sync_claimants(&mut self) {
+        if !self.rx_group.has_changes() {
+            return;
+        }
+        let mut changes = std::mem::take(&mut self.claim_changes);
+        match self.rx_group.take_changes(&mut changes) {
+            ClaimChanges::None => {}
+            ClaimChanges::Listed => {
+                for &(node, port) in &changes {
+                    self.update_claimant(node.0 as usize, port);
+                }
+            }
+            ClaimChanges::All => {
+                self.claimants.clear();
+                for m in Rc::clone(&self.members).iter() {
+                    self.index_claims(*m);
+                }
+            }
+        }
+        self.claim_changes = changes;
+    }
+
+    /// Enter every port member `host` claims in the claimant index.
+    fn index_claims(&mut self, host: usize) {
+        for port in self.hosts[host].stack.claimed_ports() {
+            let claimants = self.claimants.entry(port).or_default();
+            if let Err(i) = claimants.binary_search(&host) {
+                claimants.insert(i, host);
+            }
+        }
+    }
+
+    /// Re-read whether member `host` claims `port`.
+    fn update_claimant(&mut self, host: usize, port: Port) {
+        let claims = self.hosts[host].stack.claims_port(port);
+        let claimants = self.claimants.entry(port).or_default();
+        match (claimants.binary_search(&host), claims) {
+            (Err(i), true) => claimants.insert(i, host),
+            (Ok(i), false) => {
+                claimants.remove(i);
+            }
+            _ => {}
+        }
+        if claimants.is_empty() {
+            self.claimants.remove(&port);
+        }
     }
 
     /// Add a client host on the WAN side.
@@ -889,9 +981,8 @@ impl World {
             self.hosts[host].procs.is_empty(),
             "detach of a non-empty node; drain_node first"
         );
-        let node = self.hosts[host].stack.node;
-        self.router.detach_node(node);
-        self.switch.detach(node);
+        self.leave_fabric(host);
+        self.switch.detach(self.hosts[host].stack.node);
         self.hosts[host].conductor = None;
     }
 
@@ -1146,7 +1237,7 @@ impl World {
         let node = self.hosts[host].stack.node;
         match self.hosts[host].kind {
             HostKind::Server => {
-                self.router.detach_node(node);
+                self.leave_fabric(host);
                 self.switch.detach(node);
             }
             HostKind::Database => self.switch.detach(node),
@@ -1344,8 +1435,12 @@ impl World {
                 }
             }
             Event::BroadcastArrival { hosts, seg } => {
+                if Rc::ptr_eq(&hosts, &self.members) {
+                    self.deliver_uniform(&seg);
+                    return;
+                }
                 let now = self.now();
-                for &host in &hosts {
+                for &host in hosts.iter() {
                     // A host may have crashed after the frame was scheduled
                     // (or mid-batch, through an effect of an earlier
                     // delivery): the frame dies at its doorstep.
@@ -1358,9 +1453,6 @@ impl World {
                     if !fx.is_empty() {
                         self.apply_effects(host, fx);
                     }
-                }
-                if self.bcast_pool.len() < FX_POOL_CAP {
-                    self.bcast_pool.push(hosts);
                 }
             }
             Event::SockTimer { host, sock, seq } => {
@@ -2153,19 +2245,36 @@ impl World {
             // Client → cluster. The router broadcasts to every node, except
             // that a frame for a zone-mapped port fans out only to that
             // zone's subscribers (a world that registers no zones is the
-            // paper's pure broadcast). The arrival buffer is pooled — the
-            // fan-out is the hottest loop in the world (every client frame
-            // × every recipient).
+            // paper's pure broadcast). The arrival buffer is pooled, so the
+            // fan-out allocates nothing per frame.
             let mut arrivals = std::mem::take(&mut self.arrival_buf);
-            match self.router.inbound_zoned_into(
-                now,
-                from,
-                bytes,
-                seg.dst.port,
-                &mut self.rng,
-                &mut arrivals,
-            ) {
-                Ok(()) => {
+            match self
+                .router
+                .inbound(now, from, bytes, seg.dst.port, &mut self.rng, &mut arrivals)
+            {
+                // Every member hears the frame at one instant, nothing cuts
+                // the fan-out and every member's claims on the port are
+                // what decides who keeps it: one event for the whole
+                // cluster, carrying the member snapshot.
+                Ok(Fanout::Every(at))
+                    if self.partitions.is_empty() && seg.dst.ip == Ip::CLUSTER_PUBLIC =>
+                {
+                    match *self.members {
+                        [] => {}
+                        [host] => self
+                            .sched
+                            .schedule_at(at, Event::PacketArrival { host, seg }),
+                        _ => {
+                            let hosts = Rc::clone(&self.members);
+                            self.sched
+                                .schedule_at(at, Event::BroadcastArrival { hosts, seg });
+                        }
+                    }
+                }
+                Ok(fanout) => {
+                    if let Fanout::Every(at) = fanout {
+                        arrivals.extend(self.members.iter().map(|&h| (NodeId(h as u32), at)));
+                    }
                     // A partition cuts the fan-out at the cut: recipients on
                     // the far side never hear the frame (TCP retransmits
                     // carry the data across once the partition heals).
@@ -2227,28 +2336,20 @@ impl World {
         // dark address.
     }
 
-    /// Schedule the router's inbound fan-out as batched
-    /// [`Event::BroadcastArrival`]s: one event per distinct arrival
-    /// instant instead of one per node. Dispatch order is unchanged — the
-    /// per-node events all carried consecutive sequence numbers, so at an
-    /// equal instant they ran in node order, which is the order each batch
-    /// delivers (and groups at distinct instants sort by time exactly as
-    /// the individual events did).
+    /// Schedule a listed inbound fan-out as batched
+    /// [`Event::BroadcastArrival`]s: one event per distinct arrival instant
+    /// instead of one per node, each delivered host by host. Dispatch order
+    /// is that of one event per node — at an equal instant they carried
+    /// consecutive sequence numbers, so they ran in node order, which is
+    /// the order each batch delivers, and groups at distinct instants sort
+    /// by time exactly as the individual events did.
     fn schedule_broadcast(&mut self, arrivals: &[(NodeId, SimTime)], seg: Segment) {
         let Some(&(_, t0)) = arrivals.first() else {
             return; // uplink loss: nobody receives
         };
-        // Common case: idle identical downlinks, every node hears the frame
-        // at the same instant — the whole fan-out is one event.
+        // Common case: every recipient hears the frame at one instant.
         if arrivals.iter().all(|&(_, t)| t == t0) {
-            let mut hosts = self.bcast_pool.pop().unwrap_or_default();
-            hosts.clear();
-            for &(node, _) in arrivals {
-                if let Some(h) = self.host_by_node(node) {
-                    hosts.push(h);
-                }
-            }
-            self.dispatch_or_recycle(t0, hosts, seg);
+            self.schedule_group(t0, arrivals, seg);
             return;
         }
         // Rare case (per-node queueing or loss skewed the instants): group
@@ -2256,43 +2357,68 @@ impl World {
         // group.
         let mut sorted = arrivals.to_vec();
         sorted.sort_by_key(|&(_, t)| t);
-        let mut i = 0;
-        while i < sorted.len() {
-            let t = sorted[i].1;
-            let mut hosts = self.bcast_pool.pop().unwrap_or_default();
-            hosts.clear();
-            while i < sorted.len() && sorted[i].1 == t {
-                if let Some(h) = self.host_by_node(sorted[i].0) {
-                    hosts.push(h);
-                }
-                i += 1;
-            }
-            self.dispatch_or_recycle(t, hosts, seg.clone());
+        for group in sorted.chunk_by(|a, b| a.1 == b.1) {
+            self.schedule_group(group[0].1, group, seg.clone());
         }
     }
 
     /// Schedule one broadcast group, degrading to a plain
-    /// [`Event::PacketArrival`] for a single receiver and recycling the
-    /// host list when nobody is left to hear the frame.
-    fn dispatch_or_recycle(&mut self, at: SimTime, mut hosts: Vec<usize>, seg: Segment) {
-        match hosts.len() {
-            0 => {
-                if self.bcast_pool.len() < FX_POOL_CAP {
-                    self.bcast_pool.push(hosts);
-                }
-            }
-            1 => {
-                let host = hosts.pop().expect("len checked");
-                if self.bcast_pool.len() < FX_POOL_CAP {
-                    self.bcast_pool.push(hosts);
-                }
-                self.sched
-                    .schedule_at(at, Event::PacketArrival { host, seg });
-            }
+    /// [`Event::PacketArrival`] for a single receiver.
+    fn schedule_group(&mut self, at: SimTime, group: &[(NodeId, SimTime)], seg: Segment) {
+        let hosts: Vec<usize> = group
+            .iter()
+            .filter_map(|&(node, _)| self.host_by_node(node))
+            .collect();
+        match hosts[..] {
+            [] => {}
+            [host] => self
+                .sched
+                .schedule_at(at, Event::PacketArrival { host, seg }),
             _ => {
+                let hosts = hosts.into();
                 self.sched
                     .schedule_at(at, Event::BroadcastArrival { hosts, seg });
             }
+        }
+    }
+
+    /// Deliver a uniform broadcast: the group counts the frame once as
+    /// dropped by every member, and only the members that claim its port
+    /// run the receive path, in node order. A delivery's effects can change
+    /// what the members claim, so the index is brought up to date before
+    /// each lookup; a member it skips is one the per-host path would have
+    /// found holding no claim at that point, and debug builds check each
+    /// one with its own stack.
+    fn deliver_uniform(&mut self, seg: &Segment) {
+        let now = self.now();
+        self.rx_group.count_unclaimed(seg.checksum_ok);
+        let mut next = 0;
+        loop {
+            self.sync_claimants();
+            let claimant = self.claimants.get(&seg.dst.port).and_then(|hosts| {
+                let i = hosts.partition_point(|&h| h < next);
+                hosts.get(i).copied()
+            });
+            if cfg!(debug_assertions) {
+                self.audit_skipped(seg, next, claimant.unwrap_or(usize::MAX));
+            }
+            let Some(host) = claimant else {
+                return;
+            };
+            let fx = self.hosts[host].stack.on_rx_claimed(seg, now);
+            if !fx.is_empty() {
+                self.apply_effects(host, fx);
+            }
+            next = host + 1;
+        }
+    }
+
+    /// Debug builds: every member in `from..to` was skipped by a uniform
+    /// delivery, so its own stack must find no claim on the frame.
+    fn audit_skipped(&self, seg: &Segment, from: usize, to: usize) {
+        for &m in self.members.iter().filter(|&&m| (from..to).contains(&m)) {
+            debug_assert!(self.hosts[m].alive, "member {m} is dead");
+            self.hosts[m].stack.audit_skipped(seg);
         }
     }
 

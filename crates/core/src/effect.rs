@@ -34,8 +34,6 @@
 //!   peer rule removal is already in flight before the application can send
 //!   again (the owner schedules removal one control latency later, like
 //!   installation);
-//! * [`Effect::ResumeApp`] precedes any source-side [`Effect::Stack`]
-//!   effects of the rollback, mirroring [`Effect::SuspendApp`];
 //! * [`Effect::Aborted`] is always the final effect of an aborted
 //!   migration — a migration emits exactly one of `Complete` / `Aborted`,
 //!   never both.

@@ -22,6 +22,6 @@ pub mod switch;
 
 pub use addr::{Ip, NodeId, Port, SockAddr};
 pub use interest::{InterestTable, ZoneId};
-pub use link::{Link, LinkStats, LossModel};
+pub use link::{Fanout, Link, LinkStats, LossModel};
 pub use router::{BroadcastRouter, RouteError};
 pub use switch::ClusterSwitch;

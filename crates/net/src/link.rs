@@ -198,6 +198,213 @@ impl NodeLinks {
     }
 }
 
+/// The router's node downlinks, stored densely by `NodeId`.
+///
+/// Downlinks that would behave identically — the same bandwidth and
+/// latency, no loss model, the same wire occupancy — share one [`Link`],
+/// so a broadcast serializes once for all of them and each member's
+/// [`LinkStats`] are derived from the shared link's counters. A downlink
+/// that diverges keeps its own [`Link`]: a fresh attach, a loss model
+/// installed through [`get_mut`](Self::get_mut), a zoned send only some
+/// nodes hear. A later broadcast moves it back into the group once it
+/// would behave identically again.
+///
+/// Iteration is in ascending node id, which is the fan-out order, so the
+/// links with a loss model draw randomness in that order; the shared link
+/// has none and draws nothing.
+#[derive(Debug)]
+pub(crate) struct Downlinks {
+    /// The state of every member of the shared group (meaningless while
+    /// the group is empty).
+    shared: Link,
+    slots: Vec<Downlink>,
+    /// Attached nodes in the shared group.
+    members: usize,
+    /// Attached nodes with a link of their own.
+    own: usize,
+}
+
+#[derive(Debug)]
+enum Downlink {
+    Detached,
+    /// In the shared group: the link's counters are `stats` plus what the
+    /// shared link counted since it read `shared_at`.
+    Shared {
+        stats: LinkStats,
+        shared_at: LinkStats,
+    },
+    Own(Link),
+}
+
+impl LinkStats {
+    /// `self` plus what `now` counted beyond `then` (`now` is a later
+    /// reading of the counters `then` was read from).
+    fn plus_since(self, now: LinkStats, then: LinkStats) -> LinkStats {
+        LinkStats {
+            frames: self.frames + (now.frames - then.frames),
+            bytes: self.bytes + (now.bytes - then.bytes),
+            dropped: self.dropped + (now.dropped - then.dropped),
+        }
+    }
+}
+
+/// Who hears an inbound frame (see [`BroadcastRouter::inbound`](crate::BroadcastRouter::inbound)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fanout {
+    /// Every attached node hears the frame at this instant.
+    Every(SimTime),
+    /// Exactly the nodes, and instants, written to the caller's buffer
+    /// (none when the frame was lost before the fan-out).
+    Listed,
+}
+
+impl Default for Downlinks {
+    fn default() -> Downlinks {
+        Downlinks {
+            shared: Link::gige(),
+            slots: Vec::new(),
+            members: 0,
+            own: 0,
+        }
+    }
+}
+
+impl Downlinks {
+    /// Give `node` a fresh `link`, replacing any it had.
+    pub(crate) fn attach(&mut self, node: NodeId, link: Link) {
+        self.detach(node);
+        let i = node.0 as usize;
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || Downlink::Detached);
+        }
+        self.slots[i] = Downlink::Own(link);
+        self.own += 1;
+    }
+
+    /// Drop `node`'s link, if any.
+    pub(crate) fn detach(&mut self, node: NodeId) {
+        let Some(slot) = self.slots.get_mut(node.0 as usize) else {
+            return;
+        };
+        match std::mem::replace(slot, Downlink::Detached) {
+            Downlink::Detached => {}
+            Downlink::Shared { .. } => self.members -= 1,
+            Downlink::Own(_) => self.own -= 1,
+        }
+    }
+
+    /// `node`'s link, if attached, taken out of the shared group: the
+    /// caller may change it.
+    pub(crate) fn get_mut(&mut self, node: NodeId) -> Option<&mut Link> {
+        let slot = self.slots.get_mut(node.0 as usize)?;
+        if let Downlink::Shared { stats, shared_at } = *slot {
+            let mut link = self.shared.clone();
+            link.stats = stats.plus_since(self.shared.stats, shared_at);
+            *slot = Downlink::Own(link);
+            self.members -= 1;
+            self.own += 1;
+        }
+        match slot {
+            Downlink::Own(link) => Some(link),
+            _ => None,
+        }
+    }
+
+    /// `node`'s counters, if attached.
+    pub(crate) fn stats(&self, node: NodeId) -> Option<LinkStats> {
+        match self.slots.get(node.0 as usize)? {
+            Downlink::Detached => None,
+            Downlink::Shared { stats, shared_at } => {
+                Some(stats.plus_since(self.shared.stats, *shared_at))
+            }
+            Downlink::Own(link) => Some(link.stats),
+        }
+    }
+
+    /// Attached nodes, ascending.
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| !matches!(slot, Downlink::Detached))
+            .map(|(i, _)| NodeId(i as u32))
+    }
+
+    /// Submit a frame at `at` on every attached downlink. When every one
+    /// is in the shared group this is one transmission, and the result is
+    /// [`Fanout::Every`]; otherwise each node's arrival is pushed onto
+    /// `out` in node order, exactly as one transmission per link would
+    /// give them.
+    pub(crate) fn broadcast(
+        &mut self,
+        at: SimTime,
+        bytes: u64,
+        rng: &mut DetRng,
+        out: &mut Vec<(NodeId, SimTime)>,
+    ) -> Fanout {
+        if self.own > 0 {
+            self.regroup(at);
+        }
+        if self.own == 0 {
+            return match self.members {
+                0 => Fanout::Listed,
+                _ => match self.shared.transmit(at, bytes, rng) {
+                    Some(arrival) => Fanout::Every(arrival),
+                    None => Fanout::Listed,
+                },
+            };
+        }
+        let shared = &mut self.shared;
+        let mut shared_arrival = None;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let arrival = match slot {
+                Downlink::Detached => continue,
+                Downlink::Shared { .. } => {
+                    *shared_arrival.get_or_insert_with(|| shared.transmit(at, bytes, rng))
+                }
+                Downlink::Own(link) => link.transmit(at, bytes, rng),
+            };
+            if let Some(arrival) = arrival {
+                out.push((NodeId(i as u32), arrival));
+            }
+        }
+        Fanout::Listed
+    }
+
+    /// Move every link of its own that would, from a submission at `at`
+    /// on, behave exactly like the shared link back into the group: no
+    /// loss model, the same bandwidth and latency, and a wire that is
+    /// free at the same instant. An empty group takes on the first such
+    /// link's state.
+    fn regroup(&mut self, at: SimTime) {
+        for slot in &mut self.slots {
+            let Downlink::Own(link) = slot else {
+                continue;
+            };
+            if link.loss != LossModel::None {
+                continue;
+            }
+            if self.members == 0 {
+                self.shared = Link {
+                    stats: LinkStats::default(),
+                    ..link.clone()
+                };
+            } else if link.bandwidth != self.shared.bandwidth
+                || link.latency_us != self.shared.latency_us
+                || link.busy_until.max(at) != self.shared.busy_until.max(at)
+            {
+                continue;
+            }
+            *slot = Downlink::Shared {
+                stats: link.stats,
+                shared_at: self.shared.stats,
+            };
+            self.members += 1;
+            self.own -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@
 
 use crate::addr::{NodeId, Port};
 use crate::interest::InterestTable;
-use crate::link::{Link, NodeLinks};
+use crate::link::{Downlinks, Fanout, Link, LinkStats, NodeLinks};
 use dvelm_sim::{DetRng, SimTime};
 
 /// Why the router could not route a frame. Unknown endpoints are a normal
@@ -43,8 +43,9 @@ impl std::error::Error for RouteError {}
 /// The WAN-facing broadcast router of the cluster.
 #[derive(Debug)]
 pub struct BroadcastRouter {
-    /// router → node public interface (one per server node).
-    downlinks: NodeLinks,
+    /// router → node public interface (one per server node); identical
+    /// ones share one link state, so a broadcast serializes once.
+    downlinks: Downlinks,
     /// node public interface → router.
     uplinks: NodeLinks,
     /// router → client host.
@@ -54,9 +55,8 @@ pub struct BroadcastRouter {
     link_template: Link,
     client_template: Link,
     /// Zone subscriptions for the interest-managed (AOI) inbound path.
-    /// Empty by default, in which case
-    /// [`inbound_zoned_into`](Self::inbound_zoned_into) is the plain
-    /// broadcast.
+    /// Empty by default, in which case [`inbound`](Self::inbound) is the
+    /// plain broadcast.
     interest: InterestTable,
 }
 
@@ -65,7 +65,7 @@ impl BroadcastRouter {
     /// whose client access links are copies of `client_link`.
     pub fn new(cluster_link: Link, client_link: Link) -> BroadcastRouter {
         BroadcastRouter {
-            downlinks: NodeLinks::default(),
+            downlinks: Downlinks::default(),
             uplinks: NodeLinks::default(),
             client_downlinks: NodeLinks::default(),
             client_uplinks: NodeLinks::default(),
@@ -132,9 +132,8 @@ impl BroadcastRouter {
     /// A client host sends an inbound frame: it traverses the client's
     /// uplink once, then is broadcast over every node downlink. Writes the
     /// per-node arrival instants into a caller-owned buffer, cleared first
-    /// (left empty if the uplink dropped the frame): the broadcast fan-out
-    /// runs once per frame per node, and reusing the buffer keeps the
-    /// per-packet cost allocation-free.
+    /// (left empty if the uplink dropped the frame), so the per-packet cost
+    /// stays allocation-free.
     pub fn inbound_into(
         &mut self,
         now: SimTime,
@@ -143,18 +142,22 @@ impl BroadcastRouter {
         rng: &mut DetRng,
         out: &mut Vec<(NodeId, SimTime)>,
     ) -> Result<(), RouteError> {
-        self.fan_out(now, from_client, bytes, None, rng, out)
+        if let Fanout::Every(arrival) = self.fan_out(now, from_client, bytes, None, rng, out)? {
+            out.extend(self.downlinks.nodes().map(|node| (node, arrival)));
+        }
+        Ok(())
     }
 
-    /// The interest-managed variant of [`inbound_into`](Self::inbound_into):
-    /// a frame whose destination port is bound to a zone fans out only to
-    /// that zone's subscribers — O(subscribers) instead of O(nodes) — while
-    /// frames for unmapped ports keep the full broadcast. Subscriber order
-    /// is node order (the subscriber set is ordered), matching the
-    /// deterministic fan-out order of the broadcast path. With no zones
-    /// mapped this is exactly [`inbound_into`](Self::inbound_into): same
-    /// arrivals, same RNG draws.
-    pub fn inbound_zoned_into(
+    /// The inbound path the cluster runtime takes. A frame whose
+    /// destination port is bound to a zone fans out only to that zone's
+    /// subscribers — O(subscribers) instead of O(nodes) — in node order
+    /// (the subscriber set is ordered). Any other frame is broadcast: when
+    /// every node downlink shares one link state, that is one transmission
+    /// and the result is [`Fanout::Every`], with `out` left empty;
+    /// otherwise the arrivals are written to `out`. Either way the
+    /// arrivals and the RNG draws are those of
+    /// [`inbound_into`](Self::inbound_into) when no zone is mapped.
+    pub fn inbound(
         &mut self,
         now: SimTime,
         from_client: NodeId,
@@ -162,13 +165,13 @@ impl BroadcastRouter {
         dst_port: Port,
         rng: &mut DetRng,
         out: &mut Vec<(NodeId, SimTime)>,
-    ) -> Result<(), RouteError> {
+    ) -> Result<Fanout, RouteError> {
         self.fan_out(now, from_client, bytes, Some(dst_port), rng, out)
     }
 
     /// The inbound body both entry points share: the client uplink hop,
     /// then either the zone's subscribers (when `dst_port` is mapped to a
-    /// zone) or every node downlink in node order.
+    /// zone) or every node downlink.
     fn fan_out(
         &mut self,
         now: SimTime,
@@ -177,20 +180,17 @@ impl BroadcastRouter {
         dst_port: Option<Port>,
         rng: &mut DetRng,
         out: &mut Vec<(NodeId, SimTime)>,
-    ) -> Result<(), RouteError> {
+    ) -> Result<Fanout, RouteError> {
         out.clear();
         let up = self
             .client_uplinks
             .get_mut(from_client)
             .ok_or(RouteError::UnknownClientSource(from_client))?;
         let Some(at_router) = up.transmit(now, bytes, rng) else {
-            return Ok(());
+            return Ok(Fanout::Listed);
         };
         let Some(zone) = dst_port.and_then(|port| self.interest.zone_of_port(port)) else {
-            out.extend(self.downlinks.iter_mut().filter_map(|(node, link)| {
-                link.transmit(at_router, bytes, rng).map(|arr| (node, arr))
-            }));
-            return Ok(());
+            return Ok(self.downlinks.broadcast(at_router, bytes, rng, out));
         };
         if let Some(subs) = self.interest.subscribers(zone) {
             for &node in subs {
@@ -205,7 +205,7 @@ impl BroadcastRouter {
         }
         // A mapped zone with zero subscribers delivers to nobody: the
         // owning process is gone, exactly like a frame to a dark address.
-        Ok(())
+        Ok(Fanout::Listed)
     }
 
     /// A server node sends an outbound frame to a client host (unicast).
@@ -235,8 +235,16 @@ impl BroadcastRouter {
     }
 
     /// Mutable access to a node downlink (for ablation loss injection).
+    /// The link leaves the shared state until a broadcast finds it
+    /// identical again.
     pub fn node_downlink_mut(&mut self, node: NodeId) -> Option<&mut Link> {
         self.downlinks.get_mut(node)
+    }
+
+    /// A node downlink's counters, read without taking the link out of
+    /// the shared state.
+    pub fn node_downlink_stats(&self, node: NodeId) -> Option<LinkStats> {
+        self.downlinks.stats(node)
     }
 
     /// Install a loss model on every client access link, both directions
@@ -250,6 +258,24 @@ impl BroadcastRouter {
             link.set_loss(loss);
         }
     }
+}
+
+/// [`BroadcastRouter::inbound`] with a [`Fanout::Every`] written out
+/// node by node, as the tests compare arrival lists.
+#[cfg(test)]
+fn inbound_listed(
+    r: &mut BroadcastRouter,
+    now: SimTime,
+    from_client: NodeId,
+    bytes: u64,
+    dst_port: Port,
+    rng: &mut DetRng,
+    out: &mut Vec<(NodeId, SimTime)>,
+) -> Result<(), RouteError> {
+    if let Fanout::Every(arrival) = r.inbound(now, from_client, bytes, dst_port, rng, out)? {
+        out.extend(r.nodes().map(|node| (node, arrival)));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -377,7 +403,8 @@ mod tests {
         r.interest_mut().map_port(Port(27960), ZoneId(0));
         r.interest_mut().subscribe(ZoneId(0), NodeId(2));
         let mut out = Vec::new();
-        r.inbound_zoned_into(
+        inbound_listed(
+            &mut r,
             SimTime::ZERO,
             NodeId(100),
             256,
@@ -394,7 +421,8 @@ mod tests {
     fn zoned_inbound_unmapped_port_falls_back_to_broadcast() {
         let mut r = router_with(4);
         let mut out = Vec::new();
-        r.inbound_zoned_into(
+        inbound_listed(
+            &mut r,
             SimTime::ZERO,
             NodeId(100),
             256,
@@ -417,7 +445,8 @@ mod tests {
         r.interest_mut().subscribe(ZoneId(7), NodeId(1));
         r.interest_mut().subscribe(ZoneId(7), NodeId(3));
         let mut out = Vec::new();
-        r.inbound_zoned_into(
+        inbound_listed(
+            &mut r,
             SimTime::ZERO,
             NodeId(100),
             256,
@@ -436,7 +465,8 @@ mod tests {
         let mut r = router_with(3);
         r.interest_mut().map_port(Port(27960), ZoneId(0));
         let mut out = vec![(NodeId(77), SimTime::from_secs(9))]; // stale junk
-        r.inbound_zoned_into(
+        inbound_listed(
+            &mut r,
             SimTime::ZERO,
             NodeId(100),
             256,
@@ -457,7 +487,8 @@ mod tests {
         r.detach_node(NodeId(1));
         assert!(r.interest().subscribers(ZoneId(0)).is_none());
         let mut out = Vec::new();
-        r.inbound_zoned_into(
+        inbound_listed(
+            &mut r,
             SimTime::ZERO,
             NodeId(100),
             256,
@@ -494,7 +525,8 @@ mod tests {
         r.interest_mut().subscribe(ZoneId(1), NodeId(2));
         let mut out = Vec::new();
         for (port, expect) in [(27960, vec![2, 9]), (27961, vec![2, 5, 9])] {
-            r.inbound_zoned_into(
+            inbound_listed(
+                &mut r,
                 SimTime::from_secs(1),
                 NodeId(100),
                 256,
@@ -626,8 +658,8 @@ mod prop_tests {
                 plain
                     .inbound_into(now, NodeId(1000), bytes, &mut rng_plain, &mut out_plain)
                     .unwrap();
-                zoned
-                    .inbound_zoned_into(
+                inbound_listed(
+                        &mut zoned,
                         now,
                         NodeId(1000),
                         bytes,

@@ -300,6 +300,17 @@ impl CaptureTable {
         self.ports.claims(port)
     }
 
+    /// The port summary, for [`HostStack`](crate::HostStack)'s group
+    /// membership.
+    pub(crate) fn port_claims_mut(&mut self) -> &mut PortClaims {
+        &mut self.ports
+    }
+
+    /// The ports some entry claims.
+    pub(crate) fn claimed_ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.ports.ports()
+    }
+
     /// The key [`capture`](Self::capture) looks `seg` up under: the
     /// connected key for its source when that entry is enabled, else the
     /// wildcard for its destination port.

@@ -8,6 +8,7 @@
 
 use crate::capture::{CaptureOutcome, CaptureTable, PressureEvent};
 use crate::demux::{DemuxTable, FourTuple};
+use crate::group::RxGroup;
 use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
 use crate::skb::Skb;
@@ -130,6 +131,11 @@ pub struct HostStack {
     stamp: u64,
     iss_rng: DetRng,
     stats: StackStats,
+    /// The ONE-IP group this stack is a member of, and the group's
+    /// unclaimed-frame counts (`[checksum ok, bad]`) this stack does not
+    /// take as its own drops: those at joining, plus the frames it handled
+    /// itself through [`on_rx_claimed`](Self::on_rx_claimed).
+    group: Option<(RxGroup, [u64; 2])>,
     /// Fault injection: the next this many
     /// [`try_install_socket`](Self::try_install_socket) calls fail.
     install_failures_armed: u32,
@@ -156,6 +162,7 @@ impl HostStack {
             stamp: 0,
             iss_rng: DetRng::new(seed ^ 0x5049_4c43_4f54_5350),
             stats: StackStats::default(),
+            group: None,
             install_failures_armed: 0,
         }
     }
@@ -182,9 +189,57 @@ impl HostStack {
         Jiffies::at(self.jiffies_base, now)
     }
 
-    /// Aggregate counters.
+    /// Aggregate counters. A group member adds the group's unclaimed
+    /// frames since it joined, less those it handled itself: each is a
+    /// copy this stack dropped for want of a claimant.
     pub fn stats(&self) -> StackStats {
-        self.stats
+        let mut stats = self.stats;
+        if let Some((group, seen)) = &self.group {
+            let [ok, bad] = group.unclaimed();
+            let (ok, bad) = (ok - seen[0], bad - seen[1]);
+            stats.rx_total += ok + bad;
+            stats.rx_dropped_no_socket += ok;
+            stats.rx_dropped_bad_checksum += bad;
+        }
+        stats
+    }
+
+    /// Join `group`: from now on this stack reports its port-set
+    /// transitions to it and counts the group's unclaimed frames as its own
+    /// drops. A member of another group leaves that one first.
+    pub fn join_group(&mut self, group: &RxGroup) {
+        self.leave_group();
+        self.group = Some((group.clone(), group.unclaimed()));
+        let feed = Some((group.clone(), self.node));
+        self.ports.set_feed(feed.clone());
+        self.capture.port_claims_mut().set_feed(feed.clone());
+        self.xlate.port_claims_mut().set_feed(feed);
+    }
+
+    /// Leave the group, keeping the drops counted so far.
+    pub fn leave_group(&mut self) {
+        self.stats = self.stats();
+        self.group = None;
+        self.ports.set_feed(None);
+        self.capture.port_claims_mut().set_feed(None);
+        self.xlate.port_claims_mut().set_feed(None);
+    }
+
+    /// Whether a socket, a capture entry or a translation rule claims
+    /// `port`: whether this host could keep a frame to one of its own
+    /// addresses on that port.
+    #[inline(always)]
+    pub fn claims_port(&self, port: Port) -> bool {
+        self.ports.claims(port) || self.capture.claims_port(port) || self.xlate.claims_port(port)
+    }
+
+    /// The ports [`claims_port`](Self::claims_port) holds for, ascending
+    /// per table (a port claimed by several tables appears once per table).
+    pub fn claimed_ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.ports
+            .ports()
+            .chain(self.capture.claimed_ports())
+            .chain(self.xlate.claimed_ports())
     }
 
     /// Number of sockets on this host.
@@ -509,6 +564,29 @@ impl HostStack {
         self.receive_borrowed(seg, now)
     }
 
+    /// [`on_rx_ref`](Self::on_rx_ref) for a frame the group already
+    /// counted as dropped here ([`RxGroup::count_unclaimed`]): the runtime
+    /// hands it to the members that claim its port, and this stack counts
+    /// it as it would any other.
+    #[inline]
+    pub fn on_rx_claimed(&mut self, seg: &Segment, now: SimTime) -> Vec<StackEffect> {
+        if let Some((_, seen)) = &mut self.group {
+            seen[usize::from(!seg.checksum_ok)] += 1;
+        }
+        self.on_rx_ref(seg, now)
+    }
+
+    /// Debug builds: check that this stack would drop `seg` unclaimed, as
+    /// a runtime that skipped it (counting it through the group) assumed.
+    pub fn audit_skipped(&self, seg: &Segment) {
+        debug_assert!(
+            !self.may_keep(seg),
+            "{}: a frame was skipped that this host may keep: {seg:?}",
+            self.node
+        );
+        self.audit_unclaimed(seg);
+    }
+
     /// The first step of the receive path: count the arrival, then drop a
     /// frame no table can keep — one addressed to this host whose port no
     /// socket, capture entry or translation rule claims. Every hook would
@@ -597,11 +675,8 @@ impl HostStack {
     /// translation rule.
     #[inline(always)]
     fn may_keep(&self, seg: &Segment) -> bool {
-        let port = seg.dst.port;
         (seg.dst.ip != self.public_ip && seg.dst.ip != self.local_ip)
-            || self.ports.claims(port)
-            || self.capture.claims_port(port)
-            || self.xlate.claims_port(port)
+            || self.claims_port(seg.dst.port)
     }
 
     /// Debug-build audit of a frame [`may_keep`](Self::may_keep) dropped:

@@ -32,6 +32,8 @@
 pub mod capture;
 /// The open-addressing hash table behind ehash and bhash.
 mod demux;
+/// The member stacks of one ONE-IP public address, shared with the runtime.
+pub mod group;
 /// The per-node stack: socket table, ehash/bhash, timers, migration ops.
 pub mod host;
 /// Per-port claim counts: the receive path's summary of what a host keeps.
@@ -57,6 +59,7 @@ pub use capture::{
     CaptureBudget, CaptureKey, CaptureOutcome, CaptureTable, PressureEvent, PressureKind,
     TcpShedPolicy,
 };
+pub use group::{ClaimChanges, RxGroup};
 pub use host::{HostStack, SockId, StackEffect, StackStats};
 pub use seg::{Segment, TcpFlags, Transport, IP_HEADER_LEN, TCP_HEADER_LEN, UDP_HEADER_LEN};
 pub use skb::Skb;

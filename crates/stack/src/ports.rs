@@ -7,9 +7,11 @@
 //! the sites that insert and remove their entries. A frame to one of the
 //! host's own addresses whose port none of them claims can only be dropped,
 //! so the receive path counts the drop and returns without entering any
-//! table.
+//! table. On a member of an [`RxGroup`] each summary also reports its
+//! port-set transitions to the group.
 
-use dvelm_net::Port;
+use crate::group::RxGroup;
+use dvelm_net::{NodeId, Port};
 
 /// A multiset of destination ports: one count per table entry that claims
 /// the port. Sorted by port, so membership is a binary search over the few
@@ -21,6 +23,9 @@ pub(crate) struct PortClaims {
     filter: u64,
     /// `(port, entries claiming it)`, sorted by port; every count is ≥ 1.
     counts: Vec<(Port, u32)>,
+    /// The group a port's first claim and last release are reported to,
+    /// under this host's node.
+    feed: Option<(RxGroup, NodeId)>,
 }
 
 /// The filter bit of `port`. Consecutive ports (a cluster's game servers)
@@ -37,6 +42,7 @@ impl PortClaims {
             Err(i) => {
                 self.counts.insert(i, (port, 1));
                 self.filter |= bit(port);
+                self.report(port);
             }
         }
     }
@@ -50,9 +56,27 @@ impl PortClaims {
                 if !self.counts.iter().any(|&(p, _)| bit(p) == bit(port)) {
                     self.filter &= !bit(port);
                 }
+                self.report(port);
             }
             Err(_) => debug_assert!(false, "no entry claims port {port}"),
         }
+    }
+
+    /// Report the claimed ports' transitions to `feed` from now on (`None`:
+    /// to nobody).
+    pub(crate) fn set_feed(&mut self, feed: Option<(RxGroup, NodeId)>) {
+        self.feed = feed;
+    }
+
+    fn report(&self, port: Port) {
+        if let Some((group, node)) = &self.feed {
+            group.report(*node, port);
+        }
+    }
+
+    /// The claimed ports, ascending.
+    pub(crate) fn ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.counts.iter().map(|&(p, _)| p)
     }
 
     /// Whether any entry claims `port`.
@@ -80,6 +104,29 @@ mod tests {
         assert!(!c.claims(Port(5000)));
         c.remove(Port(27960));
         assert_eq!(c, PortClaims::default());
+    }
+
+    #[test]
+    fn only_transitions_are_reported() {
+        let group = RxGroup::new();
+        let mut c = PortClaims::default();
+        c.add(Port(1));
+        c.set_feed(Some((group.clone(), NodeId(3))));
+        c.add(Port(1));
+        c.add(Port(2));
+        c.remove(Port(1));
+        c.remove(Port(1));
+        c.remove(Port(2));
+        let mut out = Vec::new();
+        group.take_changes(&mut out);
+        assert_eq!(
+            out,
+            vec![
+                (NodeId(3), Port(2)),
+                (NodeId(3), Port(1)),
+                (NodeId(3), Port(2))
+            ]
+        );
     }
 
     #[test]

@@ -346,6 +346,17 @@ impl XlateTable {
         self.ports.claims(port)
     }
 
+    /// The port summary, for [`HostStack`](crate::HostStack)'s group
+    /// membership.
+    pub(crate) fn port_claims_mut(&mut self) -> &mut PortClaims {
+        &mut self.ports
+    }
+
+    /// The ports some rule claims.
+    pub(crate) fn claimed_ports(&self) -> impl Iterator<Item = Port> + '_ {
+        self.ports.ports()
+    }
+
     /// Aggregate counters.
     pub fn stats(&self) -> XlateStats {
         self.stats
