@@ -302,8 +302,6 @@ pub struct World {
     /// [`sync_claimants`](World::sync_claimants) has read the group's
     /// changes.
     claimants: BTreeMap<Port, Vec<usize>>,
-    /// Reusable buffer for the group's claim changes.
-    claim_changes: Vec<(NodeId, Port)>,
 }
 
 impl World {
@@ -357,7 +355,6 @@ impl World {
             members: Rc::from([]),
             rx_group: RxGroup::new(),
             claimants: BTreeMap::new(),
-            claim_changes: Vec::new(),
         }
     }
 
@@ -522,11 +519,9 @@ impl World {
         if !self.rx_group.has_changes() {
             return;
         }
-        let mut changes = std::mem::take(&mut self.claim_changes);
-        match self.rx_group.take_changes(&mut changes) {
-            ClaimChanges::None => {}
-            ClaimChanges::Listed => {
-                for &(node, port) in &changes {
+        match self.rx_group.take_changes() {
+            ClaimChanges::Listed(changes) => {
+                for (node, port) in changes {
                     self.update_claimant(node.0 as usize, port);
                 }
             }
@@ -537,7 +532,6 @@ impl World {
                 }
             }
         }
-        self.claim_changes = changes;
     }
 
     /// Enter every port member `host` claims in the claimant index.

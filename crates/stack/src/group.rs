@@ -41,12 +41,10 @@ struct GroupState {
 }
 
 /// What [`RxGroup::take_changes`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClaimChanges {
-    /// Nothing changed.
-    None,
-    /// The changed pairs are in the buffer.
-    Listed,
+    /// These `(node, port)` pairs changed (possibly none).
+    Listed(Vec<(NodeId, Port)>),
     /// Too many changed to list: re-read every member's claims.
     All,
 }
@@ -81,18 +79,13 @@ impl RxGroup {
         self.0.overflowed.get() || !self.0.changed.borrow().is_empty()
     }
 
-    /// Move the changes since the last call into `out` (cleared first).
-    pub fn take_changes(&self, out: &mut Vec<(NodeId, Port)>) -> ClaimChanges {
-        out.clear();
+    /// The changes since the last call.
+    pub fn take_changes(&self) -> ClaimChanges {
+        let changed = std::mem::take(&mut *self.0.changed.borrow_mut());
         if self.0.overflowed.replace(false) {
-            self.0.changed.borrow_mut().clear();
-            return ClaimChanges::All;
-        }
-        std::mem::swap(out, &mut *self.0.changed.borrow_mut());
-        if out.is_empty() {
-            ClaimChanges::None
+            ClaimChanges::All
         } else {
-            ClaimChanges::Listed
+            ClaimChanges::Listed(changed)
         }
     }
 
@@ -137,14 +130,15 @@ mod tests {
     #[test]
     fn changes_are_taken_once() {
         let g = RxGroup::new();
-        let mut out = vec![(NodeId(9), Port(9))];
-        assert_eq!(g.take_changes(&mut out), ClaimChanges::None);
-        assert!(out.is_empty() && !g.has_changes());
+        assert_eq!(g.take_changes(), ClaimChanges::Listed(Vec::new()));
+        assert!(!g.has_changes());
         g.clone().report(NodeId(1), Port(5000));
         assert!(g.has_changes());
-        assert_eq!(g.take_changes(&mut out), ClaimChanges::Listed);
-        assert_eq!(out, vec![(NodeId(1), Port(5000))]);
-        assert_eq!(g.take_changes(&mut out), ClaimChanges::None);
+        assert_eq!(
+            g.take_changes(),
+            ClaimChanges::Listed(vec![(NodeId(1), Port(5000))])
+        );
+        assert_eq!(g.take_changes(), ClaimChanges::Listed(Vec::new()));
     }
 
     #[test]
@@ -153,10 +147,8 @@ mod tests {
         for i in 0..=MAX_PENDING {
             g.report(NodeId(0), Port(i as u16));
         }
-        let mut out = Vec::new();
-        assert_eq!(g.take_changes(&mut out), ClaimChanges::All);
-        assert!(out.is_empty());
-        assert_eq!(g.take_changes(&mut out), ClaimChanges::None);
+        assert_eq!(g.take_changes(), ClaimChanges::All);
+        assert_eq!(g.take_changes(), ClaimChanges::Listed(Vec::new()));
     }
 
     #[test]

@@ -89,6 +89,7 @@ impl PortClaims {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::ClaimChanges;
 
     #[test]
     fn a_port_stays_claimed_until_its_last_entry_leaves() {
@@ -117,15 +118,13 @@ mod tests {
         c.remove(Port(1));
         c.remove(Port(1));
         c.remove(Port(2));
-        let mut out = Vec::new();
-        group.take_changes(&mut out);
         assert_eq!(
-            out,
-            vec![
+            group.take_changes(),
+            ClaimChanges::Listed(vec![
                 (NodeId(3), Port(2)),
                 (NodeId(3), Port(1)),
                 (NodeId(3), Port(2))
-            ]
+            ])
         );
     }
 
