@@ -10,9 +10,10 @@
 //! sequence order and each packet is re-submitted to the stack via the
 //! equivalent of netfilter's `okfn()`.
 
+use crate::group::RxGroup;
 use crate::ports::PortClaims;
 use crate::seg::{Segment, Transport};
-use dvelm_net::{Port, SockAddr};
+use dvelm_net::{NodeId, Port, SockAddr};
 use dvelm_sim::SimTime;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -300,10 +301,10 @@ impl CaptureTable {
         self.ports.claims(port)
     }
 
-    /// The port summary, for [`HostStack`](crate::HostStack)'s group
-    /// membership.
-    pub(crate) fn port_claims_mut(&mut self) -> &mut PortClaims {
-        &mut self.ports
+    /// Report this table's port-set transitions to `feed` (see
+    /// [`HostStack::join_group`](crate::HostStack::join_group)).
+    pub(crate) fn set_claims_feed(&mut self, feed: Option<(RxGroup, NodeId)>) {
+        self.ports.set_feed(feed);
     }
 
     /// The ports some entry claims.

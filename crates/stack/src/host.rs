@@ -212,8 +212,8 @@ impl HostStack {
         self.group = Some((group.clone(), group.unclaimed()));
         let feed = Some((group.clone(), self.node));
         self.ports.set_feed(feed.clone());
-        self.capture.port_claims_mut().set_feed(feed.clone());
-        self.xlate.port_claims_mut().set_feed(feed);
+        self.capture.set_claims_feed(feed.clone());
+        self.xlate.set_claims_feed(feed);
     }
 
     /// Leave the group, keeping the drops counted so far.
@@ -221,8 +221,8 @@ impl HostStack {
         self.stats = self.stats();
         self.group = None;
         self.ports.set_feed(None);
-        self.capture.port_claims_mut().set_feed(None);
-        self.xlate.port_claims_mut().set_feed(None);
+        self.capture.set_claims_feed(None);
+        self.xlate.set_claims_feed(None);
     }
 
     /// Whether a socket, a capture entry or a translation rule claims

@@ -19,9 +19,10 @@
 //!   checksum; `fix_checksum = false` leaves `Segment::checksum_ok` false and
 //!   the receiving stack drops the segment.
 
+use crate::group::RxGroup;
 use crate::ports::PortClaims;
 use crate::seg::Segment;
-use dvelm_net::{Ip, Port, SockAddr};
+use dvelm_net::{Ip, NodeId, Port, SockAddr};
 use dvelm_sim::SimTime;
 use std::borrow::Cow;
 
@@ -346,10 +347,10 @@ impl XlateTable {
         self.ports.claims(port)
     }
 
-    /// The port summary, for [`HostStack`](crate::HostStack)'s group
-    /// membership.
-    pub(crate) fn port_claims_mut(&mut self) -> &mut PortClaims {
-        &mut self.ports
+    /// Report this table's port-set transitions to `feed` (see
+    /// [`HostStack::join_group`](crate::HostStack::join_group)).
+    pub(crate) fn set_claims_feed(&mut self, feed: Option<(RxGroup, NodeId)>) {
+        self.ports.set_feed(feed);
     }
 
     /// The ports some rule claims.
