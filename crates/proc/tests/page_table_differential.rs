@@ -301,6 +301,27 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Operations on regions of one to three pages, with runs of 400-page
+/// `dirty_random` calls: every page builds a chain of hundreds to thousands
+/// of writes between two reads or structural changes.
+fn chain_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (1usize..4, 0u64..1000).prop_map(|(n, s)| Op::Mmap(false, n, s)),
+        (0usize..8, 0usize..4, 0u64..1000).prop_map(|(i, n, s)| Op::Resize(i, n, s)),
+        (0usize..8).prop_map(Op::Munmap),
+        (0usize..8, 0usize..4).prop_map(|(i, p)| Op::WritePage(i, p)),
+        (1usize..40).prop_map(|c| Op::DirtyRun(c, 400)),
+        (1usize..40).prop_map(|c| Op::DirtyRun(c, 400)),
+        (1usize..40).prop_map(|c| Op::DirtyRun(c, 400)),
+        Just(Op::Collect),
+        Just(Op::Read),
+        Just(Op::Checkpoint),
+        (0usize..8, 0usize..4, 0u64..u64::MAX).prop_map(|(i, p, f)| Op::ApplyPage(i, p, f)),
+        (1u64..24, 0usize..4).prop_map(|(id, n)| Op::InstallVma(id, false, n)),
+        (0usize..8, 0usize..4).prop_map(|(i, n)| Op::RestoreResize(i, n)),
+    ]
+}
+
 fn any_bool() -> impl Strategy<Value = bool> {
     (0u8..2).prop_map(|b| b == 1)
 }
@@ -520,6 +541,81 @@ proptest! {
     ) {
         prop_assert_eq!(run(seed, &ops), Ok(()));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn long_write_chains_match_the_reference(
+        seed in 0u64..100_000,
+        ops in proptest::collection::vec(chain_op_strategy(), 1..40),
+    ) {
+        prop_assert_eq!(run(seed, &ops), Ok(()));
+    }
+}
+
+/// Tiny regions written hundreds of times per page between every kind of
+/// read: a checkpoint, a read and a collection each see the whole chain,
+/// and a run that crosses the log's cap leaves part of it replayed and part
+/// still logged.
+#[test]
+fn long_write_chains_between_reads() {
+    let mut ops = vec![
+        Op::Mmap(false, 1, 1),
+        Op::Mmap(false, 3, 2),
+        Op::Mmap(true, 2, 3),
+        Op::Mmap(false, 2, 4),
+    ];
+    for (calls, read) in [
+        (1, Op::Checkpoint),
+        (2, Op::Read),
+        (3, Op::Collect),
+        (256, Op::Checkpoint),
+        (300, Op::Read),
+        (40, Op::Collect),
+        (256, Op::Read),
+        (0, Op::Collect),
+        (0, Op::Read),
+    ] {
+        if calls > 0 {
+            ops.push(Op::DirtyRun(calls, 400));
+        }
+        ops.push(read);
+    }
+    assert_eq!(run(11, &ops), Ok(()));
+}
+
+/// Every operation that hands page state on, applied to regions with
+/// hundreds of pending writes per page: some replayed at the log's cap,
+/// some still logged.
+#[test]
+fn long_write_chains_meet_every_page_state_change() {
+    let mut ops = vec![
+        Op::Mmap(false, 2, 1),
+        Op::Mmap(false, 1, 2),
+        Op::Mmap(false, 3, 3),
+    ];
+    for op in [
+        Op::ApplyPage(0, 1, 7),
+        Op::Resize(1, 3, 5),
+        Op::Resize(2, 1, 6),
+        Op::RestoreResize(0, 3),
+        Op::RestoreResize(1, 2),
+        Op::WritePage(2, 0),
+        Op::Munmap(0),
+        Op::ApplyPage(1, 0, 9),
+        Op::InstallVma(2, false, 2),
+        Op::Resize(0, 0, 1),
+        Op::Resize(0, 2, 8),
+        Op::Checkpoint,
+        Op::Collect,
+    ] {
+        ops.push(Op::DirtyRun(300, 400));
+        ops.push(op);
+        ops.push(Op::Read);
+    }
+    assert_eq!(run(12, &ops), Ok(()));
 }
 
 /// A shrink that cuts a word in two must drop the dirty bits of the cut
