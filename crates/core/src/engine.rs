@@ -514,14 +514,16 @@ impl MigrationEngine {
         self.started_at = Some(io.now);
         self.entered = Some(PhaseId::PrecopyFull);
         sink.emit(io.now, Effect::PhaseEntered(PhaseId::PrecopyFull));
+        // Initialize the dirty/VMA tracking (clears dirty bits). It folds
+        // the pages' pending writes first, so the full image below reads
+        // stored fingerprints and computes no write chain twice.
+        let _ = incremental_update(&mut self.tracker, io.proc);
         // Live checkpoint request: the helper thread transfers the full
         // image while the app continues.
         let img = full_checkpoint(io.proc);
         let mem_bytes = img.transfer_bytes();
         let mut bytes = mem_bytes;
         self.staged = Some(restore_process(&img));
-        // Initialize the dirty/VMA tracking (clears dirty bits).
-        let _ = incremental_update(&mut self.tracker, io.proc);
         sink.emit(
             io.now,
             Effect::Shipped {

@@ -11,29 +11,38 @@
 //!   tracking list (the diffing lives in `dvelm-ckpt`; this module exposes
 //!   the live list, a flat list sorted by region id).
 //!
-//! Page contents are stored only once a process changes them. A region
-//! records how its pages were initialised — `mix(seed, i)` for page `i` of
-//! an [`mmap`](AddressSpace::mmap)ed or [`resize`](AddressSpace::resize)d
+//! A page's contents are a base and a count of writes. The base is what
+//! the region's fill gives the page — `mix(seed, i)` for page `i` of an
+//! [`mmap`](AddressSpace::mmap)ed or [`resize`](AddressSpace::resize)d
 //! region, 0 for one [`install_vma`](AddressSpace::install_vma)ed from a
-//! checkpoint — and [`Vma::fingerprint`] computes an untouched page from
-//! that. The first write (a [`write_page`](AddressSpace::write_page), or a
-//! replay of the write log, which stores every writable region), the first
-//! [`apply_page`](AddressSpace::apply_page), or a grow whose fill differs
-//! stores one fingerprint per page; from then on the stored array is the
-//! page table's contents. As in BLCR, whose helper
+//! checkpoint — until the region stores a fingerprint per page; the count
+//! is the writes made since the page was last *folded*, each of which
+//! rewrites the fingerprint once ([`Vma::fingerprint`] applies them on the
+//! fly). A page is dirty when its bit is set or its count is non-zero.
+//! Folding applies a region's counts to stored fingerprints and dirty bits
+//! and zeroes them. It happens only where page state changes hands:
+//! [`collect_dirty`](AddressSpace::collect_dirty) folds every region, and
+//! `resize` and [`restore_resize`](AddressSpace::restore_resize) the
+//! region they change. A [`write_page`](AddressSpace::write_page) rewrites
+//! the stored page once, the same rewrite a count stands for, and an
+//! [`apply_page`](AddressSpace::apply_page) overwrites the page and drops
+//! its count. A grow whose fill differs stores the region's fingerprints
+//! too. As in BLCR, whose helper
 //! thread reads a process's pages only when it checkpoints that process,
-//! regions that nothing writes, reads or migrates cost a bit per page.
+//! regions that nothing writes, reads or migrates cost a bit per page, and
+//! regions that are written but never read add a 4-byte count per page.
 //!
 //! Workload writes are deferred. [`AddressSpace::dirty_random`] appends the
 //! caller's RNG state and a page count to a bounded per-space write log and
 //! moves the RNG past the draws the writes will make, the way a real store
 //! costs the application nothing but a PTE dirty bit until BLCR's helper
 //! thread walks the page table. [`AddressSpace::settle`] replays the log in
-//! order with the saved RNG states, so fingerprints, dirty bits and the
-//! caller's stream come out exactly as if every write had run at once. The
-//! log settles when it fills ([`WRITE_LOG_CAP`] entries), before every
-//! `&mut` operation, and must be settled before page state is read: the
-//! `&self` readers [`vmas`](AddressSpace::vmas), [`vma`](AddressSpace::vma),
+//! order with the saved RNG states, each write a count increment, so
+//! fingerprints, dirty bits and the caller's stream come out exactly as if
+//! every write had run at once. The log settles when it fills
+//! ([`WRITE_LOG_CAP`] entries), before every `&mut` operation, and must be
+//! settled before page state is read: the `&self` readers
+//! [`vmas`](AddressSpace::vmas), [`vma`](AddressSpace::vma),
 //! [`dirty_count`](AddressSpace::dirty_count) and
 //! [`content_hash`](AddressSpace::content_hash) panic on a pending log.
 
@@ -88,14 +97,14 @@ impl Fill {
 }
 
 /// A mapped region (`vm_area_struct` analogue) and its slice of the page
-/// table: a dirty bitset with 64 pages per word, and page contents that are
-/// stored only once something changes them.
+/// table: a dirty bitset with 64 pages per word, each page's base contents
+/// and a count per page of the writes not yet folded into them.
 ///
-/// Until the first write or [`AddressSpace::apply_page`], every page holds
-/// what the region's fill gives it and the region stores no per-page
-/// contents at all; [`fingerprint`](Self::fingerprint) computes them. The
-/// first change stores one fingerprint per page, and so does a grow whose
-/// fill differs from the region's.
+/// Until the first fold or [`AddressSpace::apply_page`], every page's base
+/// is what the region's fill gives it and the region stores no fingerprints
+/// at all. Folding, or a grow whose fill differs from the region's, stores
+/// one fingerprint per page. [`fingerprint`](Self::fingerprint) applies a
+/// page's count to its base.
 #[derive(Debug, Clone)]
 pub struct Vma {
     pub id: VmaId,
@@ -105,9 +114,18 @@ pub struct Vma {
     pages: usize,
     /// What page `i` holds while `fingerprints` is empty.
     fill: Fill,
-    /// 64-bit stand-in for each page's contents, indexed by page: empty
-    /// while the region is untouched, else one entry per page.
+    /// 64-bit stand-in for each page's contents as of its last fold,
+    /// indexed by page: empty while the region is untouched, else one entry
+    /// per page.
     fingerprints: Vec<u64>,
+    /// Writes to each page not yet folded into `fingerprints` and `dirty`:
+    /// empty until the first replay, else one entry per page. Folding
+    /// zeroes the counts and keeps the buffer.
+    writes: Vec<u32>,
+    /// At least the sum of `writes`, so no page's count can pass
+    /// [`MAX_UNFOLDED`] while this does not: the replay adds each log
+    /// entry's whole page count to every writable region.
+    unfolded: u64,
     /// PTE dirty bit analogue, bit `i % 64` of word `i / 64`; cleared by the
     /// incremental checkpointer. Bits at or past the page count are zero.
     dirty: Vec<u64>,
@@ -123,6 +141,8 @@ impl Vma {
             pages: 0,
             fill: Fill::Zero,
             fingerprints: Vec::new(),
+            writes: Vec::new(),
+            unfolded: 0,
             dirty: Vec::new(),
         }
     }
@@ -142,8 +162,8 @@ impl Vma {
         self.start + self.len_bytes()
     }
 
-    /// The 64-bit stand-in for page `index`'s contents. Panics if `index`
-    /// is past the page count.
+    /// The 64-bit stand-in for page `index`'s contents: its base, rewritten
+    /// once per unfolded write. Panics if `index` is past the page count.
     #[inline]
     pub fn fingerprint(&self, index: usize) -> u64 {
         assert!(
@@ -151,15 +171,26 @@ impl Vma {
             "page {index} of a {}-page region",
             self.pages
         );
-        match self.fingerprints.get(index) {
+        let base = match self.fingerprints.get(index) {
             Some(&fp) => fp,
             None => self.fill.page(index),
+        };
+        if self.unfolded == 0 {
+            return base;
         }
+        rewrite(base, self.writes[index])
     }
 
-    /// Dirty pages in the region (one popcount per 64 pages).
+    /// Dirty pages in the region: set bits, and pages with unfolded writes.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().map(|w| w.count_ones() as usize).sum()
+        if self.unfolded == 0 {
+            return self.dirty.iter().map(|w| w.count_ones() as usize).sum();
+        }
+        self.dirty
+            .iter()
+            .zip(self.writes.chunks(64))
+            .map(|(&w, counts)| (w | nonzero(counts)).count_ones() as usize)
+            .sum()
     }
 
     /// Whether [`AddressSpace::dirty_random`] may write to the region.
@@ -176,20 +207,59 @@ impl Vma {
         }
     }
 
-    /// Write to page `index` of a stored region: new fingerprint, dirty bit
-    /// set.
+    /// Make room for `n` more unfolded writes to the region, folding first
+    /// if they could overflow a page's count.
     #[inline]
-    fn write(&mut self, index: usize) {
-        let fp = &mut self.fingerprints[index];
-        *fp = mix(*fp, 0x9E37_79B9);
-        self.dirty[index / 64] |= 1 << (index % 64);
+    fn reserve_writes(&mut self, n: u64) {
+        if self.unfolded + n > MAX_UNFOLDED {
+            self.fold();
+        }
+        self.unfolded += n;
     }
 
-    /// Grow or shrink to `pages` pages. Grown pages hold what `fill` gives
-    /// them and start dirty iff `dirty`; a shrink discards the dropped
-    /// pages' dirty bits, so a later grow cannot revive them. An untouched
-    /// region stays untouched unless it grows with a different fill.
+    /// Apply every unfolded write to the stored fingerprints and dirty
+    /// bits, and zero the counts. A word of 64 pages with no write costs a
+    /// scan of its counts.
+    fn fold(&mut self) {
+        if self.unfolded == 0 {
+            return;
+        }
+        self.unfolded = 0;
+        self.store();
+        let mut queued = [(0, 0); LANES];
+        let mut len = 0;
+        for (w, counts) in self.writes.chunks_mut(64).enumerate() {
+            let written = nonzero(counts);
+            if written == 0 {
+                continue;
+            }
+            self.dirty[w] |= written;
+            let mut bits = written;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                queued[len] = (w * 64 + b, counts[b]);
+                len += 1;
+                if len == LANES {
+                    rewrite_in_step(&mut self.fingerprints, &queued);
+                    len = 0;
+                }
+                bits &= bits - 1;
+            }
+            counts.fill(0);
+        }
+        rewrite_in_step(&mut self.fingerprints, &queued[..len]);
+    }
+
+    /// Grow or shrink to `pages` pages, after folding. Grown pages hold
+    /// what `fill` gives them and start dirty iff `dirty`; a shrink
+    /// discards the dropped pages' dirty bits, so a later grow cannot
+    /// revive them. An untouched region stays untouched unless it grows
+    /// with a different fill.
     fn set_len(&mut self, pages: usize, fill: Fill, dirty: bool) {
+        self.fold();
+        if !self.writes.is_empty() {
+            self.writes.resize(pages, 0);
+        }
         let old = self.pages;
         if pages >= old {
             if self.fingerprints.is_empty() && (old == 0 || fill == self.fill) {
@@ -287,12 +357,16 @@ impl AddressSpace {
         vma.set_len(pages, Fill::Seeded(seed), true);
     }
 
-    /// Write to a page: new fingerprint, dirty bit set.
+    /// Write to a page: new fingerprint, dirty bit set. Every write rewrites
+    /// a fingerprint the same way, so the page's unfolded writes can stay
+    /// unfolded.
     pub fn write_page(&mut self, id: VmaId, index: usize) {
         self.settle();
         let vma = self.get_mut(id).expect("write to unmapped VMA");
         vma.store();
-        vma.write(index);
+        let fp = &mut vma.fingerprints[index];
+        *fp = mix(*fp, WRITE);
+        vma.dirty[index / 64] |= 1 << (index % 64);
         self.dirtied_total += 1;
     }
 
@@ -318,25 +392,32 @@ impl AddressSpace {
         }
     }
 
-    /// Make every logged write, oldest first. Only structural operations,
-    /// which settle first, change the writable regions, so every entry
-    /// resolves them as its call would have. The replay first stores the
-    /// contents of every writable region, then runs back to back over the
-    /// same few regions, so their pages stay in cache.
+    /// Make every logged write, oldest first, as a count increment; the
+    /// pages' fingerprints and dirty bits take the writes when the region
+    /// is next folded. Only structural operations, which settle first,
+    /// change the writable regions, so every entry resolves them as its
+    /// call would have. Each entry first reserves its page count in every
+    /// writable region (an entry over `u32::MAX` pages is made in
+    /// chunks), so the loop per write is two draws and an increment.
     pub fn settle(&mut self) {
         if self.log.is_empty() {
             return;
         }
         let mut writable: Vec<&mut Vma> = self.vmas.iter_mut().filter(|v| v.writable()).collect();
         for vma in &mut writable {
-            vma.store();
+            vma.writes.resize(vma.pages, 0);
         }
         let regions = writable.len();
         for (mut rng, count) in self.log.drain(..) {
-            for _ in 0..count {
-                let vma = &mut writable[rng.index(regions)];
-                let index = rng.index(vma.page_count());
-                vma.write(index);
+            for chunk in chunks(count as u64) {
+                for vma in &mut writable {
+                    vma.reserve_writes(chunk);
+                }
+                for _ in 0..chunk {
+                    let vma = &mut writable[rng.index(regions)];
+                    let index = rng.index(vma.pages);
+                    vma.writes[index] += 1;
+                }
             }
         }
     }
@@ -358,11 +439,15 @@ impl AddressSpace {
     }
 
     /// Collect and clear every dirty page (one precopy iteration's payload),
-    /// in (region id, page index) order. Clean words of 64 pages cost one
-    /// test each, so steady-state iterations over a mostly-clean space touch
-    /// almost nothing.
+    /// in (region id, page index) order, after folding every region. Clean
+    /// words of 64 pages cost one test each, and regions with no unfolded
+    /// write fold for free, so steady-state iterations over a mostly-clean
+    /// space touch almost nothing.
     pub fn collect_dirty(&mut self) -> Vec<PageRef> {
         self.settle();
+        for vma in &mut self.vmas {
+            vma.fold();
+        }
         let mut out = Vec::with_capacity(self.dirty_count());
         for vma in &mut self.vmas {
             for w in 0..vma.dirty.len() {
@@ -425,9 +510,13 @@ impl AddressSpace {
     }
 
     /// Apply a page write received from a checkpoint stream (restore path).
+    /// The page's unfolded writes are overwritten with it.
     pub fn apply_page(&mut self, r: PageRef) {
         self.settle();
         let vma = self.get_mut(r.vma).expect("apply_page to unmapped VMA");
+        if let Some(n) = vma.writes.get_mut(r.index) {
+            *n = 0;
+        }
         vma.store();
         vma.fingerprints[r.index] = r.fingerprint;
         vma.dirty[r.index / 64] &= !(1 << (r.index % 64));
@@ -481,6 +570,62 @@ impl AddressSpace {
 
 /// Unmapped pages left after each region by [`AddressSpace::mmap`].
 const GUARD_PAGES: u64 = 16;
+
+/// Most writes a region holds unfolded, so no page's `u32` count overflows.
+const MAX_UNFOLDED: u64 = u32::MAX as u64;
+
+/// What one write does to a page's fingerprint.
+const WRITE: u64 = 0x9E37_79B9;
+
+/// `fp` after `n` writes.
+#[inline]
+fn rewrite(mut fp: u64, n: u32) -> u64 {
+    for _ in 0..n {
+        fp = mix(fp, WRITE);
+    }
+    fp
+}
+
+/// Pages whose write chains [`Vma::fold`] computes side by side.
+const LANES: usize = 8;
+
+/// Apply each queued `(page, writes)` to `fps`. One page's chain of writes
+/// is a sequence of dependent multiplies, so the lanes run in step, as many
+/// rounds as the longest chain, and overlap theirs; a lane keeps a round's
+/// result only while its page has writes left.
+fn rewrite_in_step(fps: &mut [u64], queued: &[(usize, u32)]) {
+    let mut fp = [0u64; LANES];
+    let mut left = [0u32; LANES];
+    for (k, &(page, n)) in queued.iter().enumerate() {
+        fp[k] = fps[page];
+        left[k] = n;
+    }
+    let rounds = left.iter().copied().max().unwrap_or(0);
+    for round in 0..rounds {
+        for k in 0..LANES {
+            let next = mix(fp[k], WRITE);
+            fp[k] = if round < left[k] { next } else { fp[k] };
+        }
+    }
+    for (k, &(page, _)) in queued.iter().enumerate() {
+        fps[page] = fp[k];
+    }
+}
+
+/// Bit `b` set iff `counts[b]` is non-zero (at most 64 counts).
+#[inline]
+fn nonzero(counts: &[u32]) -> u64 {
+    counts
+        .iter()
+        .rev()
+        .fold(0, |bits, &n| bits << 1 | u64::from(n != 0))
+}
+
+/// A log entry of `count` writes as runs of at most [`MAX_UNFOLDED`], each
+/// of which a region can take after at most one fold.
+fn chunks(count: u64) -> impl Iterator<Item = u64> {
+    (0..count.div_ceil(MAX_UNFOLDED)).map(move |i| (count - i * MAX_UNFOLDED).min(MAX_UNFOLDED))
+}
 
 #[inline]
 fn mix(a: u64, b: u64) -> u64 {
@@ -747,9 +892,22 @@ mod tests {
 
         a.write_page(heap, 7);
         assert_eq!(stored(&a), [0, 130, 0], "the first write stores the region");
+        let counted =
+            |a: &AddressSpace| -> Vec<usize> { a.vmas().map(|v| v.writes.len()).collect() };
+        assert_eq!(counted(&a), [0, 0, 0], "a write counts nothing");
         a.dirty_random(&mut DetRng::new(4), 30);
         a.settle();
-        assert_eq!(stored(&a), [0, 130, 70], "a replay stores writable regions");
+        assert_eq!(stored(&a), [0, 130, 0], "a replay stores no fingerprints");
+        assert_eq!(
+            counted(&a),
+            [0, 130, 70],
+            "a replay counts writable regions"
+        );
+        a.content_hash();
+        assert_eq!(stored(&a), [0, 130, 0], "reading folds nothing");
+        a.collect_dirty();
+        assert_eq!(stored(&a), [0, 130, 70], "a collection folds and stores");
+        assert_eq!(counted(&a), [0, 130, 70], "folding keeps the counts");
         a.resize(text, 310, 3);
         assert_eq!(
             stored(&a),
@@ -758,6 +916,89 @@ mod tests {
         );
         assert_eq!(a.vma(text).unwrap().fingerprint(299), mix(1, 299));
         assert_eq!(a.vma(text).unwrap().fingerprint(300), mix(3, 300));
+    }
+
+    /// The same space after the same writes made one by one, each region
+    /// folded: fingerprints, dirty sets and collections must agree.
+    fn assert_same_pages(a: &AddressSpace, b: &AddressSpace) {
+        for (x, y) in a.vmas().zip(b.vmas()) {
+            let pages =
+                |v: &Vma| -> Vec<u64> { (0..v.page_count()).map(|i| v.fingerprint(i)).collect() };
+            assert_eq!(pages(x), pages(y));
+            assert_eq!(x.dirty_count(), y.dirty_count());
+        }
+        assert_eq!(a.clone().collect_dirty(), b.clone().collect_dirty());
+    }
+
+    /// Writes `count` pages with `draws` the way a replay resolves them.
+    fn write_each(b: &mut AddressSpace, draws: &mut DetRng, count: usize) {
+        let ids: Vec<VmaId> = b.vmas().filter(|v| v.writable()).map(|v| v.id).collect();
+        for _ in 0..count {
+            let id = ids[draws.index(ids.len())];
+            let index = draws.index(b.vma(id).unwrap().page_count());
+            b.write_page(id, index);
+        }
+    }
+
+    #[test]
+    fn replay_folds_a_region_before_its_counts_could_overflow() {
+        let mut a = AddressSpace::new();
+        a.mmap(VmaKind::Heap, 3, 1);
+        a.mmap(VmaKind::Anon, 2, 2);
+        a.collect_dirty();
+        let mut b = a.clone();
+        let mut rng = DetRng::new(6);
+        let mut draws = rng.clone();
+        let unfolded =
+            |a: &AddressSpace| -> Vec<u64> { a.vmas.iter().map(|v| v.unfolded).collect() };
+        let counted = |a: &AddressSpace| -> u32 { a.vmas.iter().flat_map(|v| &v.writes).sum() };
+
+        a.dirty_random(&mut rng, 300);
+        a.settle();
+        assert_eq!(unfolded(&a), [300, 300]);
+        // 400 more would pass the bound: both regions fold first.
+        for vma in &mut a.vmas {
+            vma.unfolded = MAX_UNFOLDED - 100;
+        }
+        a.dirty_random(&mut rng, 400);
+        a.settle();
+        assert_eq!(unfolded(&a), [400, 400]);
+        assert_eq!(counted(&a), 400, "the first 300 writes were folded");
+        write_each(&mut b, &mut draws, 700);
+        assert_same_pages(&a, &b);
+
+        // 400 more reach the bound exactly: nothing folds.
+        for vma in &mut a.vmas {
+            vma.unfolded = MAX_UNFOLDED - 400;
+        }
+        a.dirty_random(&mut rng, 400);
+        a.settle();
+        assert_eq!(unfolded(&a), [MAX_UNFOLDED, MAX_UNFOLDED]);
+        assert_eq!(counted(&a), 800);
+        write_each(&mut b, &mut draws, 400);
+        assert_same_pages(&a, &b);
+    }
+
+    #[test]
+    fn an_entry_past_the_bound_replays_in_chunks() {
+        let chunked = |count: u64| -> Vec<u64> { chunks(count).collect() };
+        assert_eq!(chunked(400), [400]);
+        assert_eq!(chunked(MAX_UNFOLDED), [MAX_UNFOLDED]);
+        assert_eq!(chunked(MAX_UNFOLDED + 1), [MAX_UNFOLDED, 1]);
+        assert_eq!(
+            chunked(2 * MAX_UNFOLDED + 7),
+            [MAX_UNFOLDED, MAX_UNFOLDED, 7]
+        );
+        // A full chunk fits a region only once it has folded.
+        let mut vma = Vma::new(VmaId(1), VmaKind::Heap, 0);
+        vma.set_len(2, Fill::Seeded(3), false);
+        vma.writes = vec![0, 5];
+        vma.unfolded = 5;
+        vma.reserve_writes(MAX_UNFOLDED);
+        assert_eq!(vma.unfolded, MAX_UNFOLDED);
+        assert_eq!(vma.writes, [0, 0]);
+        assert_eq!(vma.fingerprint(1), rewrite(mix(3, 1), 5));
+        assert_eq!(vma.dirty_count(), 1);
     }
 
     #[test]
