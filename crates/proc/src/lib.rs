@@ -7,12 +7,13 @@
 //!   the swap facility relaxed, so the tracker lives entirely "in a module"
 //!   (here: in the data structure) without touching other code. Each region
 //!   keeps a dirty bitset with 64 pages per word, so dirtying a page is a
-//!   bit set and a precopy collection walks words, not pages. A region
-//!   stores its page fingerprints only from the first change on; until
-//!   then each page's contents are computed from the region's seed.
+//!   bit set and a precopy collection walks words, not pages. A page's
+//!   contents are a base, computed from the region's seed until the region
+//!   stores fingerprints, and a count of writes not yet folded into it.
 //!   Workload writes go to a bounded per-space write log first and are
-//!   made, cache-hot and in order, before the page state is next read or
-//!   changed;
+//!   made in order, each as one count increment, before the page state is
+//!   next read or changed; a precopy collection or a resize folds the
+//!   counts into stored fingerprints and dirty bits;
 //! * **threads**, each running or frozen — the signal-based checkpoint
 //!   notification forces every thread back to userspace, which is what
 //!   guarantees sockets are unlocked at freeze time, so no thread is
