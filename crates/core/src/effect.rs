@@ -6,11 +6,8 @@
 //! [`Effect`] value and delivered, in order and timestamped, through an
 //! [`EffectSink`] passed to [`MigrationEngine::step`](crate::MigrationEngine::step).
 //!
-//! This replaces the previous design where `step` returned ad-hoc `Vec`s
-//! (`xlate_requests`, `src_effects`, `dst_effects`, a `suspend_app` flag and
-//! a `complete` slot) that every owner had to route by hand. An owner now
-//! implements (or reuses) a single dispatcher over `Effect`, and a trace
-//! consumer — `dvelm_metrics::TraceRecorder` — can derive the entire
+//! An owner implements (or reuses) a single dispatcher over `Effect`, and a
+//! trace consumer — `dvelm_metrics::TraceRecorder` — derives the entire
 //! [`MigrationReport`](crate::MigrationReport) plus a per-phase timeline from
 //! the same stream, with no hand-maintained counters inside the engine.
 //!

@@ -61,7 +61,7 @@ pub use effect::{
     AbortReason, AbortRecovery, ByteClass, Effect, EffectBuf, EffectSink, MigrationAborted,
     PhaseId, Side,
 };
-pub use engine::{AbortIo, MigrationComplete, MigrationEngine, OverloadGuard, StepIo, StepPlan};
+pub use engine::{AbortIo, MigrationComplete, MigrationEngine, OverloadGuard, StepIo};
 pub use model::{predict_freeze_us, predict_total_us, WorkloadProfile};
 pub use report::MigrationReport;
 pub use strategy::Strategy;

@@ -139,20 +139,14 @@ fn run_migration(
     mut between_steps: impl FnMut(&mut World, &mut Process, bool),
 ) -> (MigrationReport, Process, Vec<(NodeId, XlateRule)>) {
     let started_at = world.now;
-    let mut engine = MigrationEngine::new(
-        proc.pid,
-        NodeId(0),
-        NodeId(1),
-        strategy,
-        CostModel::default(),
-    );
+    let mut engine = MigrationEngine::new(strategy, CostModel::default());
     let mut recorder = TraceRecorder::new(proc.pid, strategy, started_at);
     let mut xlates = Vec::new();
     let mut suspended = false;
     let mut buf = EffectBuf::new();
     loop {
         let now = world.now;
-        let plan = {
+        let next_step_after_us = {
             let (src, dst) = world.split(SRC, DST);
             engine.step(
                 StepIo {
@@ -203,9 +197,7 @@ fn run_migration(
         if let Some(process) = restored {
             return (recorder.into_report(), process, xlates);
         }
-        let wait = plan
-            .next_step_after_us
-            .expect("engine not done must reschedule");
+        let wait = next_step_after_us.expect("engine not done must reschedule");
         world.now += wait;
         between_steps(world, proc, suspended);
     }
@@ -525,18 +517,12 @@ fn effect_stream_honors_ordering_contract() {
     // final effect; exactly one of each per migration.
     let mut world = World::new();
     let (mut proc, client_sids, _db, _l) = setup(&mut world, 3);
-    let mut engine = MigrationEngine::new(
-        proc.pid,
-        NodeId(0),
-        NodeId(1),
-        Strategy::IncrementalCollective,
-        CostModel::default(),
-    );
+    let mut engine = MigrationEngine::new(Strategy::IncrementalCollective, CostModel::default());
     let mut buf = EffectBuf::new();
     let mut stream = Vec::new();
     loop {
         let now = world.now;
-        let plan = {
+        let next_step_after_us = {
             let (src, dst) = world.split(SRC, DST);
             engine.step(
                 StepIo {
@@ -559,7 +545,7 @@ fn effect_stream_honors_ordering_contract() {
         if done {
             break;
         }
-        world.now += plan.next_step_after_us.expect("reschedules");
+        world.now += next_step_after_us.expect("reschedules");
         // Traffic during precopy so source stack effects exist.
         for &c in &client_sids {
             world.send(CLIENT, c, b"x");

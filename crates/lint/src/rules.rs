@@ -256,8 +256,10 @@ fn path_sep(pat: &[Tok], k: usize) -> bool {
 /// recoverable fault into a vanished experiment. Grandfathered sites live
 /// in `lint.allow`, each keyed `fn:<Impl::name>` with a written invariant.
 ///
-/// Bad:  `let p = self.staged.take().unwrap();`
-/// Good: `let Some(p) = self.staged.take() else { return self.abort(reason) };`
+/// Bad:  `let image = self.staged.take().unwrap();` (an `Option` field that
+/// only some phases fill)
+/// Good: `Progress::Detached(d) => self.step_restore(d, io, sink)` (the
+/// phase's enum variant carries the image, so there is nothing to unwrap)
 pub fn r4_panic_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     if !ctx.in_scope(R4_SCOPE) {
         return;
