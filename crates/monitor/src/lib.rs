@@ -73,6 +73,11 @@ pub enum InvariantViolation {
         host: usize,
         at: SimTime,
     },
+    /// `pid`'s threads are frozen on a live `host` with no migration of it
+    /// in flight. Only the migration engine freezes a process, and every
+    /// way a migration ends resumes or replaces the frozen copy; a process
+    /// left frozen never ticks again.
+    FrozenWithoutMigration { pid: Pid, host: usize, at: SimTime },
 }
 
 impl InvariantViolation {
@@ -86,6 +91,7 @@ impl InvariantViolation {
             InvariantViolation::CaptureBytesOverBudget { .. } => "capture bytes over budget",
             InvariantViolation::UnknownOwner { .. } => "unknown owner",
             InvariantViolation::SubscriptionLeak { .. } => "subscription leak",
+            InvariantViolation::FrozenWithoutMigration { .. } => "frozen without migration",
         }
     }
 }
@@ -281,6 +287,14 @@ impl InvariantMonitor {
         }
     }
 
+    /// Check one frozen process: `pid`'s threads are frozen on `host`,
+    /// which is legitimate only while a migration of it is in flight.
+    pub fn check_frozen(&mut self, now: SimTime, pid: Pid, host: usize, migrating: bool) {
+        if !migrating {
+            self.record(InvariantViolation::FrozenWithoutMigration { pid, host, at: now });
+        }
+    }
+
     /// Reconcile the shadow model against the world's actual live set:
     /// every `(pid, host)` pair currently runnable or frozen-in-place.
     /// Catches drift in either direction — a live copy the model doesn't
@@ -369,6 +383,22 @@ mod tests {
         m2.on_spawn(T, Pid(7), 0);
         m2.on_adopt(T, Pid(7), 0);
         assert!(m2.violations().is_empty());
+    }
+
+    #[test]
+    fn frozen_process_needs_a_migration_in_flight() {
+        let mut m = InvariantMonitor::new();
+        m.check_frozen(T, Pid(4), 1, true);
+        assert!(m.violations().is_empty());
+        m.check_frozen(T, Pid(4), 1, false);
+        assert_eq!(
+            m.violations(),
+            &[InvariantViolation::FrozenWithoutMigration {
+                pid: Pid(4),
+                host: 1,
+                at: T
+            }]
+        );
     }
 
     #[test]
