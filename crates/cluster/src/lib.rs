@@ -44,6 +44,9 @@
 //! assert!(world.reports[0].freeze_us() < 50_000);
 //! ```
 
+// The determinism bans in `clippy.toml` (DESIGN.md §8) cover live code;
+// unit tests may use what they like.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 pub mod app;

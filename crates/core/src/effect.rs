@@ -224,22 +224,40 @@ pub enum Effect {
     /// A capture entry was enabled on the destination stack. Trace-only
     /// (the engine enables it directly; it owns the destination stack for
     /// the duration of the step).
-    InstallCapture { key: CaptureKey },
+    InstallCapture {
+        /// The flow whose packets the entry captures.
+        key: CaptureKey,
+    },
     /// Deliver a translation rule to the in-cluster peer currently owning
     /// the connection's other endpoint; installation should happen one
     /// control-message latency later.
-    SendXlate { peer: NodeId, rule: XlateRule },
+    SendXlate {
+        /// The node that installs the rule.
+        peer: NodeId,
+        /// The rule to install.
+        rule: XlateRule,
+    },
     /// A stack effect produced on `side` while stepping: timer arming and
     /// ACKs from re-installed or re-injected sockets on the destination, or
     /// on the source when an abort restores the sockets there.
-    Stack { side: Side, effect: StackEffect },
+    Stack {
+        /// The stack that produced the effect.
+        side: Side,
+        /// What that stack asks the runtime to do.
+        effect: StackEffect,
+    },
     /// A migratable socket was detached from the source stack. Trace-only.
     SocketDetached {
         /// Source-side socket id (no longer valid after restore).
         sock: SockId,
     },
     /// Bytes moved between the hosts. Trace-only.
-    Shipped { class: ByteClass, bytes: u64 },
+    Shipped {
+        /// What the bytes carried, and whether the app was running.
+        class: ByteClass,
+        /// How many bytes moved.
+        bytes: u64,
+    },
     /// A destination capture queue hit its budget and shed or refused
     /// packets. Trace-only — the trace spine's view of pressure building.
     /// Never emitted under the default (unlimited) budget, so fault-free
@@ -268,11 +286,19 @@ pub enum Effect {
     ResumeApp,
     /// Rollback: a capture entry was disabled on the destination stack
     /// (the counterpart of [`Effect::InstallCapture`]). Trace-only.
-    RemoveCapture { key: CaptureKey },
+    RemoveCapture {
+        /// The flow whose capture entry was disabled.
+        key: CaptureKey,
+    },
     /// Rollback: ask the in-cluster peer to remove a previously delivered
     /// translation rule (the counterpart of [`Effect::SendXlate`]); removal
     /// should happen one control-message latency later.
-    RevokeXlate { peer: NodeId, rule: XlateRule },
+    RevokeXlate {
+        /// The node that installed the rule.
+        peer: NodeId,
+        /// The rule to remove.
+        rule: XlateRule,
+    },
     /// The migration aborted. Always the last effect of an aborted
     /// migration (mutually exclusive with [`Effect::Complete`]); its
     /// timestamp closes the trace. The owner acts on
@@ -284,13 +310,23 @@ pub enum Effect {
     /// broadcast — the subscription is the multicast-era form of the
     /// paper's loss-prevention property. Emitted only for processes with
     /// registered zone interest; legacy streams are unchanged.
-    Subscribe { zone: ZoneId, side: Side },
+    Subscribe {
+        /// The zone whose frames the node must hear.
+        zone: ZoneId,
+        /// The node that subscribes.
+        side: Side,
+    },
     /// Rollback/handover: `side`'s node must be dropped from `zone`'s
     /// interest set (the counterpart of [`Effect::Subscribe`]). The source
     /// unsubscribes at switch-over; an aborted migration unsubscribes the
     /// destination (and, when nothing survives, the source too) so no
     /// abort row can leak a subscription.
-    Unsubscribe { zone: ZoneId, side: Side },
+    Unsubscribe {
+        /// The zone whose frames the node stops hearing.
+        zone: ZoneId,
+        /// The node that unsubscribes.
+        side: Side,
+    },
 }
 
 /// Consumer of the ordered, timestamped effect stream of one migration.

@@ -41,6 +41,10 @@
 //!     .any(|a| matches!(a, LbEffect::Send(NodeId(1), LbMsg::MigRequest { .. }))));
 //! ```
 
+// The determinism bans in `clippy.toml` (DESIGN.md §8) cover live code;
+// unit tests may use what they like.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod admission;
 pub mod conductor;
 pub mod info;

@@ -2,6 +2,9 @@
 //! changes and message deliveries occurs, the two-phase commit must keep its
 //! invariants.
 
+// Test code is exempt from the crate's determinism bans (`clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use dvelm_lb::{Conductor, ConductorPhase, LbEffect, LbMsg, LoadInfo, PolicyConfig};
 use dvelm_net::NodeId;
 use dvelm_proc::Pid;

@@ -10,10 +10,13 @@
 //!   expression position anywhere (pattern positions never count);
 //! * **mention census** inside one fn's body, for dispatch-arm coverage;
 //! * **assertion census** over named test files, for abort-row coverage;
-//! * **`pub` fn census**: the `pub` fns no non-test code names. A bare-name
-//!   mention outside test code and `use` declarations keeps a fn alive; a
-//!   field label or field access does not, so a getter named after its
-//!   field cannot keep itself alive;
+//! * **`pub` fn census**: the `pub` fns no non-test code names. A
+//!   `Type::name` path (or `self.name` inside `impl Type`) keeps only that
+//!   type's fn alive; any other mention (a bare call, a method call on
+//!   anything but `self`, a path through a name the graph does not define)
+//!   keeps every fn of that name alive; a field label or field access keeps
+//!   nothing alive, so a getter named after its field cannot keep itself
+//!   alive;
 //! * **clock taint**: the fixpoint of "this parameter carries the sim
 //!   clock", seeded by SimTime-typed parameters named `now`/`at` and
 //!   propagated backwards through call sites that pass a caller's own
@@ -175,22 +178,33 @@ impl SymbolGraph {
     }
 
     /// `pub` fn census: every `pub`/`pub(…)` fn defined in non-test code of
-    /// a file `defines` accepts whose bare name no non-test code in the graph
-    /// names, as `(path, line, qualified name)` in walk order. Resolution is
-    /// by bare name only, so any same-named call, method call or path keeps
-    /// a fn alive; a same-named field (`x:`, `.x`) does not.
+    /// a file `defines` accepts that no non-test code in the graph names, as
+    /// `(path, line, qualified name)` in walk order. A `Type::name` mention
+    /// (a path, or `self.name` inside `impl Type`) names `Type::name` when
+    /// the graph defines it, and otherwise (a trait, an alias, a foreign
+    /// type) every fn called `name`, as a bare call or other method call
+    /// does; a same-named field (`x:`, `.x`) names nothing.
     pub fn unreferenced_pub_fns(&self, defines: impl Fn(&str) -> bool) -> Vec<(&str, u32, &str)> {
         let live: BTreeSet<&str> = self
             .files
             .iter()
             .filter(|f| !Self::is_test_file(&f.path))
             .flat_map(|f| f.mentions.iter().map(String::as_str))
+            .map(|m| match m.split_once("::") {
+                Some((_, bare)) if !self.by_qual.contains_key(m) => bare,
+                _ => m,
+            })
             .collect();
         self.files
             .iter()
             .filter(|f| !Self::is_test_file(&f.path) && defines(&f.path))
             .flat_map(|f| f.fns.iter().map(move |d| (f.path.as_str(), d)))
-            .filter(|(_, d)| d.is_pub && !d.in_test && !live.contains(d.bare_name.as_str()))
+            .filter(|(_, d)| {
+                d.is_pub
+                    && !d.in_test
+                    && !live.contains(d.bare_name.as_str())
+                    && !live.contains(d.qual_name.as_str())
+            })
             .map(|(path, d)| (path, d.line, d.qual_name.as_str()))
             .collect()
     }

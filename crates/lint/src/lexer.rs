@@ -10,8 +10,8 @@
 //!
 //! * line comments (`//`), nested block comments (`/* /* */ */`)
 //! * doc comments — kept as tokens ([`TokKind::DocOuter`] for `///` and
-//!   `/** */`, [`TokKind::DocInner`] for `//!` and `/*! */`) because rule R5
-//!   needs them
+//!   `/** */`, [`TokKind::DocInner`] for `//!` and `/*! */`) because a doc
+//!   comment marks an item boundary, which `impl` detection reads
 //! * string, raw-string (`r#"…"#`), byte-string and char literals
 //! * lifetimes (`'a`) vs. char literals (`'a'`)
 //! * raw identifiers (`r#type`)

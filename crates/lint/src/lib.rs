@@ -4,11 +4,11 @@
 //! outputs must stay byte-identical across PRs), and PR 3's review caught two
 //! invariant violations a machine could have found: a stale sim clock
 //! reaching the xlate TTL hot path, and a wildcard fallback misattributing
-//! capture pressure. This crate encodes those incident classes — plus the
-//! determinism and hygiene rules that prevent the next ones — in two layers:
+//! capture pressure. This crate encodes those incident classes in two
+//! layers:
 //!
-//! * **Lexical rules (R1–R6)**, in [`rules`]: pure functions over one file's
-//!   token stream ([`FileCtx`]).
+//! * **Lexical rules (R2, R3)**, in [`rules`]: pure functions over one
+//!   file's token stream ([`FileCtx`]).
 //! * **Semantic rules (R7–R9)**, in [`semantic`]: run over a workspace-wide
 //!   symbol graph ([`graph::SymbolGraph`]) built by a lightweight parser
 //!   pass ([`parse`]) on top of the same lexer — enum definitions with
@@ -20,27 +20,24 @@
 //! The same graph also backs [`census`]: a report, not a rule, of every
 //! `pub` fn that no non-test code names.
 //!
-//! | rule | severity | scope | invariant |
-//! |---|---|---|---|
-//! | R1 `determinism` | error | sim, core, stack, cluster, lb | no `HashMap`/`HashSet`/`Instant::now`/`SystemTime::now`/`thread_rng` |
-//! | R2 `clock-threading` | error | stack | `last_hit`/TTL state only behind a `now` parameter; no `SimTime::ZERO` fed to `*_at` calls |
-//! | R3 `no-wildcard-arm` | error | all crates | no `_` arm in matches over `Effect`/`AbortReason`/`Fault`/`Event` |
-//! | R4 `panic-hygiene` | error | core, stack | no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` |
-//! | R5 `doc-hygiene` | warning | core, stack | every `pub` item documented |
-//! | R6 `shard-isolation` | error | sim, core, stack, cluster, lb | no threads or shared-state concurrency primitives |
-//! | R7 `effect-coverage` | error | workspace | every `Effect`/`LbEffect`/`Fault` variant dispatched and constructed |
-//! | R8 `abort-row` | error | workspace | every entered `PhaseId` has an abort row; every emittable `AbortReason` is asserted in a matrix test |
-//! | R9 `clock-dataflow` | error | sim family + dve | no `SimTime::ZERO`-derived constant into a clock parameter, transitively |
+//! | rule | scope | invariant |
+//! |---|---|---|
+//! | R2 `clock-threading` | stack | `last_hit`/TTL state only behind a `now` parameter |
+//! | R3 `no-wildcard-arm` | all crates | no `_` arm in matches over `Effect`/`AbortReason`/`Fault`/`Event` |
+//! | R7 `effect-coverage` | workspace | every `Effect`/`LbEffect`/`Fault` variant dispatched and constructed |
+//! | R8 `abort-row` | workspace | every entered `PhaseId` has an abort row; every emittable `AbortReason` is asserted in a matrix test |
+//! | R9 `clock-dataflow` | sim family + dve | no `SimTime::ZERO`-derived constant into a clock parameter, transitively |
+//!
+//! The per-crate bans that were R1 and R6 (hash-ordered collections, the
+//! wall clock, threads, locks, atomics, channels) are clippy's
+//! `disallowed_types`/`disallowed_methods`, configured in `clippy.toml`;
+//! R4 (no panics on the migration hot path) and R5 (a documented public
+//! API) are lint levels at the roots of `dvelm-migrate` and `dvelm-stack`.
 //!
 //! Test code (`#[cfg(test)]` / `#[test]` items, `tests/`, `benches/`) is
 //! exempt from every rule; strings and comments never trigger rules (the
-//! vendored [`lexer`] strips them). Grandfathered sites live in the
-//! repo-root `lint.allow` file, keyed by `(rule, path, enclosing item)` so
-//! entries survive line drift — function keys are `impl`-qualified
-//! (`fn:MigrationEngine::step_precopy`) so same-named methods in different
-//! `impl` blocks of one file never share a suppression. CI fails if the file
-//! grows. `check` treats warnings as errors (strict mode) so the tree stays
-//! clean.
+//! vendored [`lexer`] strips them). Every finding fails `check`; there is
+//! no allowlist.
 
 pub mod graph;
 pub mod lexer;
@@ -49,62 +46,35 @@ pub mod rules;
 pub mod semantic;
 
 use lexer::{lex, Tok, TokKind};
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
-
-/// How bad a finding is. `check` denies both — the distinction is for
-/// readers triaging output, not for gating.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Style/completeness finding (R5).
-    Warning,
-    /// Invariant violation (R1–R4).
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
 
 /// One lint finding at a specific source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `"R1"`.
+    /// Rule id, e.g. `"R2"`.
     pub rule: &'static str,
-    /// Short rule name, e.g. `"determinism"`.
+    /// Short rule name, e.g. `"clock-threading"`.
     pub name: &'static str,
-    /// Finding severity.
-    pub severity: Severity,
     /// Repo-relative path with `/` separators.
     pub path: String,
     /// 1-based source line.
     pub line: u32,
-    /// Allowlist key: the enclosing item (`fn:name`, `item:name`) or `top`.
-    /// Stable across line drift, unlike the line number.
+    /// The enclosing item (`fn:Type::method`, `fn:name`, `variant:…`) or
+    /// `top`. Stable across line drift, unlike the line number.
     pub key: String,
     /// Human-readable explanation.
     pub msg: String,
 }
 
-impl Diagnostic {
-    /// The `lint.allow` entry that would suppress this finding.
-    pub fn allow_entry(&self) -> String {
-        format!("{} {} {}", self.rule, self.path, self.key)
-    }
-}
-
 impl fmt::Display for Diagnostic {
+    /// `path:line: error[RULE/name] msg (allow key: key)`, the form the
+    /// golden `.expected` files pin; `allow key` labels [`Diagnostic::key`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {}[{}/{}] {} (allow key: {})",
-            self.path, self.line, self.severity, self.rule, self.name, self.msg, self.key
+            "{}:{}: error[{}/{}] {} (allow key: {})",
+            self.path, self.line, self.rule, self.name, self.msg, self.key
         )
     }
 }
@@ -140,8 +110,9 @@ impl<'a> FileCtx<'a> {
         }
     }
 
-    /// Allowlist key for a finding at token `i`: the innermost enclosing
-    /// function (`impl`-qualified), or `top` for module-level code.
+    /// [`Diagnostic::key`] for a finding at token `i`: the innermost
+    /// enclosing function (`impl`-qualified), or `top` for module-level
+    /// code.
     pub fn key_at(&self, i: usize) -> String {
         match &self.fn_of[i] {
             Some(f) => format!("fn:{f}"),
@@ -257,7 +228,7 @@ pub fn matching_close(toks: &[Tok], open: usize) -> Option<usize> {
 /// body and the type name of the innermost enclosing `impl` block.
 ///
 /// Methods are qualified by their `impl` type (`MigrationEngine::step`), so
-/// allowlist keys distinguish same-named fns in different `impl` blocks of
+/// finding keys distinguish same-named fns in different `impl` blocks of
 /// one file. Fns nested inside another fn body keep their bare name.
 fn scope_maps(toks: &[Tok]) -> (Vec<Option<String>>, Vec<Option<String>>) {
     let impl_opens = impl_body_opens(toks);
@@ -397,8 +368,6 @@ pub struct RuleInfo {
     pub id: &'static str,
     /// Short rule name, e.g. `"effect-coverage"`.
     pub name: &'static str,
-    /// Severity of the rule's findings.
-    pub severity: Severity,
     /// `"lexical"` (per-file token pass) or `"semantic"` (symbol graph).
     pub layer: &'static str,
     /// Human-readable scope.
@@ -418,29 +387,17 @@ const SEMANTIC_SRC: &str = include_str!("semantic.rs");
 /// are generated from this so they cannot drift from the implementations.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "R1",
-        name: "determinism",
-        severity: Severity::Error,
-        layer: "lexical",
-        scope: "sim,core,stack,cluster,lb",
-        summary: "no HashMap/HashSet/Instant::now/SystemTime::now/thread_rng",
-        fn_ident: "r1_determinism",
-        src: RULES_SRC,
-    },
-    RuleInfo {
         id: "R2",
         name: "clock-threading",
-        severity: Severity::Error,
         layer: "lexical",
         scope: "stack",
-        summary: "last_hit/TTL state needs a `now` param; no SimTime::ZERO into *_at()",
+        summary: "last_hit/TTL state needs a `now` param",
         fn_ident: "r2_clock_threading",
         src: RULES_SRC,
     },
     RuleInfo {
         id: "R3",
         name: "no-wildcard-arm",
-        severity: Severity::Error,
         layer: "lexical",
         scope: "all crates",
         summary: "no `_` arm in matches over Effect/AbortReason/Fault/Event/LbMsg/Strategy",
@@ -448,39 +405,8 @@ pub const RULES: &[RuleInfo] = &[
         src: RULES_SRC,
     },
     RuleInfo {
-        id: "R4",
-        name: "panic-hygiene",
-        severity: Severity::Error,
-        layer: "lexical",
-        scope: "core,stack",
-        summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented!",
-        fn_ident: "r4_panic_hygiene",
-        src: RULES_SRC,
-    },
-    RuleInfo {
-        id: "R5",
-        name: "doc-hygiene",
-        severity: Severity::Warning,
-        layer: "lexical",
-        scope: "core,stack",
-        summary: "every pub item documented",
-        fn_ident: "r5_doc_hygiene",
-        src: RULES_SRC,
-    },
-    RuleInfo {
-        id: "R6",
-        name: "shard-isolation",
-        severity: Severity::Error,
-        layer: "lexical",
-        scope: "sim,core,stack,cluster,lb",
-        summary: "no Mutex/RwLock/Condvar/Atomic*/mpsc/thread::spawn",
-        fn_ident: "r6_shard_isolation",
-        src: RULES_SRC,
-    },
-    RuleInfo {
         id: "R7",
         name: "effect-coverage",
-        severity: Severity::Error,
         layer: "semantic",
         scope: "workspace",
         summary: "every Effect/LbEffect/Fault variant dispatched and constructed",
@@ -490,7 +416,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "R8",
         name: "abort-row",
-        severity: Severity::Error,
         layer: "semantic",
         scope: "workspace",
         summary: "every entered PhaseId has an abort row; every emittable AbortReason asserted in a matrix test",
@@ -500,7 +425,6 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "R9",
         name: "clock-dataflow",
-        severity: Severity::Error,
         layer: "semantic",
         scope: "sim,core,stack,cluster,lb,dve",
         summary: "no literal/SimTime::ZERO-derived constant into a clock parameter, transitively",
@@ -535,8 +459,8 @@ pub fn explain(id_or_name: &str) -> Option<String> {
     }
     doc.reverse();
     let mut out = format!(
-        "{} {} ({}, {} layer)\nscope: {}\n\n",
-        info.id, info.name, info.severity, info.layer, info.scope
+        "{} {} ({} layer)\nscope: {}\n\n",
+        info.id, info.name, info.layer, info.scope
     );
     out.push_str(&doc.join("\n"));
     out.push('\n');
@@ -545,12 +469,8 @@ pub fn explain(id_or_name: &str) -> Option<String> {
 
 /// Run every lexical rule over an already-built [`FileCtx`].
 fn lexical_rules(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    rules::r1_determinism(ctx, out);
     rules::r2_clock_threading(ctx, out);
     rules::r3_no_wildcard_arm(ctx, out);
-    rules::r4_panic_hygiene(ctx, out);
-    rules::r5_doc_hygiene(ctx, out);
-    rules::r6_shard_isolation(ctx, out);
 }
 
 /// Run every lexical rule over one file. `path` must be repo-relative with
@@ -564,85 +484,26 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Diagnostic> {
     out
 }
 
-/// The parsed `lint.allow` file: entries of the form `RULE path key`,
-/// `#`-comments and blank lines ignored.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: BTreeSet<String>,
-}
-
-impl Allowlist {
-    /// Parse allowlist text.
-    pub fn parse(text: &str) -> Allowlist {
-        let entries = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-            // Normalize interior whitespace so "R4  a/b.rs  fn:x # why"
-            // and "R4 a/b.rs fn:x" are the same entry.
-            .map(|l| {
-                l.split_whitespace()
-                    .take_while(|w| !w.starts_with('#'))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .filter(|l| !l.is_empty())
-            .collect();
-        Allowlist { entries }
-    }
-
-    /// Whether `d` is suppressed by this allowlist.
-    pub fn allows(&self, d: &Diagnostic) -> bool {
-        self.entries.contains(&d.allow_entry())
-    }
-
-    /// Number of entries (the CI growth guard compares this).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the allowlist has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Entries that suppressed nothing in this run — stale grandfathering
-    /// that should be deleted.
-    pub fn unused<'a>(&'a self, used: &BTreeSet<String>) -> Vec<&'a str> {
-        self.entries
-            .iter()
-            .filter(|e| !used.contains(*e))
-            .map(String::as_str)
-            .collect()
-    }
-}
-
 /// Result of a whole-workspace check.
 pub struct CheckReport {
-    /// Findings not covered by the allowlist, sorted by (path, line).
+    /// Every finding, sorted by (path, line, rule, key).
     pub findings: Vec<Diagnostic>,
-    /// Findings suppressed by the allowlist.
-    pub allowed: usize,
-    /// Allowlist entries that matched nothing.
-    pub stale_allows: Vec<String>,
     /// Files scanned.
     pub files: usize,
 }
 
 /// Walk every workspace source directory under `root` (`crates/*/src` and
-/// the umbrella crate's `src/`), lint each `.rs` file, run the semantic
-/// rules over the workspace symbol graph, and apply `allow`.
+/// the umbrella crate's `src/`), lint each `.rs` file and run the semantic
+/// rules over the workspace symbol graph.
 ///
 /// Integration-test files (the umbrella `tests/` and each crate's `tests/`)
 /// are never linted but *are* parsed into the symbol graph: the construction
 /// census (R7) and the assertion census (R8) need to see them. `compat/`
 /// stubs are outside the walked set by construction, and this crate's own
 /// `tests/fixtures` is skipped.
-pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckReport> {
+pub fn check_workspace(root: &Path) -> std::io::Result<CheckReport> {
     let (files, aux_files) = workspace_files(root)?;
     let mut findings = Vec::new();
-    let mut allowed = 0usize;
-    let mut used = BTreeSet::new();
     let mut syms: Vec<parse::FileSyms> = Vec::new();
     let scanned = files.len();
     for (file, lint_it) in files
@@ -653,24 +514,12 @@ pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckR
         let (rel, src) = read_rel(root, file)?;
         let ctx = FileCtx::new(&rel, &src);
         if lint_it {
-            let mut file_findings = Vec::new();
-            lexical_rules(&ctx, &mut file_findings);
-            findings.append(&mut file_findings);
+            lexical_rules(&ctx, &mut findings);
         }
         syms.push(parse::FileSyms::from_ctx(&ctx));
     }
     let graph = graph::SymbolGraph::build(syms);
     semantic::run(&graph, &mut findings);
-
-    findings.retain(|d| {
-        if allow.allows(d) {
-            allowed += 1;
-            used.insert(d.allow_entry());
-            false
-        } else {
-            true
-        }
-    });
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.key.as_str()).cmp(&(
             b.path.as_str(),
@@ -679,11 +528,8 @@ pub fn check_workspace(root: &Path, allow: &Allowlist) -> std::io::Result<CheckR
             b.key.as_str(),
         ))
     });
-    let stale_allows = allow.unused(&used).into_iter().map(String::from).collect();
     Ok(CheckReport {
         findings,
-        allowed,
-        stale_allows,
         files: scanned,
     })
 }
@@ -910,23 +756,5 @@ mod tests {
         }
         assert!(explain("effect-coverage").is_some(), "lookup by name works");
         assert!(explain("R99").is_none());
-    }
-
-    #[test]
-    fn allowlist_roundtrip() {
-        let d = Diagnostic {
-            rule: "R4",
-            name: "panic-hygiene",
-            severity: Severity::Error,
-            path: "crates/stack/src/socket.rs".into(),
-            line: 7,
-            key: "fn:tcp_mut".into(),
-            msg: "x".into(),
-        };
-        let allow = Allowlist::parse(
-            "# comment\n\nR4 crates/stack/src/socket.rs fn:tcp_mut  # accessor contract\n",
-        );
-        assert_eq!(allow.len(), 1);
-        assert!(allow.allows(&d));
     }
 }

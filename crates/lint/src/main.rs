@@ -1,6 +1,6 @@
 //! Command-line front end: `cargo run -p dvelm-lint -- check`.
 
-use dvelm_lint::{census, check_workspace, explain, Allowlist, CheckReport, Severity, RULES};
+use dvelm_lint::{census, check_workspace, explain, CheckReport, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -8,8 +8,7 @@ const USAGE: &str = "\
 dvelm-lint — repo-specific static analysis for the dvelm workspace
 
 USAGE:
-    cargo run -p dvelm-lint -- check [--root <dir>] [--allow <file>]
-                                     [--format <text|json>] [--stale-allow]
+    cargo run -p dvelm-lint -- check [--root <dir>] [--format <text|json>]
     cargo run -p dvelm-lint -- census [--root <dir>]
     cargo run -p dvelm-lint -- rules
     cargo run -p dvelm-lint -- explain <RULE>
@@ -17,8 +16,7 @@ USAGE:
 COMMANDS:
     check      Lint every workspace source file (lexical rules per file,
                semantic rules over the workspace symbol graph); exit 1 on
-               any finding not covered by the allowlist (warnings are
-               denied too).
+               any finding.
     census     Report every `pub`/`pub(crate)` fn outside crates/lint that
                no non-test code names (workspace sources, `examples/`,
                `benchmark/src`), one sorted `path:line Type::name` line
@@ -29,27 +27,26 @@ COMMANDS:
 
 OPTIONS:
     --root <dir>       Workspace root (default: auto-detected).
-    --allow <file>     Allowlist file (default: <root>/lint.allow).
     --format <fmt>     `text` (default) or `json` — machine-readable,
                        byte-stable findings for CI annotation.
-    --stale-allow      Also fail when lint.allow entries match nothing
-                       (dead grandfathering must be deleted).
+
+The toolchain enforces the rest: clippy's disallowed_types and
+disallowed_methods (each simulation crate's clippy.toml), and the
+panic and documentation lints at the roots of dvelm-migrate and
+dvelm-stack.
 ";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd = None;
     let mut root: Option<PathBuf> = None;
-    let mut allow_path: Option<PathBuf> = None;
     let mut format = Format::Text;
-    let mut stale_strict = false;
     let mut explain_rule: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "check" | "census" | "rules" | "explain" if cmd.is_none() => cmd = Some(a.clone()),
             "--root" => root = it.next().map(PathBuf::from),
-            "--allow" => allow_path = it.next().map(PathBuf::from),
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => format = Format::Text,
                 Some("json") => format = Format::Json,
@@ -58,7 +55,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--stale-allow" => stale_strict = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -98,7 +94,7 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("check") => run_check(root, allow_path, format, stale_strict),
+        Some("check") => run_check(root, format),
         Some("census") => run_census(root),
         _ => {
             print!("{USAGE}");
@@ -117,40 +113,29 @@ enum Format {
 fn print_rules() {
     for r in RULES {
         println!(
-            "{} {:<15} {:<8} {:<8} {:<26} {}",
-            r.id, r.name, r.severity, r.layer, r.scope, r.summary
+            "{} {:<15} {:<8} {:<26} {}",
+            r.id, r.name, r.layer, r.scope, r.summary
         );
     }
 }
 
-fn run_check(
-    root: Option<PathBuf>,
-    allow_path: Option<PathBuf>,
-    format: Format,
-    stale_strict: bool,
-) -> ExitCode {
+fn run_check(root: Option<PathBuf>, format: Format) -> ExitCode {
     let root = root.unwrap_or_else(detect_root);
-    let allow_path = allow_path.unwrap_or_else(|| root.join("lint.allow"));
-    let allow = match std::fs::read_to_string(&allow_path) {
-        Ok(text) => Allowlist::parse(&text),
-        Err(_) => Allowlist::default(),
-    };
-    let report = match check_workspace(&root, &allow) {
+    let report = match check_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("dvelm-lint: cannot walk {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-    let failed = !report.findings.is_empty() || (stale_strict && !report.stale_allows.is_empty());
     match format {
-        Format::Json => print!("{}", render_json(&report, stale_strict)),
-        Format::Text => print_text(&report, stale_strict),
+        Format::Json => print!("{}", render_json(&report)),
+        Format::Text => print_text(&report),
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -171,55 +156,35 @@ fn run_census(root: Option<PathBuf>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn counts(report: &CheckReport) -> (usize, usize) {
-    let errors = report
-        .findings
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    (errors, report.findings.len() - errors)
-}
-
-fn print_text(report: &CheckReport, stale_strict: bool) {
+fn print_text(report: &CheckReport) {
     for d in &report.findings {
         println!("{d}");
     }
-    for stale in &report.stale_allows {
-        println!("note: stale lint.allow entry (matched nothing): {stale}");
-    }
-    let (errors, warnings) = counts(report);
     println!(
-        "dvelm-lint: {} files, {} error(s), {} warning(s), {} allowlisted",
-        report.files, errors, warnings, report.allowed
+        "dvelm-lint: {} files, {} finding(s)",
+        report.files,
+        report.findings.len()
     );
     if !report.findings.is_empty() {
-        println!("dvelm-lint: FAILED (strict mode: warnings are denied; add `RULE path key` lines to lint.allow only with a written justification)");
-    } else if stale_strict && !report.stale_allows.is_empty() {
-        println!("dvelm-lint: FAILED (--stale-allow: delete the dead lint.allow entries above)");
+        println!("dvelm-lint: FAILED");
     }
 }
 
 /// Byte-stable JSON: fixed key order, findings pre-sorted by
 /// (path, line, rule, key) in [`check_workspace`], no timestamps, no map
 /// iteration — identical trees render identical bytes.
-fn render_json(report: &CheckReport, stale_strict: bool) -> String {
-    let (errors, warnings) = counts(report);
+fn render_json(report: &CheckReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"version\": 1,\n");
+    out.push_str("  \"version\": 2,\n");
     out.push_str(&format!("  \"files\": {},\n", report.files));
-    out.push_str(&format!("  \"errors\": {errors},\n"));
-    out.push_str(&format!("  \"warnings\": {warnings},\n"));
-    out.push_str(&format!("  \"allowed\": {},\n", report.allowed));
-    out.push_str(&format!("  \"stale_allow_strict\": {stale_strict},\n"));
     out.push_str("  \"findings\": [");
     for (i, d) in report.findings.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
-            "    {{\"rule\": {}, \"name\": {}, \"severity\": {}, \"path\": {}, \"line\": {}, \"key\": {}, \"msg\": {}}}",
+            "    {{\"rule\": {}, \"name\": {}, \"path\": {}, \"line\": {}, \"key\": {}, \"msg\": {}}}",
             json_str(d.rule),
             json_str(d.name),
-            json_str(&d.severity.to_string()),
             json_str(&d.path),
             d.line,
             json_str(&d.key),
@@ -227,16 +192,6 @@ fn render_json(report: &CheckReport, stale_strict: bool) -> String {
         ));
     }
     out.push_str(if report.findings.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
-    });
-    out.push_str("  \"stale_allows\": [");
-    for (i, s) in report.stale_allows.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    {}", json_str(s)));
-    }
-    out.push_str(if report.stale_allows.is_empty() {
         "]\n"
     } else {
         "\n  ]\n"

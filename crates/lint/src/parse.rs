@@ -275,7 +275,9 @@ pub struct FileSyms {
     /// Every identifier named in non-test code outside `use` declarations,
     /// except the name token of a `fn` definition and field names (labels
     /// `x:` and accesses `.x` that are not calls): calls, method calls and
-    /// paths such as `.map(Foo::bar)` alike.
+    /// paths alike. A mention whose type the tokens tell is kept with it
+    /// (`Foo::bar` for `.map(Foo::bar)`, `Self::bar()` or `self.bar()`
+    /// inside `impl Foo`); every other is its bare name.
     pub mentions: BTreeSet<String>,
 }
 
@@ -440,7 +442,10 @@ impl FileSyms {
             } else if t.is_ident("use") {
                 in_use = true;
             } else if t.kind == TokKind::Ident && !ctx.in_test[i] && mentions_fn(toks, i) {
-                mentions.insert(t.text.clone());
+                mentions.insert(match mention_type(ctx, i) {
+                    Some(ty) => format!("{ty}::{}", t.text),
+                    None => t.text.clone(),
+                });
             }
         }
 
@@ -511,6 +516,29 @@ fn mentions_fn(toks: &[Tok], i: usize) -> bool {
     !(defined || label || access)
 }
 
+/// The type whose fn the mention at `i` names, where the tokens tell: the
+/// capitalized segment of a `Type::name` path (`Self` read as the enclosing
+/// `impl`'s type), or the enclosing `impl`'s type for `self.name`. `None`
+/// for every other mention: a bare name, a method call on anything but
+/// `self`, a lowercase (module) segment, or `Self`/`self` outside an `impl`.
+fn mention_type(ctx: &FileCtx<'_>, i: usize) -> Option<String> {
+    let toks = &ctx.toks;
+    if i >= 2 && toks[i - 1].is_punct('.') && toks[i - 2].is_ident("self") {
+        return ctx.impl_of[i].clone();
+    }
+    if i < 3 || !toks[i - 1].is_punct(':') || !toks[i - 2].is_punct(':') {
+        return None;
+    }
+    let seg = &toks[i - 3];
+    if seg.kind != TokKind::Ident || !seg.text.starts_with(|c: char| c.is_ascii_uppercase()) {
+        return None;
+    }
+    if seg.text == "Self" {
+        return ctx.impl_of[i].clone();
+    }
+    Some(seg.text.clone())
+}
+
 /// Variant names of an enum body span (top-level identifiers, attributes
 /// and doc comments skipped, payloads and discriminants consumed).
 fn enum_variants(toks: &[Tok], open: usize, close: usize) -> Vec<(String, u32)> {
@@ -553,7 +581,8 @@ fn arg_shape(toks: &[Tok], (start, end): (usize, usize)) -> ArgShape {
         return ArgShape::Ident(span[0].text.clone());
     }
     // A clock constant: mentions `SimTime::ZERO` or `SimTime::from_*`, and
-    // involves no variable (every identifier is SimTime / ZERO / from_*).
+    // involves no variable (every identifier is SimTime / ZERO / from_* or a
+    // path segment such as `dvelm_sim::`).
     let mentions_clock = span.windows(4).any(|w| {
         w[0].is_ident("SimTime")
             && w[1].is_punct(':')
@@ -561,11 +590,13 @@ fn arg_shape(toks: &[Tok], (start, end): (usize, usize)) -> ArgShape {
             && w[3].kind == TokKind::Ident
             && (w[3].text == "ZERO" || w[3].text.starts_with("from_"))
     });
-    let no_variables = span.iter().all(|t| {
+    let no_variables = span.iter().enumerate().all(|(k, t)| {
         t.kind != TokKind::Ident
             || t.text == "SimTime"
             || t.text == "ZERO"
             || t.text.starts_with("from_")
+            || span.get(k + 1).is_some_and(|n| n.is_punct(':'))
+                && span.get(k + 2).is_some_and(|n| n.is_punct(':'))
     });
     if mentions_clock && no_variables {
         ArgShape::ClockConst
@@ -785,7 +816,8 @@ mod tests {
     fn clock_const_shapes() {
         let s = syms(
             "crates/core/src/x.rs",
-            "fn g() { f(SimTime::from_secs(3)); f(now.max(SimTime::ZERO)); f(0); }",
+            "fn g() { f(SimTime::from_secs(3)); f(now.max(SimTime::ZERO)); f(0); \
+             f(dvelm_sim::SimTime::ZERO); }",
         );
         let shapes: Vec<&ArgShape> = s
             .calls
@@ -793,11 +825,17 @@ mod tests {
             .filter(|c| c.callee == "f")
             .map(|c| &c.args[0])
             .collect();
-        // A pure from_secs literal is a clock constant; mixing in a variable
-        // (`now.max(…)`) is not; a bare numeric literal is not SimTime-typed.
+        // A pure from_secs literal is a clock constant, and so is a
+        // crate-qualified ZERO; mixing in a variable (`now.max(…)`) is not; a
+        // bare numeric literal is not SimTime-typed.
         assert_eq!(
             shapes,
-            [&ArgShape::ClockConst, &ArgShape::Other, &ArgShape::Other]
+            [
+                &ArgShape::ClockConst,
+                &ArgShape::Other,
+                &ArgShape::Other,
+                &ArgShape::ClockConst
+            ]
         );
     }
 

@@ -11,7 +11,7 @@
 //! the check.
 
 use crate::graph::SymbolGraph;
-use crate::{Diagnostic, Severity};
+use crate::Diagnostic;
 
 /// One fn that must name every variant of a dispatched enum.
 struct Handler {
@@ -138,7 +138,6 @@ pub fn r7_effect_coverage(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                 out.push(Diagnostic {
                     rule: "R7",
                     name: "effect-coverage",
-                    severity: Severity::Error,
                     path: handler.file.to_string(),
                     line: 1,
                     key: format!("fn:{}", handler.fn_qual),
@@ -159,7 +158,6 @@ pub fn r7_effect_coverage(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                     out.push(Diagnostic {
                         rule: "R7",
                         name: "effect-coverage",
-                        severity: Severity::Error,
                         path: handler.file.to_string(),
                         line: handler_line,
                         key: format!("variant:{}::{variant}", spec.enum_name),
@@ -176,7 +174,6 @@ pub fn r7_effect_coverage(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                 out.push(Diagnostic {
                     rule: "R7",
                     name: "effect-coverage",
-                    severity: Severity::Error,
                     path: spec.enum_file.to_string(),
                     line: *vline,
                     key: format!("variant:{}::{variant}", spec.enum_name),
@@ -256,7 +253,6 @@ pub fn r8_abort_rows(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                 out.push(Diagnostic {
                     rule: "R8",
                     name: "abort-row",
-                    severity: Severity::Error,
                     path: R8_ENGINE_FILE.to_string(),
                     line,
                     key: format!("phase:PhaseId::{variant}"),
@@ -278,7 +274,6 @@ pub fn r8_abort_rows(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                 out.push(Diagnostic {
                     rule: "R8",
                     name: "abort-row",
-                    severity: Severity::Error,
                     path: site.path.clone(),
                     line: site.line,
                     key: format!("reason:AbortReason::{variant}"),
@@ -303,10 +298,11 @@ pub fn r8_abort_rows(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
 /// position is clock-carrying, so ambiguous method names never false-
 /// positive.
 ///
-/// Lineage: this generalizes R2 — PR 3's stale-clock bug fed `SimTime::ZERO`
-/// into the xlate TTL path, and R2 catches that shape only inside
-/// `crates/stack` and only at `*_at(…)` call sites. R9 catches the same
-/// invented clock one (or N) hops away, in any simulation-facing crate:
+/// Lineage: PR 3's stale-clock bug fed `SimTime::ZERO` into the xlate TTL
+/// path through a clock-less `install` wrapper. R9 catches that invented
+/// clock where it is passed, whether the clock-threaded call is the next
+/// frame or N hops away, in any simulation-facing crate (R2 catches the TTL
+/// write that has no clock at all):
 ///
 /// Bad (the constant is two frames from the `last_hit` write):
 /// ```text
@@ -350,7 +346,6 @@ pub fn r9_clock_dataflow(graph: &SymbolGraph, out: &mut Vec<Diagnostic>) {
                 out.push(Diagnostic {
                     rule: "R9",
                     name: "clock-dataflow",
-                    severity: Severity::Error,
                     path: f.path.clone(),
                     line: call.line,
                     key: match &call.caller {

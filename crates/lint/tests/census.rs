@@ -1,9 +1,12 @@
 //! `census` over the `fixtures/census/` mini-root: a `pub fn` called only
-//! from `tests/`, only from a `#[cfg(test)]` module, only re-exported, or
-//! named only as a field (`self.x`, `x:`) is listed; one called from `benchmark/src`, `examples/` or a bin, named
-//! only as a path (`.map(T::f)`), sharing its bare name with a called
-//! method, or defined in `crates/lint` is not. The output is pinned
-//! byte-for-byte in `census.expected`
+//! from `tests/`, only from a `#[cfg(test)]` module, only re-exported,
+//! named only as a field (`self.x`, `x:`), or sharing its name only with
+//! another type's fn named by path (`Gauge::record`, `Self::settle`,
+//! `self.flush()` in `impl Gauge`) is listed; one called from
+//! `benchmark/src`, `examples/` or a bin, named only as a path
+//! (`.map(T::f)`, or through an alias the graph does not define), sharing
+//! its bare name with a called method, or defined in `crates/lint` is not.
+//! The output is pinned byte-for-byte in `census.expected`
 //! (`UPDATE_EXPECT=1 cargo test -p dvelm-lint --test census` regenerates
 //! after review).
 

@@ -46,7 +46,42 @@ fn private_helper() {}
 pub fn live(tables: &[Table], other: &mut Other) -> Vec<u8> {
     other.reset();
     private_helper();
+    Gauge::record(&mut Gauge);
+    MeterAlias::drain();
     tables.iter().map(Table::as_path).collect()
+}
+
+pub struct Gauge;
+pub struct Meter;
+pub type MeterAlias = Meter;
+
+impl Gauge {
+    /// Not listed: `live` names it by path, `Gauge::record(..)`.
+    pub fn record(&mut self) {
+        Self::settle();
+        self.flush();
+    }
+
+    /// Not listed: `Gauge::record` calls it as `Self::settle()`.
+    pub fn settle() {}
+
+    /// Not listed: `Gauge::record` calls it as `self.flush()`.
+    pub fn flush(&mut self) {}
+}
+
+impl Meter {
+    /// Listed: the path `Gauge::record` names the other type's fn.
+    pub fn record(&mut self) {}
+
+    /// Listed: `Self::settle()` inside `impl Gauge` names `Gauge::settle`.
+    pub fn settle() {}
+
+    /// Listed: `self.flush()` inside `impl Gauge` names `Gauge::flush`.
+    pub fn flush(&mut self) {}
+
+    /// Not listed: the graph defines no `MeterAlias::drain`, so the path
+    /// `MeterAlias::drain()` keeps every fn named `drain` alive.
+    pub fn drain() {}
 }
 
 pub struct Counter {

@@ -1,6 +1,6 @@
 //! Clean fixture: the shapes the rules demand. Must produce zero
 //! diagnostics under the strictest virtual path,
-//! `crates/stack/src/fixture.rs` (in scope for R1, R2, R4 and R5).
+//! `crates/stack/src/fixture.rs` (in scope for R2 and R3).
 
 use dvelm_sim::SimTime;
 use std::collections::BTreeMap;

@@ -1,8 +1,8 @@
 //! R2 fixture: the PR 3 stale-clock incident, minimized. A clock-less
 //! convenience wrapper invents `SimTime::ZERO` for a clock-threaded API, so
 //! every xlate rule it installs is born stale and TTL GC evicts it while
-//! packets are still matching it. A second path mutates the TTL stamp
-//! without taking `now` at all.
+//! packets are still matching it; R9 flags that wrapper. A second path
+//! mutates the TTL stamp without taking `now` at all; R2 flags that one.
 //! Linted under the virtual path `crates/stack/src/fixture.rs`.
 
 use dvelm_sim::SimTime;
@@ -26,13 +26,13 @@ impl Table {
         self.rules.push(rule);
     }
 
-    /// BAD (R2b): the clock-less wrapper PR 3 shipped — `SimTime::ZERO` fed
+    /// BAD (R9): the clock-less wrapper PR 3 shipped — `SimTime::ZERO` fed
     /// to the clock-threaded call site.
     pub fn install(&mut self, rule: TimedRule) {
         self.install_at(rule, SimTime::ZERO);
     }
 
-    /// BAD (R2a): refreshes the TTL stamp but takes no `now` parameter, so
+    /// BAD (R2): refreshes the TTL stamp but takes no `now` parameter, so
     /// the function can only invent a clock.
     pub fn refresh_all(&mut self) {
         for rule in &mut self.rules {

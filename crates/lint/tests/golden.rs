@@ -1,7 +1,7 @@
 //! Golden-fixture tests: each bad fixture, linted under a virtual in-scope
 //! path, must produce exactly the rendered diagnostics in its `.expected`
-//! file — same rule, `file:line`, message and allow key. Because every bad
-//! fixture yields at least one unallowed finding, `dvelm-lint check` exits
+//! file — same rule, `file:line`, message and key. Because every bad
+//! fixture yields at least one finding, `dvelm-lint check` exits
 //! non-zero on a tree containing it (proved end-to-end below); the clean
 //! fixture must stay silent.
 //!
@@ -9,7 +9,7 @@
 //! `UPDATE_EXPECT=1 cargo test -p dvelm-lint --test golden` (then review
 //! the diff).
 
-use dvelm_lint::{check_workspace, lint_file, Allowlist, Severity};
+use dvelm_lint::{check_workspace, lint_file};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -52,58 +52,21 @@ fn check_golden(fixture: &str, virtual_path: &str, rule: &str) {
 }
 
 #[test]
-fn r1_determinism_fixture() {
-    check_golden("r1_determinism.rs", "crates/stack/src/fixture.rs", "R1");
-}
-
-#[test]
 fn r2_stale_clock_fixture() {
-    // The minimized PR-3 xlate repro: both the clock-less wrapper feeding
-    // `SimTime::ZERO` to `install_at` (R2b) and the `now`-less TTL refresh
-    // (R2a) must be flagged.
+    // The minimized PR-3 xlate repro: the `now`-less TTL refresh must be
+    // flagged. The clock-less wrapper feeding `SimTime::ZERO` to
+    // `install_at` is R9's (see `check_workspace_finds_planted_fixture`).
     check_golden("r2_stale_clock.rs", "crates/stack/src/fixture.rs", "R2");
     let rendered = render("r2_stale_clock.rs", "crates/stack/src/fixture.rs");
     assert!(
-        rendered.contains("fn:Table::install") && rendered.contains("SimTime::ZERO"),
-        "R2b must point at the clock-less wrapper:\n{rendered}"
-    );
-    assert!(
         rendered.contains("refresh_all"),
-        "R2a must point at the now-less TTL refresh:\n{rendered}"
+        "R2 must point at the now-less TTL refresh:\n{rendered}"
     );
 }
 
 #[test]
 fn r3_wildcard_fixture() {
     check_golden("r3_wildcard.rs", "crates/metrics/src/fixture.rs", "R3");
-}
-
-#[test]
-fn r4_panic_fixture() {
-    check_golden("r4_panic.rs", "crates/core/src/fixture.rs", "R4");
-}
-
-#[test]
-fn r5_undoc_fixture() {
-    check_golden("r5_undoc.rs", "crates/stack/src/fixture.rs", "R5");
-}
-
-#[test]
-fn r6_shard_fixture() {
-    check_golden("r6_shard.rs", "crates/cluster/src/fixture.rs", "R6");
-    // No path is exempt: the old home of the parallel core is flagged like
-    // any other file in the simulation family.
-    let rendered = render("r6_shard.rs", "crates/sim/src/par.rs");
-    let expected = render("r6_shard.rs", "crates/cluster/src/fixture.rs")
-        .replace("crates/cluster/src/fixture.rs", "crates/sim/src/par.rs");
-    assert!(
-        !rendered.is_empty(),
-        "crates/sim/src/par.rs must be flagged by R6"
-    );
-    assert_eq!(
-        rendered, expected,
-        "par.rs must be flagged like any other path"
-    );
 }
 
 #[test]
@@ -117,14 +80,13 @@ fn clean_fixture_is_silent() {
 
 #[test]
 fn out_of_scope_path_silences_scoped_rules() {
-    // The same R1 fixture under a path outside the determinism scope.
-    let rendered = render("r1_determinism.rs", "crates/metrics/src/fixture.rs");
-    assert!(rendered.is_empty(), "R1 is scoped:\n{rendered}");
+    // The same R2 fixture under a path outside `crates/stack`.
+    let rendered = render("r2_stale_clock.rs", "crates/metrics/src/fixture.rs");
+    assert!(rendered.is_empty(), "R2 is scoped:\n{rendered}");
 }
 
 /// End-to-end through the workspace walker: a fake repo root containing one
-/// bad fixture yields unallowed error findings (strict `check` exits
-/// non-zero), and the allowlist suppresses exactly the keyed finding.
+/// bad fixture yields findings from both layers, so `check` exits non-zero.
 #[test]
 fn check_workspace_finds_planted_fixture() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("golden_root");
@@ -136,13 +98,10 @@ fn check_workspace_finds_planted_fixture() {
     )
     .unwrap();
 
-    let report = check_workspace(&root, &Allowlist::default()).unwrap();
+    let report = check_workspace(&root).unwrap();
     assert_eq!(report.files, 1);
     assert!(
-        report
-            .findings
-            .iter()
-            .any(|d| d.rule == "R2" && d.severity == Severity::Error),
+        report.findings.iter().any(|d| d.rule == "R2"),
         "the planted stale-clock fixture must surface through the walker"
     );
     // The semantic layer runs through the walker too: the same planted
@@ -156,20 +115,4 @@ fn check_workspace_finds_planted_fixture() {
         "R9 must flag the planted clock constant through the call graph: {:?}",
         report.findings
     );
-
-    // Allowlisting the sites by their stable impl-qualified keys silences
-    // the check.
-    let allow = Allowlist::parse(
-        "R2 crates/stack/src/fixture.rs fn:Table::install\n\
-         R2 crates/stack/src/fixture.rs fn:Table::refresh_all\n\
-         R9 crates/stack/src/fixture.rs fn:Table::install\n",
-    );
-    let report = check_workspace(&root, &allow).unwrap();
-    assert!(
-        report.findings.is_empty(),
-        "allowlisted findings must be suppressed: {:?}",
-        report.findings
-    );
-    assert_eq!(report.allowed, 3);
-    assert!(report.stale_allows.is_empty());
 }

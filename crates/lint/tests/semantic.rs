@@ -13,7 +13,7 @@
 //! of `--format json` through the binary.
 
 use dvelm_lint::parse::FileSyms;
-use dvelm_lint::{check_workspace, Allowlist, FileCtx};
+use dvelm_lint::{check_workspace, FileCtx};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -29,8 +29,7 @@ fn repo_root() -> PathBuf {
 /// the rendered diagnostics against `<name>.expected`.
 fn check_semantic_golden(name: &str, rule: &str) {
     let root = fixtures_dir().join(name);
-    let report = check_workspace(&root, &Allowlist::default())
-        .unwrap_or_else(|e| panic!("walk {name}: {e}"));
+    let report = check_workspace(&root).unwrap_or_else(|e| panic!("walk {name}: {e}"));
     assert!(
         !report.findings.is_empty(),
         "{name} must trip {rule}, found nothing"
@@ -194,7 +193,7 @@ fn json_output_is_byte_stable_and_strict() {
     );
     let text = String::from_utf8(a.stdout).expect("json is utf-8");
     assert!(
-        text.contains("\"rule\": \"R9\"") && text.contains("\"version\": 1"),
+        text.contains("\"rule\": \"R9\"") && text.contains("\"version\": 2"),
         "json must carry the R9 finding:\n{text}"
     );
 }

@@ -24,6 +24,9 @@
 //! assert_eq!(sched.now(), SimTime::from_millis(10));
 //! ```
 
+// The determinism bans in `clippy.toml` (DESIGN.md §8) cover live code;
+// unit tests may use what they like.
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 #![forbid(unsafe_code)]
 
 pub mod queue;

@@ -54,22 +54,51 @@ impl TableKey {
 pub enum StackEffect {
     /// Transmit `seg`; physically deliver it to the host owning `route`
     /// (normally `seg.dst.ip`, different under a stale destination cache).
-    Tx { seg: Segment, route: Ip },
+    Tx {
+        /// The segment to send.
+        seg: Segment,
+        /// The address of the host that physically receives it.
+        route: Ip,
+    },
     /// The socket's receive queue became non-empty.
-    DataReadable { sock: SockId },
+    DataReadable {
+        /// The socket with data to read.
+        sock: SockId,
+    },
     /// An active open completed.
-    Established { sock: SockId },
+    Established {
+        /// The connecting socket.
+        sock: SockId,
+    },
     /// A listener accepted a new connection.
-    NewConnection { listener: SockId, child: SockId },
+    NewConnection {
+        /// The listening socket.
+        listener: SockId,
+        /// The accepted connection's socket.
+        child: SockId,
+    },
     /// The peer closed its direction.
-    PeerFin { sock: SockId },
+    PeerFin {
+        /// The socket whose peer sent FIN.
+        sock: SockId,
+    },
     /// The connection fully closed.
-    SockClosed { sock: SockId },
+    SockClosed {
+        /// The closed socket.
+        sock: SockId,
+    },
     /// Arm (or re-arm) the retransmission timer: deliver
     /// `on_timer(sock, gen)` at `at`, unless a later arm of the same
     /// socket replaces this one first. The runtime keeps one pending fire
     /// per socket ([`SockTimers`](crate::SockTimers)).
-    ArmTimer { sock: SockId, gen: u64, at: SimTime },
+    ArmTimer {
+        /// The socket whose timer is armed.
+        sock: SockId,
+        /// The arm's generation; a fire of an older one does nothing.
+        gen: u64,
+        /// When the timer fires.
+        at: SimTime,
+    },
     /// The capture hook hit a queue's budget (§V-B): the runtime charges
     /// the incident to the migration that installed the capture entry.
     CapturePressure(PressureEvent),

@@ -28,6 +28,23 @@
 //! timers to arm, capture-budget incidents) that the cluster runtime turns
 //! into events.
 
+// Lint policy for live code (DESIGN.md §8): no panics on the migration hot
+// path (return a typed error, or `#[expect]` the lint on the one fn whose
+// invariant makes it unreachable), and every `pub` item is documented or,
+// when nothing outside the crate can reach it, `pub(crate)`. Test code is
+// exempt from these and from the determinism bans in `clippy.toml`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    ),
+    warn(missing_docs, unreachable_pub)
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
+
 /// Incoming-packet capture for loss prevention during migration (§V-B).
 pub mod capture;
 /// The open-addressing hash table behind ehash and bhash.

@@ -82,7 +82,9 @@ impl fmt::Display for TcpFlags {
 /// Transport-layer content of a segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Transport {
+    /// A TCP segment.
     Tcp {
+        /// Control bits.
         flags: TcpFlags,
         /// Sequence number of the first payload byte (or of SYN/FIN).
         seq: u32,
@@ -94,9 +96,12 @@ pub enum Transport {
         ts_val: Jiffies,
         /// Timestamp echo reply (0 when unknown).
         ts_ecr: Jiffies,
+        /// Segment data.
         payload: Bytes,
     },
+    /// A UDP datagram.
     Udp {
+        /// Datagram data.
         payload: Bytes,
     },
 }

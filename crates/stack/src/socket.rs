@@ -13,7 +13,9 @@ use dvelm_net::SockAddr;
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Socket {
+    /// A TCP socket.
     Tcp(TcpSocket),
+    /// A UDP socket.
     Udp(UdpSocket),
 }
 
@@ -86,6 +88,10 @@ impl Socket {
     }
 
     /// Access the TCP socket, panicking for UDP (test/internal helper).
+    #[expect(
+        clippy::panic,
+        reason = "typed-projection contract: callers match Socket::Tcp first, so a wrong-variant access is a bug at the access site"
+    )]
     pub fn tcp(&self) -> &TcpSocket {
         match self {
             Socket::Tcp(t) => t,
@@ -94,6 +100,10 @@ impl Socket {
     }
 
     /// Access the UDP socket, panicking for TCP.
+    #[expect(
+        clippy::panic,
+        reason = "typed-projection contract: callers match Socket::Udp first, so a wrong-variant access is a bug at the access site"
+    )]
     pub fn udp(&self) -> &UdpSocket {
         match self {
             Socket::Udp(u) => u,
@@ -102,6 +112,10 @@ impl Socket {
     }
 
     /// Mutable access to the UDP socket, panicking for TCP.
+    #[expect(
+        clippy::panic,
+        reason = "typed-projection contract: callers match Socket::Udp first, so a wrong-variant access is a bug at the access site"
+    )]
     pub fn udp_mut(&mut self) -> &mut UdpSocket {
         match self {
             Socket::Udp(u) => u,

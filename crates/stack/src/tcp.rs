@@ -46,16 +46,27 @@ pub const DELTA_HEADER: u64 = 24;
 /// `Established`; the close-path states exist so ordinary traffic works).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TcpState {
+    /// Waiting for a SYN.
     Listen,
+    /// SYN sent by an active open, waiting for the SYN-ACK.
     SynSent,
+    /// SYN received on a listener, SYN-ACK sent, waiting for the ACK.
     SynRcvd,
+    /// Open in both directions.
     Established,
+    /// Closed locally, FIN sent and not yet acknowledged.
     FinWait1,
+    /// Local FIN acknowledged, waiting for the peer's FIN.
     FinWait2,
+    /// The peer closed its direction; waiting for the local close.
     CloseWait,
+    /// Both closed, the peer first; waiting for the ACK of the local FIN.
     LastAck,
+    /// Both sides sent FIN at once; waiting for the ACK of the local FIN.
     Closing,
+    /// Closed first, and both FINs exchanged; later segments are ignored.
     TimeWait,
+    /// No connection.
     Closed,
 }
 
@@ -301,6 +312,10 @@ impl TcpSocket {
         ctx.jiffies.shifted(self.ts_offset)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "only reachable past SYN: active and passive open install the remote before the state machine can emit a segment"
+    )]
     fn make_segment(
         &self,
         flags: TcpFlags,

@@ -2,6 +2,9 @@
 //! dynamics, retransmission-timeout clamps, flow control and connection
 //! table hygiene — the machinery whose state socket migration must preserve.
 
+// Test code is exempt from the crate's determinism bans (`clippy.toml`).
+#![allow(clippy::disallowed_types)]
+
 use bytes::Bytes;
 use dvelm_net::{NodeId, SockAddr};
 use dvelm_sim::{SimTime, MILLISECOND, SECOND};

@@ -3,8 +3,9 @@
 //! with effect logging enabled, and require the two rendered effect streams
 //! to be byte-identical. This is the machine-checkable form of the repo's
 //! determinism contract: if any `HashMap` iteration order, wall-clock read
-//! or unseeded RNG leaks into the simulation (lint rule R1), the two logs
-//! diverge here long before a figure regenerates differently.
+//! or unseeded RNG leaks into the simulation (the simulation crates'
+//! `clippy.toml` bans the first two), the two logs diverge here long before
+//! a figure regenerates differently.
 //!
 //!
 //! Double runs catch nondeterminism; they cannot catch a change that moves
